@@ -21,28 +21,25 @@ from .core import (
     validate,
 )
 from .contact import (
-    Penetration,
-    Wrench,
-    contact_wrench_3d,
-    effective_stiffness,
-    hybrid_force,
-    max_effective_stiffness,
-    penetration_2d,
-    penetration_3d,
-    spring_dashpot_force,
+    contact_force,
+    contact_stiffness,
+    depth_2d,
+    depth_3d,
+    depth_rate_2d,
+    depth_rate_3d,
     stiffness_tensor,
+    torque_2d,
+    torque_3d,
 )
 from .dynamics import (
     ContactEvent,
-    DelayLine,
     DivergenceError,
     Trajectory,
     extract_events,
     integrate_dde,
-    rhs_2d,
-    rhs_3d,
+    make_rhs_2d,
+    make_rhs_3d,
     simulate,
-    step,
 )
 from .linear import (
     LinearModel2D,

@@ -1,7 +1,16 @@
-"""Penetration kinematics and contact force laws.
+"""The contact force law, written once.
 
-Everything here is a pure function of the sampled (delayed) state handed in
-by the caller; the delay bookkeeping lives in :mod:`docksim.dynamics`.
+The hybrid (physical + virtual) spring-dashpot law is
+
+    f = -(k_phi + k_v) d - b_v d_dot,   k_phi = sum_i k_i (l_hat_i . d_c3)^2,
+
+evaluated on the state sampled at t - h; the delay bookkeeping lives in
+:mod:`docksim.dynamics`. Each term is a plain-arithmetic function that
+indexes state components (``x[0]``, ``x[6]``, ...), so the same code serves
+one state vector inside the right-hand side and a transposed trajectory
+(``Y.T``) in post-processing. The activation gate (unilateral: force only
+while d < 0) stays with the caller, which tests it before computing the
+force.
 
 Sign convention: d < 0 means the probe tip is past the wall, so the spring
 force -k*d points outward along the wall normal. In the planar model a
@@ -10,69 +19,68 @@ positive force with sin(theta) > 0 creates a negative torque about x.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ChaserState2D, ChaserState3D, ContactParams
+
+def depth_2d(x, a, cos_theta):
+    """Planar penetration depth d = z + a cos(theta) of the state
+    x = (z, v_z, theta, omega, ...); cos_theta is cos(x[2])."""
+    return x[0] + a * cos_theta
 
 
-@dataclass(frozen=True)
-class Penetration:
-    """Signed penetration depth d [m] and depth rate d_dot [m/s]."""
-
-    d: float
-    d_dot: float
+def depth_rate_2d(x, a, sin_theta):
+    """Planar depth rate d_dot = v_z - a omega sin(theta); sin_theta is
+    sin(x[2])."""
+    return x[1] - a * x[3] * sin_theta
 
 
-@dataclass(frozen=True)
-class Wrench:
-    """Contact wrench: force intensity f [N] along the wall normal and the
-    torque tau_B [N*m] about the chaser center of mass, body frame."""
-
-    f: float
-    tau_B: np.ndarray
-
-
-def penetration_3d(delayed: ChaserState3D, a_B: np.ndarray, n_hat: np.ndarray) -> Penetration:
-    """Penetration depth and rate from one delayed 12-state sample.
-
-    d     = r.n_hat + a_B.d_c3
-    d_dot = v.n_hat + a_B.(-omega x d_c3)
-
-    Both fields come from the same sample; the caller is responsible for
-    having sampled the state at t - h.
-    """
-    a_B = np.asarray(a_B, dtype=float)
-    n_hat = np.asarray(n_hat, dtype=float)
-    d = float(delayed.r @ n_hat + a_B @ delayed.d_c3)
-    d_dot = float(delayed.v @ n_hat + a_B @ np.cross(delayed.d_c3, delayed.omega))
-    return Penetration(d=d, d_dot=d_dot)
+def depth_3d(x, n_hat, a_B):
+    """Penetration depth d = r.n_hat + a_B.d_c3 of the 12-state
+    x = (r, v, d_c3, omega)."""
+    n0, n1, n2 = n_hat
+    a0, a1, a2 = a_B
+    return x[0] * n0 + x[1] * n1 + x[2] * n2 + a0 * x[6] + a1 * x[7] + a2 * x[8]
 
 
-def penetration_2d(delayed: ChaserState2D, a: float) -> Penetration:
-    """Planar penetration: d = z + a*cos(theta), d_dot = v_z - a*omega*sin(theta)."""
-    d = delayed.z + a * math.cos(delayed.theta)
-    d_dot = delayed.v_z - a * delayed.omega * math.sin(delayed.theta)
-    return Penetration(d=d, d_dot=d_dot)
+def depth_rate_3d(x, n_hat, a_B):
+    """Depth rate d_dot = v.n_hat + a_B.(d_c3 x omega); d_c3 x omega is the
+    attitude-column rate -omega x d_c3."""
+    n0, n1, n2 = n_hat
+    a0, a1, a2 = a_B
+    c0, c1, c2, w0, w1, w2 = x[6], x[7], x[8], x[9], x[10], x[11]
+    return (x[3] * n0 + x[4] * n1 + x[5] * n2
+            + a0 * (c1 * w2 - c2 * w1) + a1 * (c2 * w0 - c0 * w2) + a2 * (c0 * w1 - c1 * w0))
 
 
-def spring_dashpot_force(
-    p: Penetration, k: float, b: float, activation: str = "unilateral"
-) -> float:
-    """Spring-dashpot force intensity f = -k*d - b*d_dot.
+def contact_stiffness(k_v, springs, c0, c1, c2):
+    """Total stiffness k_v + sum_i k_i (l_hat_i . c)^2 along the body-frame
+    wall normal c = (c0, c1, c2): the attitude column d_c3 in 3D,
+    (0, sin theta, cos theta) in the planar model. springs holds
+    (k_i, l_hat_i) pairs in the body frame."""
+    k_tot = k_v
+    for k_i, (l0, l1, l2) in springs:
+        proj = l0 * c0 + l1 * c1 + l2 * c2
+        k_tot = k_tot + k_i * proj * proj
+    return k_tot
 
-    Bilateral mode always applies the law; unilateral mode applies it only
-    while d < 0 and returns 0 otherwise (no tensile contact).
-    """
-    if activation == "bilateral":
-        return -k * p.d - b * p.d_dot
-    if activation == "unilateral":
-        if p.d < 0.0:
-            return -k * p.d - b * p.d_dot
-        return 0.0
-    raise ValueError(f"unknown activation mode {activation!r}")
+
+def contact_force(k, b, d, d_dot):
+    """Spring-dashpot force intensity f = -k d - b d_dot along the wall
+    normal, ungated."""
+    return -k * d - b * d_dot
+
+
+def torque_2d(f, a, sin_theta):
+    """Planar contact torque about x: -a f sin(theta)."""
+    return -a * f * sin_theta
+
+
+def torque_3d(f, a_B, c0, c1, c2):
+    """Body-frame contact torque f (a_B x d_c3) about the center of mass, as
+    a (tau_x, tau_y, tau_z) tuple; d_c3 = (c0, c1, c2) comes from the same
+    delayed sample as f."""
+    a0, a1, a2 = a_B
+    return f * (a1 * c2 - a2 * c1), f * (a2 * c0 - a0 * c2), f * (a0 * c1 - a1 * c0)
 
 
 def stiffness_tensor(springs) -> np.ndarray:
@@ -83,44 +91,3 @@ def stiffness_tensor(springs) -> np.ndarray:
         l = np.asarray(l_hat, dtype=float)
         K += k_i * np.outer(l, l)
     return K
-
-
-def effective_stiffness(springs, n_hat) -> float:
-    """Scalar stiffness of the spring set projected along n_hat:
-    k_phi = sum_i k_i (l_hat_i . n_hat)^2.
-
-    Frame-agnostic: pass l_hat_i and n_hat expressed in the same frame. For
-    the body-frame spring directions stored in ContactParams, the wall
-    normal in the body frame is the (delayed) attitude column d_c3.
-    """
-    n = np.asarray(n_hat, dtype=float)
-    total = 0.0
-    for k_i, l_hat in springs:
-        c = float(np.asarray(l_hat, dtype=float) @ n)
-        total += k_i * c * c
-    return total
-
-
-def max_effective_stiffness(springs, n_hats) -> float:
-    """Brute-force maximum of k_phi over a user-supplied grid of normals.
-    Useful for picking a time-invariant analysis upper bound by hand."""
-    return max(effective_stiffness(springs, n) for n in n_hats)
-
-
-def hybrid_force(p: Penetration, k_phi: float, contact: ContactParams) -> float:
-    """Hybrid (physical + virtual) force f = -(k_phi + k_v)*d - b_v*d_dot,
-    gated by the contact activation mode."""
-    return spring_dashpot_force(p, k_phi + contact.k_v, contact.b_v, contact.activation)
-
-
-def contact_wrench_3d(
-    f: float, a_B: np.ndarray, delayed_d_c3: np.ndarray, n_hat: np.ndarray
-) -> Wrench:
-    """Wrench produced by force intensity f: force f*n_hat on translation and
-    torque tau_B = f * (a_B x d_c3(t-h)) about B in the body frame. The
-    attitude column must come from the same delayed sample as f's
-    penetration.
-    """
-    a_B = np.asarray(a_B, dtype=float)
-    d_c3 = np.asarray(delayed_d_c3, dtype=float)
-    return Wrench(f=float(f), tau_B=f * np.cross(a_B, d_c3))

@@ -1,17 +1,23 @@
 """Fixed-step integration of the delayed nonlinear contact dynamics.
 
 The equations of motion form a functional ODE: the contact force at time t
-is computed from the state sampled at t - h. Integration is classical
-explicit RK4 on a fixed grid; delayed arguments at the stage times are
-resolved by linear interpolation of the state history, which keeps runs
-reproducible bit-for-bit for a given (dt, h). Before t = 0 the history is
-the constant initial state (runs start out of contact, where the right-hand
-side is force-free, so the constant pre-history is exact).
+is computed from the state sampled at t - h. :func:`integrate_dde` is the
+one integration scheme: classical explicit RK4 on a fixed grid, with the
+delayed arguments at the stage times resolved by linear interpolation of the
+stored state history (:func:`_lerp_history`), which keeps runs reproducible
+bit-for-bit for a given (dt, h). Before t = 0 the history is the constant
+initial state (runs start out of contact, where the right-hand side is
+force-free, so the constant pre-history is exact).
 
 h = 0 is special-cased: the delayed argument is the current stage state and
 the scheme is plain RK4 for the undelayed ODE. A delay in (0, dt) is
 rejected by validation since the explicit scheme can only look up completed
 steps.
+
+The right-hand sides (:func:`make_rhs_2d`, :func:`make_rhs_3d`) and the
+contact channels :func:`simulate` records both evaluate the contact law
+through the functions of :mod:`docksim.contact`, so the recorded force is
+the applied force.
 """
 
 from __future__ import annotations
@@ -22,6 +28,16 @@ from typing import Callable
 
 import numpy as np
 
+from .contact import (
+    contact_force,
+    contact_stiffness,
+    depth_2d,
+    depth_3d,
+    depth_rate_2d,
+    depth_rate_3d,
+    torque_2d,
+    torque_3d,
+)
 from .core import BodyParams, ChaserState2D, ChaserState3D, ContactParams, SimConfig
 
 Rhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -33,108 +49,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
-
-
-class DelayLine:
-    """State history on the fixed integration grid with interpolated lookup.
-
-    Stores (t, state) samples in a ring whose capacity covers the delay
-    window (>= ceil(h/dt) + 2 samples). ``sample(t - h)`` linearly
-    interpolates between the bracketing grid samples; queries before the
-    first sample return the initial state (constant pre-history).
-    """
-
-    def __init__(self, initial: np.ndarray, dt: float, h: float, t0: float = 0.0):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if h < 0.0:
-            raise ValueError("h must be >= 0")
-        self.dt = float(dt)
-        self.h = float(h)  # recorded exactly, interpolation handles non-multiples
-        self.t0 = float(t0)
-        initial = np.asarray(initial, dtype=float)
-        self.capacity = int(math.ceil(h / dt)) + 3
-        self._buf = np.empty((self.capacity, initial.size))
-        self._buf[0] = initial
-        self._latest = 0  # index of the newest pushed grid sample
-
-    @property
-    def latest_time(self) -> float:
-        return self.t0 + self._latest * self.dt
-
-    def push(self, t: float, state: np.ndarray) -> None:
-        """Append the state at the next grid time t0 + n*dt."""
-        n = self._latest + 1
-        expected = self.t0 + n * self.dt
-        if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError(f"push time {t!r} is off-grid (expected {expected!r})")
-        self._buf[n % self.capacity] = state
-        self._latest = n
-
-    def sample(self, t: float) -> np.ndarray:
-        """State at time t by linear interpolation; constant before t0."""
-        q = (t - self.t0) / self.dt
-        if q <= 0.0:
-            return self._row(0)
-        n = self._latest
-        if q >= n:
-            if q - n > 1e-9:
-                raise ValueError(f"sample time {t!r} is ahead of the newest sample")
-            return self._row(n)
-        i0 = int(math.floor(q))
-        w = q - i0
-        if w == 0.0:
-            return self._row(i0)
-        lo = self._row(i0)
-        hi = self._row(i0 + 1)
-        return (1.0 - w) * lo + w * hi
-
-    def _row(self, i: int) -> np.ndarray:
-        if i < self._latest - self.capacity + 1:
-            raise ValueError("sample time fell out of the delay window")
-        return self._buf[i % self.capacity].copy()
-
-
-def step(
-    current: np.ndarray,
-    t: float,
-    delay_line: DelayLine,
-    dt: float,
-    rhs: Rhs,
-    unit_slice: slice | None = None,
-) -> np.ndarray:
-    """One classical RK4 step from t to t + dt.
-
-    ``rhs(y, y_delayed)`` receives the stage state and the state interpolated
-    at stage time minus the delay line's h. ``unit_slice`` names a state
-    block to renormalize to unit length after the step (the attitude column
-    of the 3D model). Raises DivergenceError if the result is non-finite.
-    """
-    y = np.asarray(current, dtype=float)
-    h = delay_line.h
-    if h == 0.0:
-        k1 = rhs(y, y)
-        y2 = y + (0.5 * dt) * k1
-        k2 = rhs(y2, y2)
-        y3 = y + (0.5 * dt) * k2
-        k3 = rhs(y3, y3)
-        y4 = y + dt * k3
-        k4 = rhs(y4, y4)
-    else:
-        d0 = delay_line.sample(t - h)
-        dh = delay_line.sample(t + 0.5 * dt - h)
-        d1 = delay_line.sample(t + dt - h)
-        k1 = rhs(y, d0)
-        k2 = rhs(y + (0.5 * dt) * k1, dh)
-        k3 = rhs(y + (0.5 * dt) * k2, dh)
-        k4 = rhs(y + dt * k3, d1)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if unit_slice is not None:
-        block = out[unit_slice]
-        out[unit_slice] = block / math.sqrt(float(block @ block))
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"non-finite state after step at t = {t + dt:.9g} s", t + dt)
-    return out
 
 
 def integrate_dde(
@@ -224,22 +138,19 @@ def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
     k_v = contact.k_v
     b_v = contact.b_v
     bilateral = contact.activation == "bilateral"
-    springs = [(k, float(l[1]), float(l[2])) for k, l in contact.springs]
+    springs = [(k, tuple(map(float, l))) for k, l in contact.springs]
 
     def rhs(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
-        thd = yd[2]
-        s = math.sin(thd)
-        c = math.cos(thd)
-        d = yd[0] + a * c
+        th = yd[2]
+        s = math.sin(th)
+        c = math.cos(th)
+        d = depth_2d(yd, a, c)
         if bilateral or d < 0.0:
-            k_tot = k_v
-            for k_i, l1, l2 in springs:
-                proj = l1 * s + l2 * c
-                k_tot += k_i * proj * proj
-            f = -k_tot * d - b_v * (yd[1] - a * yd[3] * s)
+            k = contact_stiffness(k_v, springs, 0.0, s, c)
+            f = contact_force(k, b_v, d, depth_rate_2d(yd, a, s))
         else:
             f = 0.0
-        return np.array([y[1], f / m, y[3], -a * f * s / J_x, y[5], 0.0])
+        return np.array([y[1], f / m, y[3], torque_2d(f, a, s) / J_x, y[5], 0.0])
 
     return rhs
 
@@ -251,34 +162,22 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
     m = params.m
     J = params.J
     J_inv = np.linalg.inv(J)
-    a0, a1, a2 = (float(x) for x in params.a_B)
-    n0, n1, n2 = (float(x) for x in contact.n_hat)
+    a_B = tuple(float(x) for x in params.a_B)
+    n_hat = n0, n1, n2 = tuple(float(x) for x in contact.n_hat)
     k_v = contact.k_v
     b_v = contact.b_v
     bilateral = contact.activation == "bilateral"
-    springs = [(k, float(l[0]), float(l[1]), float(l[2])) for k, l in contact.springs]
+    springs = [(k, tuple(map(float, l))) for k, l in contact.springs]
 
     def rhs(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
         c0, c1, c2 = yd[6], yd[7], yd[8]
-        d = yd[0] * n0 + yd[1] * n1 + yd[2] * n2 + a0 * c0 + a1 * c1 + a2 * c2
+        d = depth_3d(yd, n_hat, a_B)
         if bilateral or d < 0.0:
-            wd0, wd1, wd2 = yd[9], yd[10], yd[11]
-            # d_c3 x omega = -omega x d_c3
-            e0 = c1 * wd2 - c2 * wd1
-            e1 = c2 * wd0 - c0 * wd2
-            e2 = c0 * wd1 - c1 * wd0
-            d_dot = yd[3] * n0 + yd[4] * n1 + yd[5] * n2 + a0 * e0 + a1 * e1 + a2 * e2
-            k_tot = k_v
-            for k_i, l0, l1, l2 in springs:
-                proj = l0 * c0 + l1 * c1 + l2 * c2
-                k_tot += k_i * proj * proj
-            f = -k_tot * d - b_v * d_dot
+            k = contact_stiffness(k_v, springs, c0, c1, c2)
+            f = contact_force(k, b_v, d, depth_rate_3d(yd, n_hat, a_B))
         else:
             f = 0.0
-        # torque about B: f * (a_B x d_c3(t-h)), body frame
-        t0 = f * (a1 * c2 - a2 * c1)
-        t1 = f * (a2 * c0 - a0 * c2)
-        t2 = f * (a0 * c1 - a1 * c0)
+        t0, t1, t2 = torque_3d(f, a_B, c0, c1, c2)
         # gyroscopic term (J omega) x omega on the current state
         w0, w1, w2 = y[9], y[10], y[11]
         Jw0 = J[0, 0] * w0 + J[0, 1] * w1 + J[0, 2] * w2
@@ -301,27 +200,6 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
         ])
 
     return rhs
-
-
-def rhs_2d(
-    state: ChaserState2D,
-    delayed: ChaserState2D,
-    params: BodyParams,
-    contact: ContactParams,
-) -> np.ndarray:
-    """Planar state derivative in the (z, v_z, theta, omega, y, v_y) order,
-    with force and torque computed from the delayed sample."""
-    return make_rhs_2d(params, contact)(state.as_vector(), delayed.as_vector())
-
-
-def rhs_3d(
-    state: ChaserState3D,
-    delayed: ChaserState3D,
-    params: BodyParams,
-    contact: ContactParams,
-) -> np.ndarray:
-    """12-state derivative in the (r, v, d_c3, omega) order."""
-    return make_rhs_3d(params, contact)(state.as_vector(), delayed.as_vector())
 
 
 # --- trajectory recording and contact events ---
@@ -448,6 +326,9 @@ def simulate(
     instability. Contact events are segmented on the full integration grid
     regardless of the recording decimation.
     """
+    if contact.activation not in ("unilateral", "bilateral"):
+        raise ValueError(
+            f"activation must be 'unilateral' or 'bilateral', got {contact.activation!r}")
     initial = config.initial
     if mode == "3d":
         if isinstance(initial, ChaserState2D):
@@ -470,44 +351,27 @@ def simulate(
         unit_slice=unit_slice, divergence_bound=bound,
     )
 
-    Yd = _delayed_rows(Y, config.h, config.dt)
+    # Contact channels on the whole grid, by the same contact functions and
+    # evaluation order as the right-hand side: d and d_dot of the undelayed
+    # state, f and tau of the delayed sample that the integrator applied.
+    x, xd = Y.T, _delayed_rows(Y, config.h, config.dt).T
     if mode == "2d":
         a = params.a
-        sin_th = np.sin(Y[:, 2])
-        d = Y[:, 0] + a * np.cos(Y[:, 2])
-        d_dot = Y[:, 1] - a * Y[:, 3] * sin_th
-        sin_thd = np.sin(Yd[:, 2])
-        cos_thd = np.cos(Yd[:, 2])
-        d_del = Yd[:, 0] + a * cos_thd
-        dd_del = Yd[:, 1] - a * Yd[:, 3] * sin_thd
-        k_tot = np.full_like(d_del, contact.k_v)
-        for k_i, l_hat in contact.springs:
-            proj = l_hat[1] * sin_thd + l_hat[2] * cos_thd
-            k_tot += k_i * proj * proj
-        f = -k_tot * d_del - contact.b_v * dd_del
-        if contact.activation == "unilateral":
-            f = np.where(d_del < 0.0, f, 0.0)
-        tau = -a * f * sin_thd
+        d = depth_2d(x, a, np.cos(x[2]))
+        d_dot = depth_rate_2d(x, a, np.sin(x[2]))
+        s, c = np.sin(xd[2]), np.cos(xd[2])
+        d_del, dd_del = depth_2d(xd, a, c), depth_rate_2d(xd, a, s)
+        normal = (0.0, s, c)
     else:
-        n_hat = contact.n_hat
-        a_B = params.a_B
-        d = Y[:, 0:3] @ n_hat + Y[:, 6:9] @ a_B
-        d_dot = Y[:, 3:6] @ n_hat + np.einsum(
-            "ij,ij->i", np.cross(Y[:, 6:9], Y[:, 9:12]), np.broadcast_to(a_B, (Y.shape[0], 3))
-        )
-        c3d = Yd[:, 6:9]
-        d_del = Yd[:, 0:3] @ n_hat + c3d @ a_B
-        dd_del = Yd[:, 3:6] @ n_hat + np.einsum(
-            "ij,ij->i", np.cross(c3d, Yd[:, 9:12]), np.broadcast_to(a_B, (Yd.shape[0], 3))
-        )
-        k_tot = np.full_like(d_del, contact.k_v)
-        for k_i, l_hat in contact.springs:
-            proj = c3d @ l_hat
-            k_tot += k_i * proj * proj
-        f = -k_tot * d_del - contact.b_v * dd_del
-        if contact.activation == "unilateral":
-            f = np.where(d_del < 0.0, f, 0.0)
-        tau = f[:, None] * np.cross(np.broadcast_to(a_B, c3d.shape), c3d)
+        n_hat, a_B = contact.n_hat, params.a_B
+        d, d_dot = depth_3d(x, n_hat, a_B), depth_rate_3d(x, n_hat, a_B)
+        d_del, dd_del = depth_3d(xd, n_hat, a_B), depth_rate_3d(xd, n_hat, a_B)
+        normal = (xd[6], xd[7], xd[8])
+    k = contact_stiffness(contact.k_v, contact.springs, *normal)
+    f = contact_force(k, contact.b_v, d_del, dd_del)
+    if contact.activation == "unilateral":
+        f = np.where(d_del < 0.0, f, 0.0)
+    tau = torque_2d(f, a, s) if mode == "2d" else np.column_stack(torque_3d(f, a_B, *normal))
 
     events = extract_events(times, d, d_dot, window=event_window)
     rec = slice(None, None, config.record_every)

@@ -16,13 +16,15 @@ the open left half-plane): the system is stable exactly for h below the
 first critical delay h_c = h_0. Without damping (beta = 0) the critical
 delay is 0. For omega_c*beta << kappa the approximation h_c = beta/kappa
 holds.
+
+:func:`analyze` evaluates this closed form at one point; the boundary sweep
+(:func:`stability_boundary`) calls it point by point along one coefficient
+axis.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -188,25 +190,13 @@ class BoundaryPoint:
     error: Optional[str] = None
 
 
-def _boundary_point(axis: str, x: float, mu, beta, kappa) -> BoundaryPoint:
+def _boundary_point(x: float, mu: float, beta: float, kappa: float) -> BoundaryPoint:
     try:
-        if axis == "beta":
-            point = (mu, x, kappa)
-        elif axis == "kappa":
-            point = (mu, beta, x)
-        elif axis == "mu":
-            point = (x, beta, kappa)
-        else:
-            raise ValueError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
-        h_c, _ = critical_delays(*point, 1)
-        return BoundaryPoint(
-            x=x, h_critical=h_c,
-            omega_c=crossing_frequency(*point),
-            sigma=crossing_direction(*point),
-        )
+        result = analyze(mu, beta, kappa, n_delays=1)
     except ValueError as exc:
         return BoundaryPoint(x=x, h_critical=math.nan, omega_c=math.nan,
                              sigma=math.nan, error=str(exc))
+    return BoundaryPoint(x=x, h_critical=result.h_c, omega_c=result.omega_c, sigma=result.sigma)
 
 
 def stability_boundary(
@@ -215,14 +205,13 @@ def stability_boundary(
     mu: Optional[float] = None,
     beta: Optional[float] = None,
     kappa: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> list[BoundaryPoint]:
     """Neutral-stability curve h_c(x) along one parameter axis.
 
     axis names the swept coefficient; the other two must be fixed. Points
-    are solved independently (worker threads; count from ``workers`` or the
-    DOCKSIM_THREADS environment variable) and returned in grid order.
-    Per-point failures are recorded on the point and the sweep continues.
+    are solved one after another with :func:`analyze` and returned in grid
+    order. Per-point failures are recorded on the point and the sweep
+    continues.
     """
     if axis not in ("beta", "kappa", "mu"):
         raise ValueError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
@@ -232,12 +221,11 @@ def stability_boundary(
     grid = [float(x) for x in grid]
     if not grid:
         raise ValueError("grid must hold at least one point")
-    if workers is None:
-        workers = int(os.environ.get("DOCKSIM_THREADS", "0")) or (os.cpu_count() or 1)
-    if workers <= 1 or len(grid) == 1:
-        return [_boundary_point(axis, x, mu, beta, kappa) for x in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda x: _boundary_point(axis, x, mu, beta, kappa), grid))
+    if axis == "beta":
+        return [_boundary_point(x, mu, x, kappa) for x in grid]
+    if axis == "kappa":
+        return [_boundary_point(x, mu, beta, x) for x in grid]
+    return [_boundary_point(x, x, beta, kappa) for x in grid]
 
 
 def write_boundary_csv(points: Sequence[BoundaryPoint], path) -> None:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from docksim import BodyParams, ChaserState2D, ContactParams, SimConfig
+from docksim import BodyParams, ChaserState2D, ContactParams, SimConfig, depth_2d, depth_rate_2d
 
 # Operating point of the restitution table: m = 60 kg, a = 0.3 m,
 # alpha = 30 deg, J_x recovered from the stated reduced mass 15.6 kg by
@@ -29,6 +29,12 @@ def approach_config(h: float = 0.016, dt: float = 1e-4, t_end: float = 1.2,
         initial=ChaserState2D(z=-0.3 * math.sin(math.radians(30.0)) + clearance,
                               v_z=-v0, theta=math.radians(60.0), omega=0.0),
     )
+
+
+def depth_and_rate_2d(state: ChaserState2D, a: float) -> tuple[float, float]:
+    """Planar penetration depth and rate of one state, probe length a."""
+    x = state.as_vector()
+    return depth_2d(x, a, math.cos(state.theta)), depth_rate_2d(x, a, math.sin(state.theta))
 
 
 @pytest.fixture

@@ -14,9 +14,8 @@ from docksim import (
     nominal_state_2d,
     validate,
 )
-from docksim.contact import penetration_2d
 
-from conftest import table1_body, table1_contact
+from conftest import depth_and_rate_2d, table1_body, table1_contact
 
 
 class TestNominalState:
@@ -29,9 +28,9 @@ class TestNominalState:
 
     def test_zero_penetration_at_nominal(self):
         body, contact = table1_body(), table1_contact()
-        p = penetration_2d(nominal_state_2d(body, contact), body.a)
-        assert abs(p.d) < 1e-12
-        assert abs(p.d_dot) < 1e-12
+        d, d_dot = depth_and_rate_2d(nominal_state_2d(body, contact), body.a)
+        assert abs(d) < 1e-12
+        assert abs(d_dot) < 1e-12
 
     def test_steep_cone_limit(self):
         contact = ContactParams(k_v=0.0, b_v=0.0, alpha=math.pi / 2 - 1e-6)
@@ -48,9 +47,9 @@ class TestNominalState:
     def test_nominal_cancellation_property(self, a, alpha):
         body = BodyParams(m=10.0, J=np.eye(3), a_B=[0, 0, a])
         contact = ContactParams(k_v=1.0, b_v=0.0, alpha=alpha)
-        p = penetration_2d(nominal_state_2d(body, contact), body.a)
-        assert abs(p.d) < 1e-12
-        assert abs(p.d_dot) < 1e-12
+        d, d_dot = depth_and_rate_2d(nominal_state_2d(body, contact), body.a)
+        assert abs(d) < 1e-12
+        assert abs(d_dot) < 1e-12
 
 
 def _valid_bundle():
@@ -85,6 +84,12 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(bad_body, bad_contact, sim)
         assert len(err.value.diagnostics) >= 5
+
+    def test_rejects_unknown_activation(self):
+        body, contact, sim = _valid_bundle()
+        sticky = ContactParams(k_v=1.0, b_v=0.0, alpha=contact.alpha, activation="sticky")
+        with pytest.raises(ValidationError, match="activation must be"):
+            validate(body, sticky, sim)
 
     def test_renormalizes_near_unit_vectors(self):
         body, contact, sim = _valid_bundle()

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import docksim as ds
 from docksim.dynamics import (
-    DelayLine,
+    _delayed_rows,
     _lerp_history,
     extract_events,
     integrate_dde,
-    step,
+    make_rhs_2d,
+    make_rhs_3d,
     write_trajectory_csv,
 )
 
@@ -18,55 +19,31 @@ from conftest import JX_RECOVERED, approach_config, table1_body, table1_contact
 
 
 class TestDelayLine:
+    """The delayed-history lookup of the integrator, _lerp_history."""
+
     def test_constant_prehistory(self):
-        line = DelayLine(np.array([1.0, 2.0]), dt=0.1, h=0.3)
-        assert np.array_equal(line.sample(-5.0), [1.0, 2.0])
-        assert np.array_equal(line.sample(0.0), [1.0, 2.0])
+        Y = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(_lerp_history(Y, 1, -5.0), [1.0, 2.0])
+        assert np.array_equal(_lerp_history(Y, 1, 0.0), [1.0, 2.0])
 
     def test_linear_ramp_interpolates_exactly(self):
-        line = DelayLine(np.array([0.0]), dt=0.1, h=0.5)
-        for i in range(1, 8):
-            line.push(i * 0.1, np.array([2.0 * i * 0.1]))
+        Y = np.array([[2.0 * i * 0.1] for i in range(8)])
         # a linear signal is reproduced exactly by linear interpolation
         for t in (0.05, 0.12, 0.33, 0.61):
-            assert line.sample(t)[0] == pytest.approx(2.0 * t, abs=1e-15)
-
-    def test_rejects_off_grid_push(self):
-        line = DelayLine(np.array([0.0]), dt=0.1, h=0.2)
-        with pytest.raises(ValueError, match="off-grid"):
-            line.push(0.15, np.array([1.0]))
-
-    def test_rejects_future_sample(self):
-        line = DelayLine(np.array([0.0]), dt=0.1, h=0.2)
-        line.push(0.1, np.array([1.0]))
-        with pytest.raises(ValueError, match="ahead"):
-            line.sample(0.3)
-
-    def test_capacity_covers_delay_window(self):
-        line = DelayLine(np.array([0.0]), dt=1e-4, h=0.016)
-        assert line.capacity >= math.ceil(0.016 / 1e-4) + 2
-
-    def test_matches_engine_interpolation(self):
-        rng = np.random.default_rng(7)
-        Y = rng.normal(size=(30, 3))
-        line = DelayLine(Y[0], dt=0.01, h=0.29)  # window covers the whole run
-        for i in range(1, 30):
-            line.push(i * 0.01, Y[i])
-        for q in (0.0, 3.4, 7.0, 28.9):
-            assert np.allclose(line.sample(q * 0.01), _lerp_history(Y, 29, q), atol=1e-15)
+            assert _lerp_history(Y, 7, t / 0.1)[0] == pytest.approx(2.0 * t, abs=1e-15)
 
 
 class TestRhs2D:
     def test_ballistic_coast(self, body, contact):
         s = ds.ChaserState2D(z=-0.10, v_z=-0.02, theta=1.0, omega=0.0, y=0.0, v_y=0.01)
-        dy = ds.rhs_2d(s, s, body, contact)
+        dy = make_rhs_2d(body, contact)(s.as_vector(), s.as_vector())
         assert np.allclose(dy, [-0.02, 0.0, 0.0, 0.0, 0.01, 0.0])
 
     def test_force_and_torque_substitution(self, body):
         # d = -0.001 at 60 deg: f = 3 N, v_z' = 0.05 m/s^2, omega' = -a f sin(60)/J_x
         contact = table1_contact()
         s = ds.ChaserState2D(z=-0.151, v_z=0.0, theta=math.radians(60), omega=0.0)
-        dy = ds.rhs_2d(s, s, body, contact)
+        dy = make_rhs_2d(body, contact)(s.as_vector(), s.as_vector())
         assert dy[1] == pytest.approx(3.0 / 60.0, rel=1e-9)
         assert dy[3] == pytest.approx(-0.3 * 3.0 * math.sin(math.radians(60)) / JX_RECOVERED, rel=1e-9)
 
@@ -74,7 +51,7 @@ class TestRhs2D:
     def test_wall_parallel_velocity_never_accelerates(self, z, vz, th, om):
         body, contact = table1_body(), table1_contact(b_v=30.0)
         s = ds.ChaserState2D(z=z, v_z=vz, theta=th, omega=om, y=0.3, v_y=0.2)
-        assert ds.rhs_2d(s, s, body, contact)[5] == 0.0
+        assert make_rhs_2d(body, contact)(s.as_vector(), s.as_vector())[5] == 0.0
 
     def test_spring_set_uses_delayed_attitude(self):
         # a probe-aligned spring projects on the wall normal via cos(theta(t-h))
@@ -83,7 +60,7 @@ class TestRhs2D:
                                    springs=((2000.0, [0.0, 0.0, 1.0]),))
         now = ds.ChaserState2D(z=-0.151, v_z=0.0, theta=math.radians(60), omega=0.0)
         delayed = ds.ChaserState2D(z=-0.151, v_z=0.0, theta=math.radians(65), omega=0.0)
-        dy = ds.rhs_2d(now, delayed, body, contact)
+        dy = make_rhs_2d(body, contact)(now.as_vector(), delayed.as_vector())
         d_del = -0.151 + 0.3 * math.cos(math.radians(65))
         assert d_del < 0.0
         k_phi = 2000.0 * math.cos(math.radians(65)) ** 2
@@ -95,13 +72,13 @@ class TestRhs3D:
         body = ds.BodyParams(m=1.0, J=np.diag([1.0, 2.0, 3.0]), a_B=[0, 0, 1])
         contact = ds.ContactParams(k_v=0.0, b_v=0.0, alpha=0.5)
         s = ds.ChaserState3D(r=[0, 0, 1], v=[0, 0, 0], d_c3=[0, 0, 1], omega=[1.0, 1.0, 1.0])
-        dy = ds.rhs_3d(s, s, body, contact)
+        dy = make_rhs_3d(body, contact)(s.as_vector(), s.as_vector())
         assert np.allclose(dy[9:12], [-1.0, 1.0, -1.0 / 3.0], atol=1e-12)
 
     def test_zero_force_regime(self):
         body, contact = table1_body(), table1_contact()
         s = ds.ChaserState3D(r=[0, 0, 0.1], v=[0, 0.01, -0.02], d_c3=[0, 0, 1], omega=[0, 0, 0])
-        dy = ds.rhs_3d(s, s, body, contact)
+        dy = make_rhs_3d(body, contact)(s.as_vector(), s.as_vector())
         assert np.allclose(dy[3:6], 0.0) and np.allclose(dy[9:12], 0.0)
 
     @settings(max_examples=100, deadline=None)
@@ -111,8 +88,8 @@ class TestRhs3D:
         body, contact = table1_body(), table1_contact(b_v=20.0)
         s2 = ds.ChaserState2D(z=z, v_z=vz, theta=th, omega=om)
         d2 = ds.ChaserState2D(z=z - 0.001, v_z=vz, theta=th + 0.01, omega=om)
-        dy2 = ds.rhs_2d(s2, d2, body, contact)
-        dy3 = ds.rhs_3d(s2.embed_3d(), d2.embed_3d(), body, contact)
+        dy2 = make_rhs_2d(body, contact)(s2.as_vector(), d2.as_vector())
+        dy3 = make_rhs_3d(body, contact)(s2.embed_3d().as_vector(), d2.embed_3d().as_vector())
         assert abs(dy3[5] - dy2[1]) < 1e-12   # v_z'
         assert abs(dy3[9] - dy2[3]) < 1e-12   # omega_x'
         assert abs(dy3[3]) < 1e-12 and abs(dy3[6]) < 1e-12  # stays planar
@@ -120,9 +97,8 @@ class TestRhs3D:
 
 class TestStep:
     def test_drift_is_exact(self):
-        line = DelayLine(np.array([0.0, 0.5]), dt=0.1, h=0.0)
-        out = step(np.array([0.0, 0.5]), 0.0, line, 0.1, lambda y, yd: np.array([y[1], 0.0]))
-        assert out[0] == pytest.approx(0.05, abs=1e-18)
+        _, Y = integrate_dde(lambda y, yd: np.array([y[1], 0.0]), np.array([0.0, 0.5]), 0.1, 0.1, 0.0)
+        assert Y[1, 0] == pytest.approx(0.05, abs=1e-18)
 
     def test_harmonic_phase_error(self):
         # undelayed, undamped 1D contact: z'' = -(k/m) z, one full period
@@ -150,9 +126,8 @@ class TestStep:
         assert np.all(np.abs(norms - 1.0) <= 1e-9)
 
     def test_rejects_non_finite(self):
-        line = DelayLine(np.array([1.0]), dt=0.1, h=0.0)
         with pytest.raises(ds.DivergenceError, match="non-finite"):
-            step(np.array([1.0]), 0.0, line, 0.1, lambda y, yd: np.array([float("inf")]))
+            integrate_dde(lambda y, yd: np.array([float("inf")]), np.array([1.0]), 0.1, 0.1, 0.0)
 
 
 class TestSimulate:
@@ -191,6 +166,28 @@ class TestSimulate:
         assert np.abs(t3.states[:, 2] - t2.states[:, 0]).max() < 1e-9   # z
         assert np.abs(t3.states[:, 9] - t2.states[:, 3]).max() < 1e-9   # omega_x
         assert np.abs(t3.d - t2.d).max() < 1e-9
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
+    def test_recorded_force_is_applied_force(self, body, mode, activation):
+        # the f and tau columns must be what the integrator applied: the RHS
+        # evaluated on each grid state and its delayed sample
+        contact = table1_contact(b_v=50.0, activation=activation)
+        cfg = approach_config(t_end=1.0)
+        traj, _ = ds.simulate(cfg, body, contact, mode=mode)
+        rhs = (make_rhs_2d if mode == "2d" else make_rhs_3d)(body, contact)
+        Y = traj.states
+        Yd = _delayed_rows(Y, cfg.h, cfg.dt)
+        dY = np.array([rhs(y, yd) for y, yd in zip(Y, Yd)])
+        assert np.any(traj.f != 0.0)
+        if mode == "2d":
+            force, torque = dY[:, 1], dY[:, 3] * body.J_x
+        else:
+            force = dY[:, 3:6] @ contact.n_hat
+            w = Y[:, 9:12]
+            torque = dY[:, 9:12] @ body.J.T - np.cross(w @ body.J.T, w)
+        np.testing.assert_allclose(traj.f / body.m, force, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(traj.tau, torque, rtol=1e-9, atol=1e-12)
 
     def test_elastic_zero_delay_restitution(self, body):
         # near-linear elastic regime: slow approach keeps the attitude drift

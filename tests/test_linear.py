@@ -131,7 +131,7 @@ class TestLinearize:
         for _ in range(500):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            assert ds.effective_stiffness(springs, n) + 500.0 <= bound + 1e-9
+            assert ds.contact_stiffness(500.0, springs, *n) <= bound + 1e-9
 
 
 class TestPenetrationDdeCoeffs:
@@ -175,6 +175,19 @@ class TestCharacteristicValue:
     def test_undamped_imaginary_root(self):
         s = 1j * math.sqrt(3000.0 / M_A)
         assert abs(characteristic_value(M_A, 0.0, 3000.0, 0.0, s)) < 1e-9
+
+    def test_readme_dominant_root(self):
+        # Newton from the undelayed, undamped root i*sqrt(kappa/mu) finds the
+        # dominant root the README quotes for the beta = 0 Table 1 point
+        mu, kappa, h = 15.6, 3000.0, 0.016
+        s = 1j * math.sqrt(kappa / mu)
+        for _ in range(50):
+            slope = 2.0 * mu * s - h * kappa * cmath.exp(-s * h)
+            s -= characteristic_value(mu, 0.0, kappa, h, s) / slope
+        assert abs(characteristic_value(mu, 0.0, kappa, h, s)) < 1e-9 * kappa
+        # the README's figures are rounded to 4 significant digits
+        assert s == pytest.approx(1.490 + 13.62j, rel=1e-3)
+        assert round(math.exp(math.pi * s.real / s.imag), 2) == 1.41
 
     def test_vanishes_at_computed_crossing(self):
         mu, beta, kappa = M_A, 50.0, 3000.0

@@ -197,12 +197,6 @@ class TestBoundary:
         assert points[0].error is not None and math.isnan(points[0].h_critical)
         assert points[1].error is None
 
-    def test_thread_count_does_not_change_results(self):
-        grid = list(np.linspace(1.0, 100.0, 25))
-        serial = stability_boundary("beta", grid, mu=60.0, kappa=1000.0, workers=1)
-        threaded = stability_boundary("beta", grid, mu=60.0, kappa=1000.0, workers=8)
-        assert [p.h_critical for p in serial] == [p.h_critical for p in threaded]
-
     def test_csv_export(self, tmp_path):
         points = [BoundaryPoint(x=1.0, h_critical=0.01, omega_c=5.0, sigma=2.0)]
         path = tmp_path / "curve.csv"
