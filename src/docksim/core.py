@@ -25,6 +25,9 @@ UNIT_RENORM_TOL = 1e-6
 # Norm already this close to 1 is left untouched, which makes validate()
 # exactly idempotent (renormalizing twice would wiggle the last ulp).
 UNIT_EXACT_TOL = 1e-12
+# t_end/dt may differ from a whole number by this fraction of itself (the
+# rounding of decimal inputs such as 1.2/1e-4 = 11999.999999999998).
+STEP_COUNT_RTOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -287,8 +290,15 @@ def validate(
         # the explicit fixed-step scheme resolves delayed arguments from
         # completed steps only, which needs h = 0 or h >= dt
         diags.append(f"delay h = {sim.h!r} must be 0 or >= dt = {sim.dt!r}")
-    if not sim.t_end > sim.dt:
-        diags.append(f"t_end = {sim.t_end!r} must exceed dt = {sim.dt!r}")
+    if not math.isfinite(sim.t_end) or not sim.t_end > sim.dt:
+        diags.append(f"t_end = {sim.t_end!r} must be finite and exceed dt = {sim.dt!r}")
+    elif sim.dt > 0.0:
+        # the fixed grid ends at round(t_end/dt) steps; anything else would
+        # silently shorten or lengthen the run
+        steps = sim.t_end / sim.dt
+        if not math.isfinite(steps) or abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
+            diags.append(f"t_end = {sim.t_end!r} is not a whole number of steps "
+                         f"dt = {sim.dt!r} (t_end/dt = {steps:.9g})")
     if sim.record_every < 1:
         diags.append(f"record_every must be >= 1, got {sim.record_every!r}")
 

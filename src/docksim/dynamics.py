@@ -14,6 +14,17 @@ the scheme is plain RK4 for the undelayed ODE. A delay in (0, dt) is
 rejected by validation since the explicit scheme can only look up completed
 steps.
 
+The loop runs on Python floats, not numpy arrays: with 6 or 12 components
+per state, per-call array overhead would cost more than the arithmetic. The
+state and the RK4 stages are lists, the right-hand side takes two float
+sequences and returns a tuple of floats, and each accepted step is written
+into the preallocated trajectory array, from which the delayed rows are
+read back as lists. The 3D attitude column is renormalized on its numpy row
+(``block / sqrt(block @ block)``), whose dot product rounds differently
+from a plain sum of squares. Every operation is the elementwise one the
+numpy-array form of the scheme performed, in the same order, so results
+are identical to it bit for bit.
+
 The right-hand sides (:func:`make_rhs_2d`, :func:`make_rhs_3d`) and the
 contact channels :func:`simulate` records both evaluate the contact law
 through the functions of :mod:`docksim.contact`, so the recorded force is
@@ -23,8 +34,9 @@ the applied force.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +52,9 @@ from .contact import (
 )
 from .core import BodyParams, ChaserState2D, ChaserState3D, ContactParams, SimConfig
 
-Rhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
+# numpy rows from callers) in, a tuple of floats out
+Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 
 
 class DivergenceError(RuntimeError):
@@ -74,51 +88,69 @@ def integrate_dde(
     Y[0] = y0
     times = np.arange(n + 1) * dt
     ratio = h / dt
-    y = y0.copy()
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    # sum(|y|) bounds every |y_j|, and a NaN or inf component makes the
+    # comparison with the finite limit fail, so one pass screens each step;
+    # _check_divergence then decides exactly
+    limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
+    y = Y[0].tolist()
     for i in range(n):
         if h == 0.0:
             k1 = rhs(y, y)
-            y2 = y + (0.5 * dt) * k1
+            y2 = [a + half * b for a, b in zip(y, k1)]
             k2 = rhs(y2, y2)
-            y3 = y + (0.5 * dt) * k2
+            y3 = [a + half * b for a, b in zip(y, k2)]
             k3 = rhs(y3, y3)
-            y4 = y + dt * k3
+            y4 = [a + dt * b for a, b in zip(y, k3)]
             k4 = rhs(y4, y4)
         else:
             d0 = _lerp_history(Y, i, i - ratio)
             dh = _lerp_history(Y, i, i + 0.5 - ratio)
             d1 = _lerp_history(Y, i, i + 1.0 - ratio)
             k1 = rhs(y, d0)
-            k2 = rhs(y + (0.5 * dt) * k1, dh)
-            k3 = rhs(y + (0.5 * dt) * k2, dh)
-            k4 = rhs(y + dt * k3, d1)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs([a + half * b for a, b in zip(y, k1)], dh)
+            k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
+            k4 = rhs([a + dt * b for a, b in zip(y, k3)], d1)
+        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        row = Y[i + 1]
+        row[:] = y
         if unit_slice is not None:
-            block = y[unit_slice]
-            y[unit_slice] = block / math.sqrt(float(block @ block))
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"non-finite state at t = {times[i + 1]:.9g} s", float(times[i + 1]))
-        if divergence_bound is not None and float(np.abs(y).max()) > divergence_bound:
-            raise DivergenceError(
-                f"state magnitude exceeded divergence bound {divergence_bound:.3g} "
-                f"at t = {times[i + 1]:.9g} s (instability)",
-                float(times[i + 1]),
-            )
-        Y[i + 1] = y
+            block = row[unit_slice]
+            block /= math.sqrt(float(block @ block))
+            y = row.tolist()
+        if not sum(map(abs, y)) <= limit:
+            _check_divergence(y, float(times[i + 1]), divergence_bound)
     return times, Y
 
 
-def _lerp_history(Y: np.ndarray, latest: int, q: float) -> np.ndarray:
-    """Row of Y at fractional index q (q <= latest); constant before row 0."""
+def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
+    """Raise DivergenceError if y is non-finite or beyond the bound;
+    return if neither (the screen in integrate_dde is conservative)."""
+    if not all(map(math.isfinite, y)):
+        raise DivergenceError(f"non-finite state at t = {t:.9g} s", t)
+    if divergence_bound is not None and max(map(abs, y)) > divergence_bound:
+        raise DivergenceError(
+            f"state magnitude exceeded divergence bound {divergence_bound:.3g} "
+            f"at t = {t:.9g} s (instability)",
+            t,
+        )
+
+
+def _lerp_history(Y: np.ndarray, latest: int, q: float) -> list:
+    """Row of Y at fractional index q (q <= latest), as a list of floats;
+    constant before row 0."""
     if q <= 0.0:
-        return Y[0]
+        return Y[0].tolist()
     i0 = int(q)
     if i0 >= latest:
-        return Y[latest]
+        return Y[latest].tolist()
     w = q - i0
     if w == 0.0:
-        return Y[i0]
-    return (1.0 - w) * Y[i0] + w * Y[i0 + 1]
+        return Y[i0].tolist()
+    v = 1.0 - w
+    a, b = Y[i0:i0 + 2].tolist()
+    return [v * x0 + w * x1 for x0, x1 in zip(a, b)]
 
 
 # --- right-hand sides ---
@@ -140,7 +172,7 @@ def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
     bilateral = contact.activation == "bilateral"
     springs = [(k, tuple(map(float, l))) for k, l in contact.springs]
 
-    def rhs(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
+    def rhs(y, yd):
         th = yd[2]
         s = math.sin(th)
         c = math.cos(th)
@@ -150,7 +182,7 @@ def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
             f = contact_force(k, b_v, d, depth_rate_2d(yd, a, s))
         else:
             f = 0.0
-        return np.array([y[1], f / m, y[3], torque_2d(f, a, s) / J_x, y[5], 0.0])
+        return (y[1], f / m, y[3], torque_2d(f, a, s) / J_x, y[5], 0.0)
 
     return rhs
 
@@ -160,8 +192,8 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
     omega' = J^-1((J omega) x omega + tau_B), force and torque from the
     delayed sample."""
     m = params.m
-    J = params.J
-    J_inv = np.linalg.inv(J)
+    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = params.J.tolist()
+    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(params.J).tolist()
     a_B = tuple(float(x) for x in params.a_B)
     n_hat = n0, n1, n2 = tuple(float(x) for x in contact.n_hat)
     k_v = contact.k_v
@@ -169,7 +201,7 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
     bilateral = contact.activation == "bilateral"
     springs = [(k, tuple(map(float, l))) for k, l in contact.springs]
 
-    def rhs(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
+    def rhs(y, yd):
         c0, c1, c2 = yd[6], yd[7], yd[8]
         d = depth_3d(yd, n_hat, a_B)
         if bilateral or d < 0.0:
@@ -180,24 +212,24 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
         t0, t1, t2 = torque_3d(f, a_B, c0, c1, c2)
         # gyroscopic term (J omega) x omega on the current state
         w0, w1, w2 = y[9], y[10], y[11]
-        Jw0 = J[0, 0] * w0 + J[0, 1] * w1 + J[0, 2] * w2
-        Jw1 = J[1, 0] * w0 + J[1, 1] * w1 + J[1, 2] * w2
-        Jw2 = J[2, 0] * w0 + J[2, 1] * w1 + J[2, 2] * w2
+        Jw0 = J00 * w0 + J01 * w1 + J02 * w2
+        Jw1 = J10 * w0 + J11 * w1 + J12 * w2
+        Jw2 = J20 * w0 + J21 * w1 + J22 * w2
         g0 = Jw1 * w2 - Jw2 * w1 + t0
         g1 = Jw2 * w0 - Jw0 * w2 + t1
         g2 = Jw0 * w1 - Jw1 * w0 + t2
         fm = f / m
         # attitude kinematics -omega x d_c3 = d_c3 x omega (current state)
-        return np.array([
+        return (
             y[3], y[4], y[5],
             fm * n0, fm * n1, fm * n2,
             y[7] * w2 - y[8] * w1,
             y[8] * w0 - y[6] * w2,
             y[6] * w1 - y[7] * w0,
-            J_inv[0, 0] * g0 + J_inv[0, 1] * g1 + J_inv[0, 2] * g2,
-            J_inv[1, 0] * g0 + J_inv[1, 1] * g1 + J_inv[1, 2] * g2,
-            J_inv[2, 0] * g0 + J_inv[2, 1] * g1 + J_inv[2, 2] * g2,
-        ])
+            I00 * g0 + I01 * g1 + I02 * g2,
+            I10 * g0 + I11 * g1 + I12 * g2,
+            I20 * g0 + I21 * g1 + I22 * g2,
+        )
 
     return rhs
 

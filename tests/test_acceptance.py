@@ -128,7 +128,7 @@ def test_criterion_04_gradient_oracle():
             up, dn = x0.copy(), x0.copy()
             up[j] += delta
             dn[j] -= delta
-            fd[:, j] = (rhs(up, up)[:4] - rhs(dn, dn)[:4]) / (2 * delta)
+            fd[:, j] = (np.asarray(rhs(up, up)[:4]) - np.asarray(rhs(dn, dn)[:4])) / (2 * delta)
         scale = np.abs(F).max()
         denom = np.maximum(np.abs(F), 1e-9 * scale)
         worst = max(worst, float((np.abs(fd - F) / denom).max()))

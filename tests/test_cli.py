@@ -21,6 +21,14 @@ def test_bundled_scenarios_validate_cleanly(name):
     assert 0 < options["neutrality_band"] < 1
 
 
+def test_t_end_off_the_step_grid_exits_1(tmp_path, capsys):
+    code = run("simulate", "table1.json", "--set", "sim.t_end=0.30005",
+               "--out", str(tmp_path / "off"))
+    assert code == 1
+    assert "not a whole number of steps" in capsys.readouterr().err
+    assert not (tmp_path / "off.traj.csv").exists()
+
+
 def test_bundled_name_resolution_prefers_local_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bundled = scenario_path("table1.json")

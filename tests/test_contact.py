@@ -217,7 +217,7 @@ class TestWrench:
         c = ContactParams(k_v=3000.0, b_v=50.0, alpha=0.5)
         separated = ChaserState3D(r=[0, 0, -0.25], v=[0, 0, -0.02], d_c3=[0, 0, 1], omega=[0, 0, 0])
         y = separated.as_vector()
-        dy = make_rhs_3d(unit_body(), c)(y, y)
+        dy = np.asarray(make_rhs_3d(unit_body(), c)(y, y))
         assert np.all(dy[3:6] == 0.0)
         assert np.all(dy[9:12] == 0.0)
 

@@ -111,6 +111,29 @@ class TestValidate:
         with pytest.raises(ValidationError, match="must be 0 or >= dt"):
             validate(body, contact, bad)
 
+    @pytest.mark.parametrize("t_end", [1.00005, 0.30004, 2.5e-4])
+    def test_rejects_t_end_off_the_step_grid(self, t_end):
+        body, contact, sim = _valid_bundle()
+        bad = SimConfig(h=0.016, dt=1e-4, t_end=t_end, initial=sim.initial)
+        with pytest.raises(ValidationError, match="not a whole number of steps"):
+            validate(body, contact, bad)
+
+    @pytest.mark.parametrize("t_end", [float("inf"), float("nan")])
+    def test_rejects_non_finite_t_end(self, t_end):
+        body, contact, sim = _valid_bundle()
+        bad = SimConfig(h=0.016, dt=1e-4, t_end=t_end, initial=sim.initial)
+        with pytest.raises(ValidationError, match="must be finite"):
+            validate(body, contact, bad)
+
+    @pytest.mark.parametrize("t_end, dt", [(1.2, 1e-4), (4.5, 1e-4), (0.5, 1e-4), (2.0, 1e-4),
+                                           (0.3, 1e-4), (0.9, 1e-4), (1.2, 5e-5), (0.7, 1e-3)])
+    def test_accepts_decimal_t_end_on_the_step_grid(self, t_end, dt):
+        # t_end/dt is a whole number up to the rounding of the decimal
+        # inputs (1.2/1e-4 = 11999.999999999998)
+        body, contact, sim = _valid_bundle()
+        ok = SimConfig(h=0.016, dt=dt, t_end=t_end, initial=sim.initial)
+        assert validate(body, contact, ok)[2] is ok
+
     def test_rejects_bad_3d_attitude_column(self):
         body, contact, sim = _valid_bundle()
         state = ChaserState3D(r=[0, 0, -0.14], v=[0, 0, -0.02], d_c3=[0, 0, 2.0], omega=[0, 0, 0])

@@ -95,6 +95,44 @@ class TestRhs3D:
         assert abs(dy3[3]) < 1e-12 and abs(dy3[6]) < 1e-12  # stays planar
 
 
+class TestRhsContract:
+    """The integrator passes lists of floats; the RHS also accepts numpy
+    rows and must return the same floats for both."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.floats(-0.2, -0.1), vz=st.floats(-0.05, 0.05), th=st.floats(0.2, 1.4),
+           om=st.floats(-0.5, 0.5), lag=st.floats(-0.01, 0.01),
+           activation=st.sampled_from(["unilateral", "bilateral"]))
+    def test_rhs_2d_list_and_array_agree(self, z, vz, th, om, lag, activation):
+        contact = ds.ContactParams(k_v=3000.0, b_v=40.0, alpha=math.radians(30),
+                                   springs=((500.0, [0.0, 0.6, 0.8]),), activation=activation)
+        rhs = make_rhs_2d(table1_body(), contact)
+        y = ds.ChaserState2D(z=z, v_z=vz, theta=th, omega=om, y=0.1, v_y=0.01).as_vector()
+        yd = ds.ChaserState2D(z=z + lag, v_z=vz, theta=th - lag, omega=om).as_vector()
+        from_lists = rhs(y.tolist(), yd.tolist())
+        assert type(from_lists) is tuple and len(from_lists) == 6
+        assert all(type(v) is float for v in from_lists)
+        assert np.array(rhs(y, yd)).tobytes() == np.array(from_lists).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.floats(-0.2, -0.1), vz=st.floats(-0.05, 0.05), th=st.floats(0.2, 1.4),
+           w=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           lag=st.floats(-0.01, 0.01), activation=st.sampled_from(["unilateral", "bilateral"]))
+    def test_rhs_3d_list_and_array_agree(self, z, vz, th, w, lag, activation):
+        body = ds.BodyParams(m=60.0, J=[[1.5, 0.1, 0.0], [0.1, 2.0, 0.05], [0.0, 0.05, 2.5]],
+                             a_B=[0.01, 0.02, 0.3])
+        contact = ds.ContactParams(k_v=3000.0, b_v=40.0, alpha=math.radians(30),
+                                   springs=((500.0, [0.0, 0.6, 0.8]),), activation=activation)
+        rhs = make_rhs_3d(body, contact)
+        s = ds.ChaserState2D(z=z, v_z=vz, theta=th, omega=0.0).embed_3d()
+        y = ds.ChaserState3D(r=s.r, v=s.v, d_c3=s.d_c3, omega=w).as_vector()
+        yd = y + lag
+        from_lists = rhs(y.tolist(), yd.tolist())
+        assert type(from_lists) is tuple and len(from_lists) == 12
+        assert all(type(v) is float for v in from_lists)
+        assert np.array(rhs(y, yd)).tobytes() == np.array(from_lists).tobytes()
+
+
 class TestStep:
     def test_drift_is_exact(self):
         _, Y = integrate_dde(lambda y, yd: np.array([y[1], 0.0]), np.array([0.0, 0.5]), 0.1, 0.1, 0.0)
@@ -124,6 +162,14 @@ class TestStep:
                              unit_slice=slice(0, 3))
         norms = np.linalg.norm(Y, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-9)
+
+    def test_divergence_bound_applies_per_component(self):
+        # |y| sums past the bound while every component stays inside it
+        drift = lambda y, yd: (0.0, 0.0, 0.0)
+        _, Y = integrate_dde(drift, np.array([0.6, -0.6, 0.6]), 0.1, 0.3, 0.0, divergence_bound=1.0)
+        assert np.array_equal(Y[-1], [0.6, -0.6, 0.6])
+        with pytest.raises(ds.DivergenceError, match="divergence bound"):
+            integrate_dde(drift, np.array([0.6, -1.5, 0.6]), 0.1, 0.3, 0.0, divergence_bound=1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ds.DivergenceError, match="non-finite"):

@@ -99,7 +99,7 @@ class TestLinearize:
             up, dn = x0.copy(), x0.copy()
             up[j] += delta
             dn[j] -= delta
-            fd[:, j] = (rhs(up, up)[:4] - rhs(dn, dn)[:4]) / (2 * delta)
+            fd[:, j] = (np.asarray(rhs(up, up)[:4]) - np.asarray(rhs(dn, dn)[:4])) / (2 * delta)
         scale = np.abs(model.F_x).max()
         assert np.abs(fd - model.F_x).max() / scale < 1e-5
 
