@@ -9,6 +9,7 @@ Usage: python scripts/run_demo3d.py [--out-dir results/demo3d]
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import docksim as ds
-from docksim.analysis import observed_energy, streams_from_trajectories, write_energy_csv
+from docksim.analysis import events_payload, observed_energy, streams_from_trajectories, write_energy_csv
 from docksim.cli import load_scenario, scenario_path
 from docksim.dynamics import write_trajectory_csv
 
@@ -25,16 +26,12 @@ def run(body, contact, sim, options, label, out):
     traj, events = ds.simulate(sim, body, contact, mode="3d",
                                event_window=options["averaging_window"])
     write_trajectory_csv(traj, out / f"{label}.traj.csv")
-    payload = []
-    for ev in events:
-        eps = ds.restitution(ev, band=options["neutrality_band"])
-        payload.append({"t_in": ev.t_in, "t_out": ev.t_out, "v_minus": ev.v_minus,
-                        "v_plus": ev.v_plus, "epsilon": eps.epsilon,
-                        "classification": eps.classification})
+    payload = events_payload(events, options["neutrality_band"])
     (out / f"{label}.events.json").write_text(json.dumps({"events": payload}, indent=2))
     print(f"{label}: {len(events)} contact(s)")
     for entry in payload:
-        print(f"  t_in={entry['t_in']:.3f} s  eps={entry['epsilon']:.3f} ({entry['classification']})")
+        eps = "-" if entry["epsilon"] is None else f"{entry['epsilon']:.3f}"
+        print(f"  t_in={entry['t_in']:.3f} s  eps={eps} ({entry['classification']})")
     return traj
 
 
@@ -47,11 +44,7 @@ def main() -> int:
 
     body, contact, sim, options = load_scenario(scenario_path("demo3d.json"))
     damped = run(body, contact, sim, options, "damped", out)
-    undamped_contact = ds.ContactParams(
-        k_v=contact.k_v, b_v=0.0, alpha=contact.alpha, springs=contact.springs,
-        n_hat=contact.n_hat, activation=contact.activation,
-    )
-    run(body, undamped_contact, sim, options, "undamped", out)
+    run(body, dataclasses.replace(contact, b_v=0.0), sim, options, "undamped", out)
 
     # passivity monitor of the damped run: command stream carries the
     # spring-only force, so the damping is the only measured/commuted mismatch

@@ -10,12 +10,14 @@ Usage: python scripts/run_table1.py [--out results/table1_results.csv]
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
 import docksim as ds
 from docksim.cli import load_scenario, scenario_path
+from docksim.core import write_csv
 
 
 def main() -> int:
@@ -35,8 +37,7 @@ def main() -> int:
     rows = []
     t0 = time.perf_counter()
     for beta in (float(x) for x in args.betas.split(",")):
-        c = ds.ContactParams(k_v=contact.k_v, b_v=beta, alpha=contact.alpha,
-                             activation=contact.activation)
+        c = dataclasses.replace(contact, b_v=beta)
         _, events = ds.simulate(sim, body, c, mode="2d",
                                 event_window=options["averaging_window"])
         res = ds.restitution(events[0], band=options["neutrality_band"])
@@ -49,10 +50,9 @@ def main() -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write("beta,beta_c_over_beta,epsilon,linear_verdict,nonlinear_cue\n")
-        for beta, ratio, eps, verdict, cue in rows:
-            fh.write(f"{beta:.9g},{ratio:.9g},{eps:.9g},{verdict},{cue}\n")
+    betas, ratios, epsilons, verdicts, cues = zip(*rows)
+    write_csv(out, ["beta", "beta_c_over_beta", "epsilon", "linear_verdict", "nonlinear_cue"],
+              [betas, ratios, epsilons], labels=[verdicts, cues])
     print(f"wrote {out}")
     return 0
 

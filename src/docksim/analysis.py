@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import write_csv
 from .dynamics import ContactEvent, Trajectory
+from .stability import classify
 
 DEFAULT_SAMPLE_TIME = 0.004  # [s]
 DEFAULT_LOSSLESS_TOL = 1e-6  # [J]
@@ -40,17 +42,30 @@ def restitution(event: ContactEvent, band: float = DEFAULT_RESTITUTION_BAND) -> 
     """epsilon = |v_plus| / |v_minus| for one contact event.
 
     epsilon < 1 reads stable (energy lost), epsilon > 1 unstable (energy
-    injected); a relative band around 1 reads neutral. Raises when the event
-    has no impact velocity (v_minus = 0).
+    injected); a band around 1 reads neutral (:func:`docksim.stability.classify`
+    with limit 1). Raises when the event has no impact velocity (v_minus = 0).
     """
     if event.v_minus == 0.0:
         raise ValueError("no impact velocity: v_minus is zero")
     eps = abs(event.v_plus) / abs(event.v_minus)
-    if abs(eps - 1.0) <= band:
-        cls = "neutral"
-    else:
-        cls = "stable" if eps < 1.0 else "unstable"
-    return RestitutionResult(epsilon=eps, classification=cls)
+    return RestitutionResult(epsilon=eps, classification=classify(eps, 1.0, band))
+
+
+def events_payload(events: Sequence[ContactEvent], band: float) -> list[dict]:
+    """JSON-ready list of contact events, each with its restitution reading;
+    an event without impact velocity gets epsilon None and the
+    classification "no impact velocity"."""
+    payload = []
+    for ev in events:
+        entry = {"t_in": ev.t_in, "t_out": ev.t_out, "v_minus": ev.v_minus,
+                 "v_plus": ev.v_plus, "max_depth": ev.max_depth}
+        if ev.v_minus != 0.0:
+            res = restitution(ev, band=band)
+            entry.update(epsilon=res.epsilon, classification=res.classification)
+        else:
+            entry.update(epsilon=None, classification="no impact velocity")
+        payload.append(entry)
+    return payload
 
 
 def _channels(name: str, arr) -> np.ndarray:
@@ -203,8 +218,5 @@ def streams_from_trajectories(
 
 def write_energy_csv(record: EnergyRecord, path) -> None:
     """Deterministic export: t, six channel energies, total, class."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(ENERGY_CHANNELS) + ",dE_total,class\n")
-        for i in range(len(record.total)):
-            row = ",".join(f"{x:.9g}" for x in record.channels[i])
-            fh.write(f"{record.times[i]:.9g},{row},{record.total[i]:.9g},{record.classification[i]}\n")
+    write_csv(path, ["t", *ENERGY_CHANNELS, "dE_total", "class"],
+              [record.times, record.channels, record.total], labels=[record.classification])

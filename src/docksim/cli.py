@@ -41,8 +41,7 @@ EXIT_INPUT = 1
 EXIT_DIVERGED = 2
 
 ANALYSIS_DEFAULTS = {
-    "neutrality_band": 0.01,
-    "energy_tolerance": _analysis.DEFAULT_LOSSLESS_TOL,
+    "neutrality_band": _stability.DEFAULT_NEUTRAL_BAND,
     "averaging_window": 0.02,
 }
 
@@ -51,10 +50,13 @@ class ScenarioError(ValueError):
     pass
 
 
-def _reject_unknown(section: str, data: dict, allowed: set[str]) -> None:
+def _check_keys(section: str, data: dict, allowed: set[str], required: tuple[str, ...] = ()) -> None:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ScenarioError(f"{section}: missing {key}")
 
 
 def _angle(section: str, data: dict, name: str, required: bool = True):
@@ -90,14 +92,26 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
 
     Returns (body, contact, sim, analysis_options). Overrides are
     dotted-path assignments like contact.b_v=60 applied to the raw document
-    before parsing; values are parsed as JSON.
+    before parsing; values are parsed as JSON. Values of the wrong kind
+    (null for a number, a number for a section) raise ScenarioError.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    for item in overrides or []:
+    try:
+        body, contact, sim, options = _parse_scenario(doc, overrides or [])
+    except (TypeError, AttributeError) as exc:
+        raise ScenarioError(f"{path}: malformed scenario value ({exc})") from exc
+    body, contact, sim = validate(body, contact, sim)
+    return body, contact, sim, options
+
+
+def _parse_scenario(doc, overrides: list[str]):
+    """Apply the overrides to the raw document and build the unvalidated
+    (body, contact, sim, analysis_options)."""
+    for item in overrides:
         if "=" not in item:
             raise ScenarioError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
@@ -113,36 +127,25 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
             node = node[key]
         node[keys[-1]] = value
 
-    _reject_unknown("scenario", doc, {"description", "body", "contact", "sim", "analysis"})
-    for section in ("body", "contact", "sim"):
-        if section not in doc:
-            raise ScenarioError(f"missing scenario section {section!r}")
+    _check_keys("scenario", doc, {"description", "body", "contact", "sim", "analysis"},
+                ("body", "contact", "sim"))
 
     body_doc = doc["body"]
-    _reject_unknown("body", body_doc, {"m", "J", "J_x", "a", "a_B"})
+    _check_keys("body", body_doc, {"m", "J", "J_x", "a", "a_B"}, ("m",))
     if ("J" in body_doc) == ("J_x" in body_doc):
         raise ScenarioError("body: give exactly one of J (3x3) or J_x")
     if ("a" in body_doc) == ("a_B" in body_doc):
         raise ScenarioError("body: give exactly one of a (probe length) or a_B (probe vector)")
     J = body_doc["J"] if "J" in body_doc else np.diag([float(body_doc["J_x"])] * 3)
     a_B = body_doc["a_B"] if "a_B" in body_doc else [0.0, 0.0, float(body_doc["a"])]
-    if "m" not in body_doc:
-        raise ScenarioError("body: missing m")
     body = BodyParams(m=float(body_doc["m"]), J=J, a_B=a_B)
 
     contact_doc = doc["contact"]
-    _reject_unknown(
-        "contact", contact_doc,
-        {"k_v", "b_v", "alpha", "alpha_deg", "springs", "n_hat", "activation"},
-    )
-    for key in ("k_v", "b_v"):
-        if key not in contact_doc:
-            raise ScenarioError(f"contact: missing {key}")
+    _check_keys("contact", contact_doc,
+                {"k_v", "b_v", "alpha", "alpha_deg", "springs", "n_hat", "activation"}, ("k_v", "b_v"))
     springs = []
     for i, spring in enumerate(contact_doc.get("springs", [])):
-        _reject_unknown(f"contact.springs[{i}]", spring, {"k", "l_hat"})
-        if "k" not in spring or "l_hat" not in spring:
-            raise ScenarioError(f"contact.springs[{i}]: need k and l_hat")
+        _check_keys(f"contact.springs[{i}]", spring, {"k", "l_hat"}, ("k", "l_hat"))
         springs.append((float(spring["k"]), spring["l_hat"]))
     contact = ContactParams(
         k_v=float(contact_doc["k_v"]),
@@ -154,20 +157,12 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
     )
 
     sim_doc = doc["sim"]
-    _reject_unknown("sim", sim_doc, {"h", "dt", "t_end", "record_every", "initial"})
-    for key in ("h", "t_end", "initial"):
-        if key not in sim_doc:
-            raise ScenarioError(f"sim: missing {key}")
+    _check_keys("sim", sim_doc, {"h", "dt", "t_end", "record_every", "initial"}, ("h", "t_end", "initial"))
     init_doc = sim_doc["initial"]
     mode = init_doc.get("mode")
     if mode == "2d":
-        _reject_unknown(
-            "sim.initial", init_doc,
-            {"mode", "z", "v_z", "theta", "theta_deg", "omega", "y", "v_y"},
-        )
-        for key in ("z", "v_z", "omega"):
-            if key not in init_doc:
-                raise ScenarioError(f"sim.initial: missing {key}")
+        _check_keys("sim.initial", init_doc,
+                    {"mode", "z", "v_z", "theta", "theta_deg", "omega", "y", "v_y"}, ("z", "v_z", "omega"))
         initial = ChaserState2D(
             z=float(init_doc["z"]),
             v_z=float(init_doc["v_z"]),
@@ -177,10 +172,8 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
             v_y=float(init_doc.get("v_y", 0.0)),
         )
     elif mode == "3d":
-        _reject_unknown("sim.initial", init_doc, {"mode", "r", "v", "d_c3", "omega"})
-        for key in ("r", "v", "d_c3", "omega"):
-            if key not in init_doc:
-                raise ScenarioError(f"sim.initial: missing {key}")
+        _check_keys("sim.initial", init_doc, {"mode", "r", "v", "d_c3", "omega"},
+                    ("r", "v", "d_c3", "omega"))
         initial = ChaserState3D(
             r=init_doc["r"], v=init_doc["v"], d_c3=init_doc["d_c3"], omega=init_doc["omega"],
         )
@@ -195,10 +188,8 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
     )
 
     analysis_doc = dict(doc.get("analysis", {}))
-    _reject_unknown("analysis", analysis_doc, set(ANALYSIS_DEFAULTS))
+    _check_keys("analysis", analysis_doc, set(ANALYSIS_DEFAULTS))
     options = {**ANALYSIS_DEFAULTS, **{k: float(v) for k, v in analysis_doc.items()}}
-
-    body, contact, sim = validate(body, contact, sim)
     return body, contact, sim, options
 
 
@@ -233,27 +224,6 @@ def _write_json(obj, out: str | None) -> None:
         print(text)
 
 
-def _events_payload(events, band: float) -> list[dict]:
-    payload = []
-    for ev in events:
-        entry = {
-            "t_in": ev.t_in,
-            "t_out": ev.t_out,
-            "v_minus": ev.v_minus,
-            "v_plus": ev.v_plus,
-            "max_depth": ev.max_depth,
-        }
-        if ev.v_minus != 0.0:
-            res = _analysis.restitution(ev, band=band)
-            entry["epsilon"] = res.epsilon
-            entry["classification"] = res.classification
-        else:
-            entry["epsilon"] = None
-            entry["classification"] = "no impact velocity"
-        payload.append(entry)
-    return payload
-
-
 def cmd_simulate(args) -> int:
     path = scenario_path(args.scenario)
     body, contact, sim, options = load_scenario(path, args.set)
@@ -271,7 +241,7 @@ def cmd_simulate(args) -> int:
     prefix = args.out
     _dynamics.write_trajectory_csv(traj, f"{prefix}.traj.csv")
     _write_json(
-        {"events": _events_payload(events, options["neutrality_band"])},
+        {"events": _analysis.events_payload(events, options["neutrality_band"])},
         f"{prefix}.events.json",
     )
     meta = {
@@ -367,31 +337,9 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def _read_trajectory_csv(path: str) -> _dynamics.Trajectory:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header == _dynamics.TRAJ_COLUMNS_2D:
-        n = data.shape[0]
-        states = np.zeros((n, 6))
-        states[:, 0:4] = data[:, 1:5]
-        return _dynamics.Trajectory(
-            mode="2d", times=data[:, 0], states=states,
-            d=data[:, 5], d_dot=data[:, 6], f=data[:, 7], tau=data[:, 8],
-            in_contact=data[:, 5] < 0.0,
-        )
-    if header == _dynamics.TRAJ_COLUMNS_3D:
-        return _dynamics.Trajectory(
-            mode="3d", times=data[:, 0], states=data[:, 1:13],
-            d=data[:, 13], d_dot=data[:, 14], f=data[:, 15], tau=data[:, 16:19],
-            in_contact=data[:, 13] < 0.0,
-        )
-    raise ScenarioError(f"{path}: unrecognized trajectory header")
-
-
 def cmd_energy(args) -> int:
-    measured = _read_trajectory_csv(args.measured)
-    commanded = _read_trajectory_csv(args.commanded)
+    measured = _dynamics.read_trajectory_csv(args.measured)
+    commanded = _dynamics.read_trajectory_csv(args.commanded)
     if len(measured.times) != len(commanded.times):
         raise ScenarioError(
             f"row count mismatch: {args.measured} has {len(measured.times)} rows, "
@@ -433,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="PATH=VALUE", help="scenario override")
     p.add_argument("--n-delays", type=int, default=5, help="number of crossing delays to list")
     p.add_argument("--band", type=float, default=None,
-                   help="relative neutrality band around h_c (default 0.01)")
+                   help=f"relative neutrality band around h_c (default {_stability.DEFAULT_NEUTRAL_BAND})")
     p.add_argument("--json", action="store_true", help="emit the result as JSON")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_stability)

@@ -8,14 +8,17 @@ internally; degree-valued keys are converted at the scenario-file boundary
 
 All types here are plain value carriers. They do not self-validate;
 :func:`validate` is the single gate that checks every invariant and reports
-all violations at once.
+all violations at once. :func:`step_count` is the one rule for how many
+fixed steps a run takes, and :func:`write_csv` the one writer of the
+9-significant-digit CSV data files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Union
+from itertools import repeat
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -230,6 +233,34 @@ def nominal_state_2d(params: BodyParams, contact: ContactParams) -> ChaserState2
     )
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of fixed steps dt in t_end: a whole number >= 1 up to a
+    relative STEP_COUNT_RTOL, else ValueError (never silently rounded)."""
+    steps = t_end / dt if dt > 0.0 else math.nan
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= STEP_COUNT_RTOL * abs(steps)):
+        raise ValueError(f"t_end = {t_end!r} is not a whole number of steps "
+                         f"dt = {dt!r} (t_end/dt = {steps:.9g})")
+    n = round(steps)
+    if n < 1:
+        raise ValueError(f"t_end = {t_end!r} must cover at least one step dt = {dt!r}")
+    return n
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[Sequence[str]] = ()) -> None:
+    """Header line, then one row per sample: the ``columns`` side by side
+    (2-D blocks keep their columns) at 9 significant digits, negative zeros
+    as 0, followed by the text columns ``labels``. Rows are formatted one
+    at a time, never as a Python copy of the whole table."""
+    block = np.column_stack(columns)
+    block += 0.0  # squash negative zeros for stable formatting
+    line = ",".join(["{:.9g}"] * block.shape[1] + ["{}"] * len(labels)) + "\n"
+    texts = zip(*labels) if labels else repeat(())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row, text in zip(block, texts):
+            fh.write(line.format(*row.tolist(), *text))
+
+
 def _check_unit(name: str, vec: np.ndarray, diags: list[str]) -> np.ndarray:
     """Renormalize a nearly-unit vector; reject anything further off."""
     norm = float(np.linalg.norm(vec))
@@ -293,12 +324,10 @@ def validate(
     if not math.isfinite(sim.t_end) or not sim.t_end > sim.dt:
         diags.append(f"t_end = {sim.t_end!r} must be finite and exceed dt = {sim.dt!r}")
     elif sim.dt > 0.0:
-        # the fixed grid ends at round(t_end/dt) steps; anything else would
-        # silently shorten or lengthen the run
-        steps = sim.t_end / sim.dt
-        if not math.isfinite(steps) or abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
-            diags.append(f"t_end = {sim.t_end!r} is not a whole number of steps "
-                         f"dt = {sim.dt!r} (t_end/dt = {steps:.9g})")
+        try:
+            step_count(sim.t_end, sim.dt)
+        except ValueError as exc:
+            diags.append(str(exc))
     if sim.record_every < 1:
         diags.append(f"record_every must be >= 1, got {sim.record_every!r}")
 

@@ -29,6 +29,9 @@ The right-hand sides (:func:`make_rhs_2d`, :func:`make_rhs_3d`) and the
 contact channels :func:`simulate` records both evaluate the contact law
 through the functions of :mod:`docksim.contact`, so the recorded force is
 the applied force.
+
+The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
+:func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
 """
 
 from __future__ import annotations
@@ -50,7 +53,15 @@ from .contact import (
     torque_2d,
     torque_3d,
 )
-from .core import BodyParams, ChaserState2D, ChaserState3D, ContactParams, SimConfig
+from .core import (
+    BodyParams,
+    ChaserState2D,
+    ChaserState3D,
+    ContactParams,
+    SimConfig,
+    step_count,
+    write_csv,
+)
 
 # rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
 # numpy rows from callers) in, a tuple of floats out
@@ -78,11 +89,10 @@ def integrate_dde(
 
     Returns (times, states) with one row per grid point including t = 0.
     Pre-history is the constant initial state. Not decimated; callers slice.
+    t_end must be a whole number of steps (:func:`docksim.core.step_count`).
     """
     y0 = np.asarray(initial, dtype=float)
-    n = int(round(t_end / dt))
-    if n < 1:
-        raise ValueError("t_end must cover at least one step")
+    n = step_count(t_end, dt)
     dim = y0.size
     Y = np.empty((n + 1, dim))
     Y[0] = y0
@@ -441,21 +451,36 @@ TRAJ_COLUMNS_3D = [
     "d_c3_x", "d_c3_y", "d_c3_z", "omega_x", "omega_y", "omega_z",
     "d", "d_dot", "f", "tau_x", "tau_y", "tau_z",
 ]
+# mode -> (header, state columns after t); 2D leaves out (y, v_y)
+_TRAJ_LAYOUT = {"2d": (TRAJ_COLUMNS_2D, 4), "3d": (TRAJ_COLUMNS_3D, 12)}
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Deterministic CSV export, 9 significant digits, no metadata rows."""
-    with open(path, "w", newline="") as fh:
-        if traj.mode == "2d":
-            fh.write(",".join(TRAJ_COLUMNS_2D) + "\n")
-            cols = np.column_stack([
-                traj.times, traj.states[:, 0:4], traj.d, traj.d_dot, traj.f, traj.tau,
-            ])
+    header, n = _TRAJ_LAYOUT[traj.mode]
+    write_csv(path, header, [traj.times, traj.states[:, :n], traj.d, traj.d_dot, traj.f, traj.tau])
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    """Read a file written by :func:`write_trajectory_csv`; the header
+    decides the mode. A 2D file has no (y, v_y) columns, so they read as
+    zero, and ``in_contact`` is recomputed as d < 0, as :func:`simulate`
+    records it. Raises ValueError on any other header."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        for mode, (columns, n) in _TRAJ_LAYOUT.items():
+            if header == columns:
+                break
         else:
-            fh.write(",".join(TRAJ_COLUMNS_3D) + "\n")
-            cols = np.column_stack([
-                traj.times, traj.states, traj.d, traj.d_dot, traj.f, traj.tau,
-            ])
-        cols = cols + 0.0  # squash negative zeros for stable formatting
-        for row in cols:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+            raise ValueError(f"{path}: unrecognized trajectory header")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    states = data[:, 1:n + 1]
+    if mode == "2d":
+        states = np.column_stack([states, np.zeros((len(data), 2))])
+    d = data[:, n + 1]
+    return Trajectory(
+        mode=mode, times=data[:, 0], states=states,
+        d=d, d_dot=data[:, n + 2], f=data[:, n + 3],
+        tau=data[:, n + 4] if mode == "2d" else data[:, n + 4:],
+        in_contact=d < 0.0,
+    )

@@ -123,25 +123,21 @@ def linearize_2d(
 ) -> LinearModel2D:
     """Build the linear model at the nominal contact state.
 
-    k defaults to default_analysis_stiffness(contact) and b to the virtual
-    damping b_v. Rejects alpha = pi/2, where the transformation degenerates
-    (a cos alpha = 0). The closed-form F_y is cross-checked against the
-    similarity transform T F_x T^-1 before returning.
+    k and b default as in :func:`penetration_dde_coeffs`. Rejects
+    alpha = pi/2, where the transformation degenerates (a cos alpha = 0).
+    The closed-form F_y is cross-checked against the similarity transform
+    T F_x T^-1 before returning.
     """
     alpha = contact.alpha
     a = params.a
     if abs(a * math.cos(alpha)) < 1e-12:
         raise ValueError("alpha = pi/2 (frontal contact): transformation degenerates, "
                          "the system is the plain 1D oscillator in (z, v_z)")
-    if k is None:
-        k = default_analysis_stiffness(contact)
-    if b is None:
-        b = contact.b_v
+    m_a, b, k = penetration_dde_coeffs(params, contact, k=k, b=b)
     m = params.m
     J_x = params.J_x
     F_x = gradient_matrix(m, J_x, a, alpha, k, b)
     T = transform_matrix(a, alpha)
-    m_a = reduced_mass(m, J_x, a, alpha)
     F_y = transformed_matrix(m, m_a, k, b)
     by_similarity = T @ F_x @ _transform_inverse(a, alpha)
     scale = max(1.0, float(np.abs(F_y).max()))
@@ -151,10 +147,8 @@ def linearize_2d(
             f"transformed dynamics matrix disagrees with the similarity transform "
             f"(max abs diff {err:.3g})"
         )
-    nominal = ChaserState2D(
-        z=-a * math.sin(alpha), v_z=0.0, theta=math.pi / 2 - alpha, omega=0.0,
-    )
-    return LinearModel2D(F_x=F_x, T=T, F_y=F_y, m_a=m_a, k=float(k), b=float(b), nominal=nominal)
+    nominal = ChaserState2D(z=-a * math.sin(alpha), v_z=0.0, theta=math.pi / 2 - alpha, omega=0.0)
+    return LinearModel2D(F_x=F_x, T=T, F_y=F_y, m_a=m_a, k=k, b=b, nominal=nominal)
 
 
 def penetration_dde_coeffs(
@@ -164,7 +158,8 @@ def penetration_dde_coeffs(
     b: float | None = None,
 ) -> tuple[float, float, float]:
     """Coefficient triple (mu, beta, kappa) of the penetration-depth delay
-    equation mu d''(t) + beta d'(t-h) + kappa d(t-h) = 0."""
+    equation mu d''(t) + beta d'(t-h) + kappa d(t-h) = 0, i.e. (m_a, b, k);
+    k defaults to default_analysis_stiffness(contact) and b to b_v."""
     if k is None:
         k = default_analysis_stiffness(contact)
     if b is None:

@@ -17,16 +17,19 @@ first critical delay h_c = h_0. Without damping (beta = 0) the critical
 delay is 0. For omega_c*beta << kappa the approximation h_c = beta/kappa
 holds.
 
-:func:`analyze` evaluates this closed form at one point; the boundary sweep
-(:func:`stability_boundary`) calls it point by point along one coefficient
-axis.
+Every function here reads this closed form from :func:`_closed_form`; the
+boundary sweep (:func:`stability_boundary`) evaluates it point by point
+along one coefficient axis. :func:`classify` is the one stable/neutral/
+unstable rule, used by the delay verdicts and by the restitution reading.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
+
+from .core import write_csv
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
 CRITICAL_DAMPING_HTOL = 1e-9  # [s]
@@ -42,20 +45,29 @@ def _check_params(mu: float, beta: float, kappa: float) -> None:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
 
 
-def crossing_frequency(mu: float, beta: float, kappa: float) -> float:
-    """Imaginary-axis crossing frequency omega_c [rad/s]; independent of h."""
+def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tuple[float, float, list[float]]:
+    """(omega_c, sigma, h_n): the crossing frequency, the crossing indicator
+    and the first n_delays (at least one) crossing delays, after checking
+    the coefficients once."""
     _check_params(mu, beta, kappa)
     b2 = (beta / mu) ** 2
-    return math.sqrt(0.5 * b2 + math.sqrt(0.25 * b2 * b2 + (kappa / mu) ** 2))
+    sigma = math.sqrt(0.25 * b2 * b2 + (kappa / mu) ** 2)
+    omega = math.sqrt(0.5 * b2 + sigma)
+    base = math.atan(omega * beta / kappa)
+    h_n = [(base + 2.0 * math.pi * n) / omega for n in range(max(1, int(n_delays)))]
+    return omega, sigma, h_n
+
+
+def crossing_frequency(mu: float, beta: float, kappa: float) -> float:
+    """Imaginary-axis crossing frequency omega_c [rad/s]; independent of h."""
+    return _closed_form(mu, beta, kappa)[0]
 
 
 def crossing_direction(mu: float, beta: float, kappa: float) -> float:
     """Crossing indicator sigma(omega_c). Positive: the root pair leaves the
     open left half-plane (switch). For this system it is always positive, so
     delays beyond h_c can never restabilize."""
-    _check_params(mu, beta, kappa)
-    b2 = (beta / mu) ** 2
-    return math.sqrt(0.25 * b2 * b2 + (kappa / mu) ** 2)
+    return _closed_form(mu, beta, kappa)[1]
 
 
 def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> tuple[float, list[float]]:
@@ -65,9 +77,7 @@ def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> 
     principal arctan branch (the argument is >= 0, so h_0 >= 0; negative
     branches would give negative delays and are discarded).
     """
-    omega = crossing_frequency(mu, beta, kappa)
-    base = math.atan(omega * beta / kappa)
-    h_n = [(base + 2.0 * math.pi * n) / omega for n in range(max(1, int(n_delays)))]
+    h_n = _closed_form(mu, beta, kappa, n_delays)[2]
     return h_n[0], h_n
 
 
@@ -118,10 +128,14 @@ def critical_damping(mu: float, kappa: float, h: float) -> float:
     return beta_c
 
 
-def _verdict(h: float, h_c: float, band: float) -> str:
-    if abs(h - h_c) <= band * h_c:
+def classify(x: float, limit: float, band: float) -> str:
+    """Stability reading of x against its limit: "neutral" within the
+    relative band |x - limit| <= band * limit, otherwise "stable" below the
+    limit and "unstable" above it (exact equality is numerically
+    meaningless, hence the band)."""
+    if abs(x - limit) <= band * limit:
         return "neutral"
-    return "stable" if h < h_c else "unstable"
+    return "stable" if x < limit else "unstable"
 
 
 @dataclass(frozen=True)
@@ -144,15 +158,8 @@ class StabilityResult:
     verdict: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "mu": self.mu, "beta": self.beta, "kappa": self.kappa,
-            "omega_c": self.omega_c, "h_c": self.h_c, "h_n": list(self.h_n),
-            "sigma": self.sigma,
-        }
-        if self.h is not None:
-            out["h"] = self.h
-            out["verdict"] = self.verdict
-        return out
+        """Every field, leaving out h and verdict when no delay was given."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def analyze(
@@ -164,16 +171,14 @@ def analyze(
     band: float = DEFAULT_NEUTRAL_BAND,
 ) -> StabilityResult:
     """Full pole-location summary; verdict included when h is given."""
-    omega_c = crossing_frequency(mu, beta, kappa)
-    h_c, h_n = critical_delays(mu, beta, kappa, n_delays)
-    sigma = crossing_direction(mu, beta, kappa)
+    omega_c, sigma, h_n = _closed_form(mu, beta, kappa, n_delays)
     verdict = None
     if h is not None:
         if h < 0.0:
             raise ValueError(f"h must be >= 0, got {h!r}")
-        verdict = _verdict(h, h_c, band)
+        verdict = classify(h, h_n[0], band)
     return StabilityResult(
-        mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_c,
+        mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_n[0],
         h_n=tuple(h_n), sigma=sigma, h=h, verdict=verdict,
     )
 
@@ -192,11 +197,11 @@ class BoundaryPoint:
 
 def _boundary_point(x: float, mu: float, beta: float, kappa: float) -> BoundaryPoint:
     try:
-        result = analyze(mu, beta, kappa, n_delays=1)
+        omega_c, sigma, h_n = _closed_form(mu, beta, kappa)
     except ValueError as exc:
         return BoundaryPoint(x=x, h_critical=math.nan, omega_c=math.nan,
                              sigma=math.nan, error=str(exc))
-    return BoundaryPoint(x=x, h_critical=result.h_c, omega_c=result.omega_c, sigma=result.sigma)
+    return BoundaryPoint(x=x, h_critical=h_n[0], omega_c=omega_c, sigma=sigma)
 
 
 def stability_boundary(
@@ -209,31 +214,25 @@ def stability_boundary(
     """Neutral-stability curve h_c(x) along one parameter axis.
 
     axis names the swept coefficient; the other two must be fixed. Points
-    are solved one after another with :func:`analyze` and returned in grid
+    are solved one after another from the closed form and returned in grid
     order. Per-point failures are recorded on the point and the sweep
     continues.
     """
     if axis not in ("beta", "kappa", "mu"):
         raise ValueError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
-    fixed = {"beta": (mu, kappa), "kappa": (mu, beta), "mu": (beta, kappa)}[axis]
-    if any(v is None for v in fixed):
+    coeffs = {"mu": mu, "beta": beta, "kappa": kappa}
+    if any(v is None for name, v in coeffs.items() if name != axis):
         raise ValueError(f"sweep along {axis!r} needs the other two coefficients fixed")
     grid = [float(x) for x in grid]
     if not grid:
         raise ValueError("grid must hold at least one point")
-    if axis == "beta":
-        return [_boundary_point(x, mu, x, kappa) for x in grid]
-    if axis == "kappa":
-        return [_boundary_point(x, mu, beta, x) for x in grid]
-    return [_boundary_point(x, x, beta, kappa) for x in grid]
+    return [_boundary_point(x, **{**coeffs, axis: x}) for x in grid]
 
 
 def write_boundary_csv(points: Sequence[BoundaryPoint], path) -> None:
     """Deterministic curve export: x_value,h_critical,omega_c,sigma."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x_value,h_critical,omega_c,sigma\n")
-        for p in points:
-            fh.write(f"{p.x:.9g},{p.h_critical:.9g},{p.omega_c:.9g},{p.sigma:.9g}\n")
+    write_csv(path, ["x_value", "h_critical", "omega_c", "sigma"],
+              [[getattr(p, f) for p in points] for f in ("x", "h_critical", "omega_c", "sigma")])
 
 
 @dataclass(frozen=True)
@@ -254,13 +253,7 @@ class FourthOrderVerdict:
     displacement_mode: StabilityResult
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "h": self.h,
-            "h_c": self.h_c,
-            "penetration_mode": self.penetration_mode.as_dict(),
-            "displacement_mode": self.displacement_mode.as_dict(),
-        }
+        return asdict(self)
 
 
 def verdict_4th_order(
@@ -281,7 +274,7 @@ def verdict_4th_order(
     disp = analyze(params.m, 2.0 * beta, 2.0 * kappa, h=h, band=band)
     h_c = min(pen.h_c, disp.h_c)
     return FourthOrderVerdict(
-        verdict=_verdict(h, h_c, band),
+        verdict=classify(h, h_c, band),
         h=h,
         h_c=h_c,
         penetration_mode=pen,

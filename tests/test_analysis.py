@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 import docksim as ds
 from docksim.analysis import (
     PowerStreams,
+    events_payload,
     observed_energy,
     restitution,
     streams_from_trajectories,
@@ -44,6 +45,27 @@ class TestRestitution:
         assert restitution(event(-1.0, 1.015), band=0.02).classification == "neutral"
         assert restitution(event(-1.0, 1.05), band=0.02).classification == "unstable"
         assert restitution(event(-1.0, 0.9), band=0.02).classification == "stable"
+
+    def test_band_edges_are_neutral(self):
+        # |epsilon - 1| <= band reads neutral, the next float out does not
+        assert restitution(event(-1.0, 1.25), band=0.25).classification == "neutral"
+        assert restitution(event(-1.0, 0.75), band=0.25).classification == "neutral"
+        assert restitution(event(-1.0, np.nextafter(1.25, 2.0)), band=0.25).classification == "unstable"
+        assert restitution(event(-1.0, np.nextafter(0.75, 0.0)), band=0.25).classification == "stable"
+        assert restitution(event(-1.0, 1.0), band=0.0).classification == "neutral"
+
+
+class TestEventsPayload:
+    def test_entries_carry_restitution(self):
+        (entry,) = events_payload([event(-0.02, 0.01)], band=0.02)
+        assert entry == {"t_in": 1.0, "t_out": 1.2, "v_minus": -0.02, "v_plus": 0.01,
+                         "max_depth": 1e-3, "epsilon": 0.5, "classification": "stable"}
+
+    def test_event_without_impact_velocity(self):
+        (entry,) = events_payload([event(0.0, 0.01)], band=0.02)
+        assert entry["epsilon"] is None
+        assert entry["classification"] == "no impact velocity"
+        assert entry["max_depth"] == 1e-3
 
 
 def constant_streams(n, watts_measured=1.0, watts_input=0.0):

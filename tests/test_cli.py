@@ -29,6 +29,27 @@ def test_t_end_off_the_step_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "off.traj.csv").exists()
 
 
+@pytest.mark.parametrize("override", [
+    "body.m=null",
+    "body=5",
+    "contact.springs=5",
+    "contact.springs=[[1,2]]",
+])
+def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
+    code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed scenario value" in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_energy_tolerance_is_not_a_scenario_key(tmp_path, capsys):
+    code = run("simulate", "table1.json", "--set", "analysis.energy_tolerance=1e-6",
+               "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert "unknown key(s) in analysis: energy_tolerance" in capsys.readouterr().err
+
+
 def test_bundled_name_resolution_prefers_local_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bundled = scenario_path("table1.json")
@@ -190,6 +211,14 @@ class TestEnergy:
         assert np.all(data[:, 1:] == 0.0)
         classes = {line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]}
         assert classes == {"lossless"}
+
+    def test_unknown_trajectory_header_exits_1(self, tmp_path, capsys):
+        traj = self._write_run(tmp_path, "run")
+        bogus = tmp_path / "bogus.traj.csv"
+        bogus.write_text("t,q\n0,1\n")
+        assert run("energy", "--measured", str(traj), "--commanded", str(bogus),
+                   "--out", str(tmp_path / "e.csv")) == 1
+        assert "unrecognized trajectory header" in capsys.readouterr().err
 
     def test_mismatched_row_counts_exit_1(self, tmp_path):
         traj = self._write_run(tmp_path, "full")

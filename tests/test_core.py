@@ -14,6 +14,7 @@ from docksim import (
     nominal_state_2d,
     validate,
 )
+from docksim.core import step_count, write_csv
 
 from conftest import depth_and_rate_2d, table1_body, table1_contact
 
@@ -164,3 +165,34 @@ def test_value_types_are_frozen():
         body.m = 10.0
     with pytest.raises(ValueError):
         body.J[0, 0] = 5.0
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("t_end, dt, n", [(1.2, 1e-4, 12000), (0.3, 1e-4, 3000),
+                                              (1e-4, 1e-4, 1), (0.7, 1e-3, 700)])
+    def test_whole_number_of_steps(self, t_end, dt, n):
+        assert step_count(t_end, dt) == n
+
+    @pytest.mark.parametrize("t_end", [0.30004, 1.00005, 2.5e-4])
+    def test_rejects_a_fraction_of_a_step(self, t_end):
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            step_count(t_end, 1e-4)
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.3])
+    def test_rejects_no_steps(self, t_end):
+        with pytest.raises(ValueError, match="at least one step"):
+            step_count(t_end, 1e-4)
+
+    @pytest.mark.parametrize("t_end, dt", [(float("inf"), 1e-4), (float("nan"), 1e-4), (1.0, 0.0)])
+    def test_rejects_non_finite_ratio(self, t_end, dt):
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            step_count(t_end, dt)
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b", "c", "tag"], [[1.0, -0.0], [[1 / 3, -2.5e-12], [1e10, 0.1]]],
+              labels=[["x", "y"]])
+    assert path.read_text() == ("a,b,c,tag\n"
+                                "1,0.333333333,-2.5e-12,x\n"
+                                "0,1e+10,0.1,y\n")

@@ -12,6 +12,7 @@ from docksim.dynamics import (
     integrate_dde,
     make_rhs_2d,
     make_rhs_3d,
+    read_trajectory_csv,
     write_trajectory_csv,
 )
 
@@ -204,6 +205,36 @@ class TestSimulate:
         assert len(traj.times) == 201
         assert np.allclose(np.diff(traj.times), 1e-3)
 
+    def test_t_end_off_the_step_grid_is_rejected(self, body, contact):
+        # the step-count rule of validate() holds for direct calls as well:
+        # 0.30004 s is 3000.4 steps, which used to end silently at 0.3 s
+        cfg = approach_config(t_end=0.30004)
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            ds.simulate(cfg, body, contact, mode="2d")
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            integrate_dde(make_rhs_2d(body, contact), cfg.initial.as_vector(),
+                          cfg.dt, cfg.t_end, cfg.h)
+
+    def test_planar_3d_state_runs_in_2d_mode(self, body):
+        # a 3D initial state that lies in the plane is projected onto the
+        # planar model; the run matches the one started from the 2D state
+        contact = table1_contact(b_v=50.0)
+        cfg = approach_config(t_end=1.0)
+        cfg3 = ds.SimConfig(h=cfg.h, dt=cfg.dt, t_end=cfg.t_end, initial=cfg.initial.embed_3d())
+        t2, e2 = ds.simulate(cfg, body, contact, mode="2d")
+        t3, e3 = ds.simulate(cfg3, body, contact, mode="2d")
+        assert t3.mode == "2d" and t3.states.shape == t2.states.shape
+        np.testing.assert_allclose(t3.states, t2.states, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(t3.f, t2.f, rtol=1e-9, atol=1e-12)
+        assert len(e3) == len(e2) == 1
+
+    def test_non_planar_3d_state_is_rejected_in_2d_mode(self, body, contact):
+        s = approach_config().initial.embed_3d()
+        off_plane = ds.ChaserState3D(r=[0.01, s.r[1], s.r[2]], v=s.v, d_c3=s.d_c3, omega=s.omega)
+        cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=off_plane)
+        with pytest.raises(ValueError, match="not planar"):
+            ds.simulate(cfg, body, contact, mode="2d")
+
     def test_planar_3d_matches_2d_run(self, body):
         contact = table1_contact(b_v=50.0)
         cfg = approach_config(t_end=1.0)
@@ -309,3 +340,25 @@ def test_trajectory_csv_round_trip(tmp_path, body, contact):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(traj.times), 9)
     assert data[0, 1] == pytest.approx(traj.states[0, 0], rel=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+def test_trajectory_csv_write_read_write_is_byte_identical(tmp_path, body, mode):
+    cfg = approach_config(t_end=0.7)
+    traj, _ = ds.simulate(cfg, body, table1_contact(b_v=50.0), mode=mode)
+    first, second = tmp_path / "first.traj.csv", tmp_path / "second.traj.csv"
+    write_trajectory_csv(traj, first)
+    back = read_trajectory_csv(first)
+    write_trajectory_csv(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert back.mode == mode and back.states.shape == traj.states.shape
+    assert np.array_equal(back.in_contact, back.d < 0.0) and back.in_contact.any()
+    if mode == "2d":
+        assert not back.states[:, 4:].any()  # (y, v_y) are not in the 2D file
+
+
+def test_trajectory_csv_unknown_header_is_rejected(tmp_path):
+    path = tmp_path / "bad.traj.csv"
+    path.write_text("t,x,y\n0,1,2\n")
+    with pytest.raises(ValueError, match="unrecognized trajectory header"):
+        read_trajectory_csv(path)

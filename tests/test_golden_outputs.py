@@ -1,11 +1,13 @@
-"""Golden SHA-256 of the byte-stable `docksim simulate` data files.
+"""Golden SHA-256 of the byte-stable data files of the command line.
 
 The trajectory CSV and the events JSON of the bundled scenarios are pinned
 byte for byte, so any change to the integrator, the contact law, the
 post-processing or the writers that moves a single digit shows up here.
-The hashes were recorded with the numpy-array integrator and must not move
-when the implementation changes; a change that means to alter the outputs
-has to say why and record new hashes.
+So are the README `boundary` curve, the `energy` CSV of two bundled runs
+(2D and 3D) and the `stability --json` output with and without a delay.
+The hashes were recorded before the implementation they pin was last
+rewritten and must not move when it changes; a change that means to alter
+the outputs has to say why and record new hashes.
 """
 
 import hashlib
@@ -32,14 +34,58 @@ GOLDEN = {
 }
 
 
+# energy --measured table1-<mode>.traj.csv --commanded fig9-<mode>.traj.csv
+GOLDEN_ENERGY = {
+    "2d": "ac43e5c2af7bcb2c5e0a60e5c3069ed5cce5a117544b06199f2fe50d45534f09",
+    "3d": "8bfb1c6784eb45def227ead9c540dd8392cddfa975baed499fc2e06491d01ee5",
+}
+GOLDEN_BOUNDARY = "cdc0cff2694e9a49e3321e6037980466d06e3df595c9d4ca631f138ba83609c1"
+GOLDEN_STABILITY = {
+    ("--h", "0.016"): "20b2b84e57edbd22e9c195585fb49d7bec0fc0ccd1633b942e619bde8f373608",
+    (): "9580c1d32e9971b80e2f57a65bc6007f8dba8f8241c6224c5e5ee9e4a2b3f3bf",
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """Directory holding `<scenario>-<mode>.traj.csv/.events.json` for
+    every golden (scenario, mode), simulated once for the module."""
+    out = tmp_path_factory.mktemp("golden")
+    for scenario, mode in GOLDEN:
+        prefix = out / f"{scenario}-{mode}"
+        assert main(["simulate", f"{scenario}.json", "--mode", mode, "--out", str(prefix)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("scenario, mode", sorted(GOLDEN))
-def test_simulate_outputs_match_golden_hashes(tmp_path, scenario, mode):
-    out = tmp_path / f"{scenario}-{mode}"
-    assert main(["simulate", f"{scenario}.json", "--mode", mode, "--out", str(out)]) == 0
+def test_simulate_outputs_match_golden_hashes(simulated, scenario, mode):
     traj_sha, events_sha = GOLDEN[scenario, mode]
-    assert sha256(tmp_path / f"{scenario}-{mode}.traj.csv") == traj_sha
-    assert sha256(tmp_path / f"{scenario}-{mode}.events.json") == events_sha
+    assert sha256(simulated / f"{scenario}-{mode}.traj.csv") == traj_sha
+    assert sha256(simulated / f"{scenario}-{mode}.events.json") == events_sha
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_ENERGY))
+def test_energy_output_matches_golden_hash(simulated, tmp_path, mode):
+    out = tmp_path / "energy.csv"
+    assert main(["energy", "--measured", str(simulated / f"table1-{mode}.traj.csv"),
+                 "--commanded", str(simulated / f"fig9-{mode}.traj.csv"), "--out", str(out)]) == 0
+    assert sha256(out) == GOLDEN_ENERGY[mode]
+
+
+def test_readme_boundary_curve_matches_golden_hash(tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(["boundary", "--axis", "beta", "--mu", "60", "--kappa", "1000",
+                 "--grid", "0:200:80", "--out", str(out)]) == 0
+    assert sha256(out) == GOLDEN_BOUNDARY
+
+
+@pytest.mark.parametrize("delay", sorted(GOLDEN_STABILITY), ids=["without-h", "with-h"])
+def test_stability_json_matches_golden_hash(capsys, delay):
+    assert main(["stability", "--mu", "15.6", "--beta", "50", "--kappa", "3000",
+                 *delay, "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STABILITY[delay]

@@ -1,0 +1,52 @@
+"""The experiment scripts under scripts/ run end to end at small size."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import docksim
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(docksim.__file__).resolve().parents[1])
+DEMO3D_TRAJ_SHA = "e3ddfe0789857038d941420d811a42fbe2168d3e2a8303274c55f9be00680d2d"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_stability_maps(tmp_path):
+    run_script("run_stability_maps.py", "--points", "5", "--out-dir", str(tmp_path))
+    files = sorted(tmp_path.glob("*.csv"))
+    assert len(files) == 21  # three base curves and eighteen family members
+    for path in files:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x_value,h_critical,omega_c,sigma" and len(lines) == 6
+
+
+def test_run_table1(tmp_path):
+    out = tmp_path / "table1.csv"
+    run_script("run_table1.py", "--betas", "50", "--out", str(out))
+    header, row = out.read_text().splitlines()
+    assert header == "beta,beta_c_over_beta,epsilon,linear_verdict,nonlinear_cue"
+    assert row.startswith("50,")
+
+
+def test_run_demo3d(tmp_path):
+    run_script("run_demo3d.py", "--out-dir", str(tmp_path))
+    for label in ("damped", "undamped"):
+        assert (tmp_path / f"{label}.traj.csv").exists()
+        events = json.loads((tmp_path / f"{label}.events.json").read_text())["events"]
+        assert events and all("max_depth" in e and "classification" in e for e in events)
+    assert (tmp_path / "damped.energy.csv").exists()
+    # the damped run is the bundled demo3d scenario, as `docksim simulate` writes it
+    digest = hashlib.sha256((tmp_path / "damped.traj.csv").read_bytes()).hexdigest()
+    assert digest == DEMO3D_TRAJ_SHA

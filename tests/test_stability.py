@@ -9,6 +9,7 @@ from docksim.stability import (
     BoundaryPoint,
     analyze,
     approx_critical_delay,
+    classify,
     critical_damping,
     critical_delays,
     crossing_direction,
@@ -247,3 +248,31 @@ def test_analyze_bundles_everything():
     assert len(res.h_n) == 4
     d = res.as_dict()
     assert d["omega_c"] == res.omega_c and d["verdict"] == "stable"
+
+
+class TestClassify:
+    def test_band_edges_are_neutral(self):
+        # h against h_c = 0.5 with a 25% band: the edges 0.375 and 0.625
+        # are exact in binary, so the rule is checked at the edge itself
+        # (epsilon against 1 is checked through restitution in test_analysis)
+        assert classify(0.625, 0.5, 0.25) == "neutral"
+        assert classify(0.375, 0.5, 0.25) == "neutral"
+        assert classify(np.nextafter(0.625, 1.0), 0.5, 0.25) == "unstable"
+        assert classify(np.nextafter(0.375, 0.0), 0.5, 0.25) == "stable"
+        assert classify(0.5, 0.5, 0.0) == "neutral"
+
+    @pytest.mark.parametrize("scale", [0.98, 0.99, 1.0, 1.01, 1.02])
+    def test_analyze_and_verdict_use_the_rule(self, scale):
+        res = analyze(M_A, 50.0, 3000.0)
+        h = scale * res.h_c
+        assert analyze(M_A, 50.0, 3000.0, h=h).verdict == classify(h, res.h_c, 0.01)
+        v = verdict_4th_order(table1_body(), table1_contact(b_v=50.0), h)
+        assert v.verdict == classify(h, v.h_c, 0.01)
+
+
+def test_as_dict_leaves_out_missing_delay():
+    assert set(analyze(M_A, 50.0, 3000.0).as_dict()) == {
+        "mu", "beta", "kappa", "omega_c", "h_c", "h_n", "sigma"}
+    v = verdict_4th_order(table1_body(), table1_contact(b_v=50.0), 0.016).as_dict()
+    assert set(v) == {"verdict", "h", "h_c", "penetration_mode", "displacement_mode"}
+    assert v["penetration_mode"]["verdict"] in ("stable", "neutral", "unstable")
