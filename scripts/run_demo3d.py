@@ -10,7 +10,6 @@ Usage: python scripts/run_demo3d.py [--out-dir results/demo3d]
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 import docksim as ds
 from docksim.analysis import events_payload, observed_energy, streams_from_trajectories, write_energy_csv
-from docksim.cli import load_scenario, scenario_path
+from docksim.cli import _write_json, load_scenario, scenario_path
 from docksim.dynamics import write_trajectory_csv
 
 
@@ -27,7 +26,7 @@ def run(body, contact, sim, options, label, out):
                                event_window=options["averaging_window"])
     write_trajectory_csv(traj, out / f"{label}.traj.csv")
     payload = events_payload(events, options["neutrality_band"])
-    (out / f"{label}.events.json").write_text(json.dumps({"events": payload}, indent=2))
+    _write_json({"events": payload}, str(out / f"{label}.events.json"))
     print(f"{label}: {len(events)} contact(s)")
     for entry in payload:
         eps = "-" if entry["epsilon"] is None else f"{entry['epsilon']:.3f}"

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import write_csv
+from .core import sample_count, write_csv
 from .dynamics import ContactEvent, Trajectory
 from .stability import classify
 
@@ -180,14 +180,15 @@ def streams_from_trajectories(
     """Build monitor streams from a measured/commanded trajectory pair.
 
     Both trajectories are resampled onto a common uniform grid with sample
-    time dt. In 2D the force acts along z and the torque about x; in 3D the
-    recorded intensity is expanded along n_hat and the recorded torque used
-    as-is.
+    time dt, up to the last whole sample of the shorter run
+    (:func:`docksim.core.sample_count`). In 2D the force acts along z and
+    the torque about x; in 3D the recorded intensity is expanded along
+    n_hat and the recorded torque used as-is.
     """
     if measured.mode != commanded.mode:
         raise ValueError("measured and commanded trajectories must share a mode")
     t_end = min(float(measured.times[-1]), float(commanded.times[-1]))
-    t = np.arange(1, int(t_end / dt) + 1) * dt
+    t = np.arange(1, sample_count(t_end, dt) + 1) * dt
 
     def expand(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if traj.mode == "2d":

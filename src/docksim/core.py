@@ -246,6 +246,16 @@ def step_count(t_end: float, dt: float) -> int:
     return n
 
 
+def sample_count(span: float, dt: float) -> int:
+    """Number of whole sample periods dt in span >= 0: span/dt floored,
+    except that a quotient within a relative STEP_COUNT_RTOL of a whole
+    number counts as that number, as in step_count (0.284/0.004 =
+    70.99999999999999 gives 71)."""
+    q = span / dt
+    n = round(q)
+    return n if abs(q - n) <= STEP_COUNT_RTOL * q else math.floor(q)
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[Sequence[str]] = ()) -> None:
     """Header line, then one row per sample: the ``columns`` side by side
     (2-D blocks keep their columns) at 9 significant digits, negative zeros

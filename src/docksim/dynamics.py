@@ -25,6 +25,25 @@ from a plain sum of squares. Every operation is the elementwise one the
 numpy-array form of the scheme performed, in the same order, so results
 are identical to it bit for bit.
 
+A docking run is mostly free flight around one brief contact, and there
+the loop need not step. For a 2D unilateral run :func:`simulate` passes
+:func:`free_gap_2d`, and :func:`integrate_dde` fast-forwards each stretch
+where the delayed force is provably off at every stage. In such a stretch
+the four stage derivatives are equal (the rates do not change and the
+accelerations are zero), so every step adds the same increment
+``sixth*(((k1 + 2k2) + 2k3) + k4)``. An in-place ``np.cumsum`` writes those
+rows; numpy's accumulate is a sequential scan, so it adds exactly as the
+loop does and the rows are the same bit for bit. The vectorized gap
+(``np.cos``, less a margin for the curvature of the interpolation and for
+rounding) only proposes where a stretch ends: the loop resumes
+``int(h/dt) - 2`` steps after the first extrapolated row below the margin,
+before the delayed gate can close, and its own ``math`` calls decide the
+gate. Bilateral contact, 3D runs (whose attitude column is renormalized
+every step) and h = 0 keep the exact loop. On ``table1`` the right-hand
+side now runs for 19% of the 4 n stage evaluations, and ``integrate_dde``
+takes 4.2 µs/step against 17.7 before; on ``fig7`` 7.4 against 17.5 (best
+of 5 on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6).
+
 The right-hand sides (:func:`make_rhs_2d`, :func:`make_rhs_3d`) and the
 contact channels :func:`simulate` records both evaluate the contact law
 through the functions of :mod:`docksim.contact`, so the recorded force is
@@ -66,6 +85,15 @@ from .core import (
 # rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
 # numpy rows from callers) in, a tuple of floats out
 Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
+# free_gap(rows) -> one value per row of a block of consecutive grid rows.
+# Wherever every row a delayed sample is interpolated from has a value
+# >= 0, whatever the rounding of the interpolation, the right-hand side is
+# force-free: its derivative holds the state's rates, which it leaves
+# unchanged, and zero accelerations, so it has the same values at every
+# state of a free-flight line
+FreeGap = Callable[[np.ndarray], np.ndarray]
+# relative rounding slack of free_gap_2d, about 4500 machine epsilons
+GAP_RTOL = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -84,12 +112,17 @@ def integrate_dde(
     h: float,
     unit_slice: slice | None = None,
     divergence_bound: float | None = None,
+    free_gap: FreeGap | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y'(t) = rhs(y(t), y(t-h)) on the fixed grid.
 
     Returns (times, states) with one row per grid point including t = 0.
     Pre-history is the constant initial state. Not decimated; callers slice.
     t_end must be a whole number of steps (:func:`docksim.core.step_count`).
+
+    ``free_gap`` (see :data:`FreeGap`) lets the loop fast-forward stretches
+    where it proves the delayed force is off; the rows are the same bit for
+    bit. It is used only for h > 0 without ``unit_slice``.
     """
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
@@ -104,8 +137,11 @@ def integrate_dde(
     # comparison with the finite limit fail, so one pass screens each step;
     # _check_divergence then decides exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
+    # first latest row at which a fast-forward is tried (never: n)
+    next_try = 1 if free_gap is not None and h > 0.0 and unit_slice is None else n
     y = Y[0].tolist()
-    for i in range(n):
+    i = 0
+    while i < n:
         if h == 0.0:
             k1 = rhs(y, y)
             y2 = [a + half * b for a, b in zip(y, k1)]
@@ -123,15 +159,71 @@ def integrate_dde(
             k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
             k4 = rhs([a + dt * b for a, b in zip(y, k3)], d1)
         y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        row = Y[i + 1]
+        i += 1
+        row = Y[i]
         row[:] = y
         if unit_slice is not None:
             block = row[unit_slice]
             block /= math.sqrt(float(block @ block))
             y = row.tolist()
         if not sum(map(abs, y)) <= limit:
-            _check_divergence(y, float(times[i + 1]), divergence_bound)
+            _check_divergence(y, float(times[i]), divergence_bound)
+        # equal stage derivatives: most likely free flight, worth a try
+        if i >= next_try and i < n and k1 == k2 == k3 == k4:
+            i, next_try = _fast_forward(Y, i, (k1, k2, k3, k4), sixth, ratio, free_gap,
+                                        divergence_bound)
+            y = Y[i].tolist()
     return times, Y
+
+
+def _fast_forward(Y, p, ks, sixth, ratio, free_gap, divergence_bound) -> tuple[int, int]:
+    """Fill rows p+1..K of Y with the increment of the step that produced
+    row p, and return (K, the first latest row worth the next try); K = p
+    when no stretch can be proven.
+
+    What is proven here, in order of cost:
+
+    - row p holds no -0.0. Then no later row does either (x + z is -0.0
+      only for x = z = -0.0), so adding an increment whose zero components
+      differ in sign from the loop's leaves every row the same;
+    - every row the steps from p - 1 on read has ``free_gap >= 0``: the
+      delayed force is off at every stage, so each step adds the same
+      increment values as the last one (the rates do not change, the
+      accelerations are zero);
+    - no skipped row trips the divergence guard; the loop resumes before
+      the first row that does, and raises there as it would have.
+
+    The rows come from an in-place ``np.cumsum``, a sequential scan that
+    adds the increment to the previous row exactly as the loop does.
+    """
+    n = Y.shape[0] - 1
+    if any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in Y[p].tolist()):
+        return p, p + 1
+    r = int(ratio)
+    # a step k reads rows k - r - 1 .. k + 1 - r; the history window covers
+    # what the last step (k = p - 1) read, with one row to spare
+    lo = max(0, p - r - 3)
+    bad = np.flatnonzero(~(free_gap(Y[lo:p + 1]) >= 0.0))
+    if len(bad):
+        return p, lo + int(bad[-1]) + r + 4
+    seg = Y[p:]
+    seg[1:] = [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*ks)]
+    np.cumsum(seg, axis=0, out=seg)
+    # J: first extrapolated row below the gap margin; the steps up to
+    # J + r - 3 read rows below J only (one step to spare), so the loop
+    # resumes with step K = J + r - 2
+    bad = np.flatnonzero(~(free_gap(Y[lo:]) >= 0.0))
+    J = lo + int(bad[0]) if len(bad) else n + 1
+    K = min(n, J + r - 2)
+    if K <= p:
+        return p, max(J, p + 1)
+    tripped = ~np.isfinite(seg[1:K - p + 1]).all(axis=1)
+    if divergence_bound is not None:
+        tripped |= np.abs(seg[1:K - p + 1]).max(axis=1) > divergence_bound
+    hit = np.flatnonzero(tripped)
+    if len(hit):
+        K = p + int(hit[0])
+    return K, max(J, K + 1)
 
 
 def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
@@ -195,6 +287,26 @@ def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
         return (y[1], f / m, y[3], torque_2d(f, a, s) / J_x, y[5], 0.0)
 
     return rhs
+
+
+def free_gap_2d(params: BodyParams) -> FreeGap:
+    """Planar contact gap for the fast-forward of :func:`integrate_dde`
+    under unilateral contact: the depth d = z + a cos(theta) of each row
+    (vectorized, with np.cos) less a margin. The margin covers a delayed
+    sample between two rows, whose depth the right-hand side computes with
+    math.cos on the interpolated row: a (delta theta)^2 / 8 bounds the
+    curvature of cos over the largest attitude step in the block, and
+    GAP_RTOL (|z| + a (1 + |theta|)) the rounding of both evaluations."""
+    a = params.a
+
+    def gap(rows):
+        x = rows.T
+        th = x[2]
+        step = float(np.abs(np.diff(th)).max(initial=0.0))
+        margin = 0.125 * a * step * step + GAP_RTOL * (np.abs(x[0]) + a * (1.0 + np.abs(th)))
+        return depth_2d(x, a, np.cos(th)) - margin
+
+    return gap
 
 
 def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
@@ -372,6 +484,7 @@ def simulate(
         raise ValueError(
             f"activation must be 'unilateral' or 'bilateral', got {contact.activation!r}")
     initial = config.initial
+    free_gap = None
     if mode == "3d":
         if isinstance(initial, ChaserState2D):
             initial = initial.embed_3d()
@@ -384,13 +497,15 @@ def simulate(
         rhs = make_rhs_2d(params, contact)
         y0 = initial.as_vector()
         unit_slice = None
+        if contact.activation == "unilateral":
+            free_gap = free_gap_2d(params)
     else:
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
 
     bound = divergence_factor * max(float(np.abs(y0).max()), 1.0)
     times, Y = integrate_dde(
         rhs, y0, config.dt, config.t_end, config.h,
-        unit_slice=unit_slice, divergence_bound=bound,
+        unit_slice=unit_slice, divergence_bound=bound, free_gap=free_gap,
     )
 
     # Contact channels on the whole grid, by the same contact functions and

@@ -145,6 +145,19 @@ class TestObservedEnergy:
         assert record.total[-1] < 0.0
         assert record.classification[-1] == "passive"
 
+    @pytest.mark.parametrize("t_end, samples", [(0.284, 71), (0.2859, 71), (1.2, 300)])
+    def test_grid_ends_at_the_last_whole_sample(self, t_end, samples):
+        # a run read back from CSV ends at exactly t_end, and 0.284 / 0.004
+        # rounds to 70.99999999999999, which is 71 samples
+        steps = round(t_end / 1e-4)
+        zeros = np.zeros(steps + 1)
+        traj = ds.Trajectory(mode="2d", times=np.linspace(0.0, t_end, steps + 1),
+                             states=np.zeros((steps + 1, 6)), d=zeros, d_dot=zeros, f=zeros,
+                             tau=zeros, in_contact=zeros < 0.0)
+        record = observed_energy(streams_from_trajectories(traj, traj, dt=0.004), dt=0.004)
+        assert len(record.times) == samples
+        assert record.times[-1] == pytest.approx(samples * 0.004, rel=1e-12)
+
     def test_csv_export(self, tmp_path):
         record = observed_energy(constant_streams(3), dt=0.004)
         path = tmp_path / "e.csv"

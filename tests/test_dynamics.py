@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import docksim as ds
+from docksim import dynamics
 from docksim.dynamics import (
     _delayed_rows,
     _lerp_history,
@@ -197,6 +198,35 @@ class TestSimulate:
         cfg = approach_config(t_end=30.0)
         with pytest.raises(ds.DivergenceError, match="divergence bound"):
             ds.simulate(cfg, body, contact, mode="2d", divergence_factor=1.2)
+
+    @pytest.mark.parametrize("mode, activation, skips", [
+        ("2d", "unilateral", True), ("2d", "bilateral", False), ("3d", "unilateral", False)])
+    def test_free_flight_fast_forward_engages_in_2d_unilateral_only(
+            self, body, monkeypatch, mode, activation, skips):
+        # the Table 1 run is mostly free flight, which integrate_dde
+        # fast-forwards without evaluating the right-hand side; bilateral
+        # contact and 3D runs step every row
+        factory_name = "make_rhs_2d" if mode == "2d" else "make_rhs_3d"
+        factory = getattr(dynamics, factory_name)
+        calls = [0]
+
+        def counting_factory(*args):
+            rhs = factory(*args)
+
+            def counted(y, yd):
+                calls[0] += 1
+                return rhs(y, yd)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, factory_name, counting_factory)
+        cfg = approach_config()
+        ds.simulate(cfg, body, table1_contact(activation=activation), mode=mode)
+        steps = round(cfg.t_end / cfg.dt)
+        if skips:
+            assert calls[0] < 0.25 * 4 * steps
+        else:
+            assert calls[0] == 4 * steps
 
     def test_record_every_decimates_uniformly(self, body, contact):
         cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=approach_config().initial,

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import docksim as ds
-from docksim.dynamics import DivergenceError, integrate_dde, make_rhs_2d, make_rhs_3d
+from docksim.contact import depth_2d
+from docksim.dynamics import (
+    DivergenceError,
+    extract_events,
+    free_gap_2d,
+    integrate_dde,
+    make_rhs_2d,
+    make_rhs_3d,
+)
 
 
 def numpy_integrate_dde(rhs, initial, dt, t_end, h, unit_slice=None, divergence_bound=None):
@@ -195,4 +203,136 @@ def test_long_contact_run_matches_numpy_scheme_bitwise(mode, h):
     else:
         rhs, y0, unit_slice = make_rhs_3d(body, contact), state.embed_3d().as_vector(), slice(6, 9)
     new, ref = run_both(rhs, y0, 1e-4, 1.2, h, unit_slice, 1e3)
+    assert_bitwise_equal(new, ref)
+
+
+# --- the free-flight fast-forward that simulate enables in 2D ---
+#
+# integrate_dde given free_gap fills force-free stretches with np.cumsum
+# instead of stepping; the reference steps every row, so each case below
+# must still agree bit for bit.
+
+SPIN_BODY = ds.BodyParams(m=20.0, J=np.diag([0.2, 0.2, 0.2]), a_B=[0.0, 0.0, 0.3])
+SPIN_CONTACT = ds.ContactParams(k_v=3000.0, b_v=2.0, alpha=0.5)
+
+
+def run_fast_forward(body, contact, state, dt, t_end, h, bound):
+    """Both results as in run_both, integrate_dde with free_gap_2d, plus the
+    share of the 4 n stage evaluations the fast-forwarding run made."""
+    rhs = make_rhs_2d(body, contact)
+    calls = [0]
+
+    def counted(y, yd):
+        calls[0] += 1
+        return rhs(y, yd)
+
+    y0 = state.as_vector()
+    results = []
+    for integrate, kwargs in ((integrate_dde, {"free_gap": free_gap_2d(body)}), (numpy_integrate_dde, {})):
+        try:
+            results.append(integrate(counted if kwargs else rhs, y0, dt, t_end, h,
+                                     divergence_bound=bound, **kwargs))
+        except DivergenceError as exc:
+            results.append(exc)
+    return results, calls[0] / (4 * round(t_end / dt))
+
+
+def contact_events(result, a):
+    times, Y = result
+    d = depth_2d(Y.T, a, np.cos(Y[:, 2]))
+    return extract_events(times, d, Y[:, 1])
+
+
+@st.composite
+def free_flight_cases(draw):
+    """2D unilateral runs that start near the wall, often spinning, so that
+    free flight, contact and the pass back out all occur."""
+    dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3]))
+    h = draw(delays(dt).filter(lambda h: h > 0.0))
+    J_x = draw(st.floats(0.05, 5.0))
+    body = ds.BodyParams(m=draw(st.floats(5.0, 100.0)), J=np.diag([J_x, J_x, J_x]),
+                         a_B=[0.0, 0.0, draw(st.floats(0.1, 0.5))])
+    contact = ds.ContactParams(k_v=draw(st.floats(100.0, 1e4)), b_v=draw(st.floats(0.0, 100.0)),
+                               alpha=0.5)
+    theta = draw(st.floats(-3.0, 3.0))
+    state = ds.ChaserState2D(
+        z=-body.a * math.cos(theta) + draw(st.floats(-0.002, 0.01)),
+        v_z=draw(st.floats(-0.1, 0.05)),
+        theta=theta,
+        omega=draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)),
+        v_y=draw(st.floats(-0.05, 0.05)),
+    )
+    steps = draw(st.integers(1, 1500))
+    bound = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
+    return body, contact, state, dt, steps * dt, h, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=free_flight_cases())
+def test_fast_forward_matches_numpy_scheme_bitwise(case):
+    (new, ref), _ = run_fast_forward(*case)
+    assert_bitwise_equal(new, ref)
+
+
+@pytest.mark.parametrize("h", [0.016, 0.0163])  # on and off the dt grid
+def test_fast_forward_across_recontacts_matches_numpy_scheme_bitwise(h):
+    # the spinning probe swings in and out of the wall: d = z + a cos(theta)
+    # is non-monotonic, with free flight between three contacts
+    state = ds.ChaserState2D(z=-0.3 * math.cos(1.0) + 0.005, v_z=-0.05, theta=1.0, omega=1.0)
+    (new, ref), share = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 3.0, h, 1e3)
+    assert_bitwise_equal(new, ref)
+    assert len(contact_events(ref, SPIN_BODY.a)) >= 3
+    assert share < 0.5
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-13, -1e-6])
+def test_pass_near_the_wall_matches_numpy_scheme_bitwise(gap):
+    # the spinning tip passes theta = pi with a clearance inside the margin,
+    # or touches the wall for less than the delay: the fast-forward stops
+    # short of it, and the loop decides the gate
+    a = SPIN_BODY.a
+    state = ds.ChaserState2D(z=a + gap, v_z=0.0, theta=2.0, omega=2.0)
+    (new, ref), share = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 3.0, 0.0163, 1e3)
+    assert_bitwise_equal(new, ref)
+    assert free_gap_2d(SPIN_BODY)(ref[1]).min() < 0.0
+    assert len(contact_events(ref, a)) == (gap < 0.0)
+    assert share < 0.5
+
+
+@pytest.mark.parametrize("theta, omega, v_y", [
+    (1.0, 0.0, 0.0),
+    (1.0, -0.0, 0.0),
+    (1.0, 0.0, -0.0),
+    (0.3, -1.0, 0.0),  # theta crosses 0 in free flight: the zero torque term flips sign
+    (-0.4, 1.0, 0.0),
+])
+def test_fast_forward_signed_zeros_match_numpy_scheme_bitwise(theta, omega, v_y):
+    state = ds.ChaserState2D(z=-0.3 * math.cos(theta) + 0.005, v_z=-0.02, theta=theta,
+                             omega=omega, y=0.01, v_y=v_y)
+    (new, ref), _ = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, 1e3)
+    assert_bitwise_equal(new, ref)
+    assert contact_events(ref, SPIN_BODY.a)
+
+
+@pytest.mark.parametrize("bound", [1.5, 1.2345])
+def test_fast_forward_reports_divergence_identically(bound):
+    # a free drift away from the wall crosses the bound inside a stretch
+    # that would otherwise be skipped to the end of the run
+    state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
+    (new, ref), _ = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
+    assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
+    assert_bitwise_equal(new, ref)
+
+
+def test_fast_forward_keeps_a_negative_zero_in_the_loop():
+    # (x, x', u, u'): a force-free system whose zero acceleration u'' takes
+    # the sign of -x(t-h). The loop turns u' = -0.0 into +0.0 once x(t-h)
+    # turns negative; a fast-forward from the -0.0 row would keep it -0.0
+    def rhs(y, yd):
+        return (y[1], 0.0, y[3], math.copysign(0.0, -yd[0]))
+
+    y0 = np.array([1.0, -1.0, 0.5, -0.0])
+    new = integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163, free_gap=lambda rows: np.ones(len(rows)))
+    ref = numpy_integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163)
+    assert math.copysign(1.0, ref[1][-1, 3]) == 1.0
     assert_bitwise_equal(new, ref)

@@ -20,6 +20,8 @@ from docksim.linear import (
 
 from conftest import JX_RECOVERED, M_A, table1_body, table1_contact
 
+SIMILARITY_RTOL = 1e-10
+
 # desk-scale parameter draws shared by the matrix identities
 param_draws = st.tuples(
     st.floats(5.0, 500.0),            # m
@@ -111,6 +113,25 @@ class TestLinearize:
         T = transform_matrix(a, alpha)
         F_y = transformed_matrix(m, reduced_mass(m, J_x, a, alpha), k, b)
         assert np.abs(F_y - T @ F_x @ np.linalg.inv(T)).max() < 1e-10 * max(1.0, np.abs(F_y).max())
+
+    @settings(max_examples=300)
+    @given(param_draws, st.sampled_from([(), ((800.0, (0.0, 0.6, 0.8)),)]))
+    def test_linearized_model_satisfies_similarity(self, draw, springs):
+        # the model linearize_2d returns: its closed-form F_y against
+        # T F_x T^-1, with T^-1 written out
+        m, J_x, a, alpha, k_v, b = draw
+        body = ds.BodyParams(m=m, J=np.diag([J_x, J_x, J_x]), a_B=[0.0, 0.0, a])
+        model = linearize_2d(body, ds.ContactParams(k_v=k_v, b_v=b, alpha=alpha, springs=springs))
+        inv = 1.0 / (a * math.cos(alpha))
+        T_inv = np.array([
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [inv, 0.0, -inv, 0.0],
+            [0.0, inv, 0.0, -inv],
+        ])
+        assert np.abs(model.T @ T_inv - np.eye(4)).max() < 1e-12
+        scale = max(1.0, float(np.abs(model.F_y).max()))
+        assert np.abs(model.F_y - model.T @ model.F_x @ T_inv).max() <= SIMILARITY_RTOL * scale
 
     @given(param_draws)
     def test_transformed_zero_pattern(self, draw):

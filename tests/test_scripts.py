@@ -12,6 +12,7 @@ import docksim
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(docksim.__file__).resolve().parents[1])
 DEMO3D_TRAJ_SHA = "e3ddfe0789857038d941420d811a42fbe2168d3e2a8303274c55f9be00680d2d"
+DEMO3D_EVENTS_SHA = "d3c4658ab3d526e3f35eecafa9aeef7ca8c5f5e43dfbd73228b4c97e63a3fc15"
 
 
 def run_script(name, *args):
@@ -50,3 +51,5 @@ def test_run_demo3d(tmp_path):
     # the damped run is the bundled demo3d scenario, as `docksim simulate` writes it
     digest = hashlib.sha256((tmp_path / "damped.traj.csv").read_bytes()).hexdigest()
     assert digest == DEMO3D_TRAJ_SHA
+    digest = hashlib.sha256((tmp_path / "damped.events.json").read_bytes()).hexdigest()
+    assert digest == DEMO3D_EVENTS_SHA
