@@ -219,11 +219,12 @@ class SimConfig:
 def nominal_state_2d(params: BodyParams, contact: ContactParams) -> ChaserState2D:
     """Planar state in which the probe tip rests on the wall with zero
     penetration depth and rate: z* = -a*sin(alpha), theta* = pi/2 - alpha,
-    zero velocities.
+    zero velocities. alpha = 0 (probe parallel to the wall) has one;
+    alpha = pi/2 is the frontal contact and beyond it none.
     """
     alpha = contact.alpha
-    if not 0.0 < alpha < math.pi / 2:
-        raise ValidationError([f"alpha must be in (0, pi/2), got {alpha!r}"])
+    if not 0.0 <= alpha < math.pi / 2:
+        raise ValidationError([f"alpha must be in [0, pi/2), got {alpha!r}"])
     a = params.a
     return ChaserState2D(
         z=-a * math.sin(alpha),
@@ -231,6 +232,14 @@ def nominal_state_2d(params: BodyParams, contact: ContactParams) -> ChaserState2
         theta=math.pi / 2 - alpha,
         omega=0.0,
     )
+
+
+def activation_problem(activation) -> str | None:
+    """The diagnostic for a contact activation other than "unilateral" or
+    "bilateral", else None."""
+    if activation in ("unilateral", "bilateral"):
+        return None
+    return f"activation must be 'unilateral' or 'bilateral', got {activation!r}"
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -320,8 +329,9 @@ def validate(
     n_hat = _check_unit("n_hat", contact.n_hat, diags)
     if not 0.0 < contact.alpha < math.pi / 2:
         diags.append(f"alpha must be in (0, pi/2) rad, got {contact.alpha!r}")
-    if contact.activation not in ("unilateral", "bilateral"):
-        diags.append(f"activation must be 'unilateral' or 'bilateral', got {contact.activation!r}")
+    problem = activation_problem(contact.activation)
+    if problem:
+        diags.append(problem)
 
     if not math.isfinite(sim.h) or sim.h < 0.0:
         diags.append(f"h must be >= 0, got {sim.h!r}")

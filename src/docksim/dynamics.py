@@ -4,50 +4,57 @@ The equations of motion form a functional ODE: the contact force at time t
 is computed from the state sampled at t - h. :func:`integrate_dde` is the
 one integration scheme: classical explicit RK4 on a fixed grid, with the
 delayed arguments at the stage times resolved by linear interpolation of the
-stored state history (:func:`_lerp_history`), which keeps runs reproducible
-bit-for-bit for a given (dt, h). Before t = 0 the history is the constant
-initial state (runs start out of contact, where the right-hand side is
-force-free, so the constant pre-history is exact).
+stored state history, which keeps runs reproducible bit-for-bit for a given
+(dt, h). Before t = 0 the history is the constant initial state (runs start
+out of contact, where the right-hand side is force-free, so the constant
+pre-history is exact).
 
 h = 0 is special-cased: the delayed argument is the current stage state and
 the scheme is plain RK4 for the undelayed ODE. A delay in (0, dt) is
 rejected by validation since the explicit scheme can only look up completed
 steps.
 
-The loop runs on Python floats, not numpy arrays: with 6 or 12 components
-per state, per-call array overhead would cost more than the arithmetic. The
-state and the RK4 stages are lists, the right-hand side takes two float
-sequences and returns a tuple of floats, and each accepted step is written
-into the preallocated trajectory array, from which the delayed rows are
-read back as lists. The 3D attitude column is renormalized on its numpy row
-(``block / sqrt(block @ block)``), whose dot product rounds differently
-from a plain sum of squares. Every operation is the elementwise one the
-numpy-array form of the scheme performed, in the same order, so results
-are identical to it bit for bit.
+Two paths run the scheme. The per-step loop calls a right-hand side
+``rhs(y, y_delayed)`` (:func:`make_rhs_2d`, :func:`make_rhs_3d` or a
+caller's own) on Python floats, and reads the delayed rows with
+:func:`_lerp_history`. It serves h = 0, callers without a model, and delays
+shorter than ``MIN_BLOCK_RATIO`` steps, where a block is too short to pay
+for its numpy calls (the measured crossover is at about 8 to 9 steps in 2D
+and in 3D).
 
-A docking run is mostly free flight around one brief contact, and there
-the loop need not step. For a 2D unilateral run :func:`simulate` passes
-:func:`free_gap_2d`, and :func:`integrate_dde` fast-forwards each stretch
-where the delayed force is provably off at every stage. In such a stretch
-the four stage derivatives are equal (the rates do not change and the
-accelerations are zero), so every step adds the same increment
-``sixth*(((k1 + 2k2) + 2k3) + k4)``. An in-place ``np.cumsum`` writes those
-rows; numpy's accumulate is a sequential scan, so it adds exactly as the
-loop does and the rows are the same bit for bit. The vectorized gap
-(``np.cos``, less a margin for the curvature of the interpolation and for
-rounding) only proposes where a stretch ends: the loop resumes
-``int(h/dt) - 2`` steps after the first extrapolated row below the margin,
-before the delayed gate can close, and its own ``math`` calls decide the
-gate. Bilateral contact, 3D runs (whose attitude column is renormalized
-every step) and h = 0 keep the exact loop. On ``table1`` the right-hand
-side now runs for 19% of the 4 n stage evaluations, and ``integrate_dde``
-takes 4.2 µs/step against 17.7 before; on ``fig7`` 7.4 against 17.5 (best
-of 5 on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6).
+The block path serves :func:`simulate`, which passes the block form of its
+right-hand side (:class:`PlanarModel`, :class:`SpatialModel`). The force
+applied over the next h was sensed h ago, so when the run reaches row i the
+delayed samples of steps i .. i + int(h/dt) - 2 lie in rows that are
+already final. For such a block, one vectorized lerp (:func:`_lerp_rows`)
+gives the three stage samples of every step, one call of the model's
+``wrench`` gives their force and torque, and each (position, rate) pair
+whose rate derivative is that delayed acceleration -- (z, v_z),
+(theta, omega) and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the
+RK4 increments on arrays and an in-place ``np.cumsum``. So a 2D block runs
+no Python loop per step; in 3D the attitude column and omega, whose rates
+depend on the current state, step in a loop over 6 floats driven by the
+block's torques. A zero force is just a value here, so free flight and
+contact take the same path. Each finished block is checked for divergence,
+which raises at its first offending row with the per-step message and t.
 
-The right-hand sides (:func:`make_rhs_2d`, :func:`make_rhs_3d`) and the
-contact channels :func:`simulate` records both evaluate the contact law
-through the functions of :mod:`docksim.contact`, so the recorded force is
-the applied force.
+Both paths give the rows of the earlier numpy-array form of the scheme bit
+for bit, because each float operation is the elementwise one of that form,
+in the same order: numpy's + - * / on float64 round as Python floats do, the
+2D sin and cos come from ``math`` on both paths, numpy's accumulate is a
+sequential scan (cumsum adds the increments row after row, as the loop
+does, not pairwise), and the 3D attitude column is renormalized with
+numpy's dot product, which rounds differently from a plain sum of squares.
+
+``integrate_dde`` on the bundled scenarios, best of 5 on a 2-vCPU VM
+(Python 3.11.7, numpy 2.4.6), per-step loop against block path: ``table1``
+(2D) 13.4 against 1.2 µs/step, ``fig7`` (2D) 12.2 against 1.0, ``demo3d``
+(3D) 34.1 against 9.0.
+
+The contact channels :func:`simulate` records are the model's ``wrench`` on
+the delayed rows of the same block lerp (:func:`_delayed_rows`), so the
+recorded force is the applied force; the right-hand sides and the models
+evaluate the contact law through the functions of :mod:`docksim.contact`.
 
 The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 :func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
@@ -78,6 +85,8 @@ from .core import (
     ChaserState3D,
     ContactParams,
     SimConfig,
+    ValidationError,
+    activation_problem,
     step_count,
     write_csv,
 )
@@ -85,15 +94,10 @@ from .core import (
 # rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
 # numpy rows from callers) in, a tuple of floats out
 Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
-# free_gap(rows) -> one value per row of a block of consecutive grid rows.
-# Wherever every row a delayed sample is interpolated from has a value
-# >= 0, whatever the rounding of the interpolation, the right-hand side is
-# force-free: its derivative holds the state's rates, which it leaves
-# unchanged, and zero accelerations, so it has the same values at every
-# state of a free-flight line
-FreeGap = Callable[[np.ndarray], np.ndarray]
-# relative rounding slack of free_gap_2d, about 4500 machine epsilons
-GAP_RTOL = 1e-12
+# h/dt below which integrate_dde steps one row at a time even when given a
+# model: a block of int(h/dt) - 1 steps then pays more for its numpy calls
+# than it saves (measured crossover, see the module docstring)
+MIN_BLOCK_RATIO = 9
 
 
 class DivergenceError(RuntimeError):
@@ -112,7 +116,7 @@ def integrate_dde(
     h: float,
     unit_slice: slice | None = None,
     divergence_bound: float | None = None,
-    free_gap: FreeGap | None = None,
+    model: PlanarModel | SpatialModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y'(t) = rhs(y(t), y(t-h)) on the fixed grid.
 
@@ -120,9 +124,10 @@ def integrate_dde(
     Pre-history is the constant initial state. Not decimated; callers slice.
     t_end must be a whole number of steps (:func:`docksim.core.step_count`).
 
-    ``free_gap`` (see :data:`FreeGap`) lets the loop fast-forward stretches
-    where it proves the delayed force is off; the rows are the same bit for
-    bit. It is used only for h > 0 without ``unit_slice``.
+    ``model`` is the block form of ``rhs`` (:class:`PlanarModel`,
+    :class:`SpatialModel`, built from the same parameters). Given one and
+    h/dt >= MIN_BLOCK_RATIO, the run advances in blocks of int(h/dt) - 1
+    steps and never calls ``rhs``; the rows are the same bit for bit.
     """
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
@@ -131,17 +136,17 @@ def integrate_dde(
     Y[0] = y0
     times = np.arange(n + 1) * dt
     ratio = h / dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
     # sum(|y|) bounds every |y_j|, and a NaN or inf component makes the
     # comparison with the finite limit fail, so one pass screens each step;
     # _check_divergence then decides exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
-    # first latest row at which a fast-forward is tried (never: n)
-    next_try = 1 if free_gap is not None and h > 0.0 and unit_slice is None else n
+    if model is not None and h > 0.0 and ratio >= MIN_BLOCK_RATIO:
+        _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound)
+        return times, Y
+    half = 0.5 * dt
+    sixth = dt / 6.0
     y = Y[0].tolist()
-    i = 0
-    while i < n:
+    for i in range(n):
         if h == 0.0:
             k1 = rhs(y, y)
             y2 = [a + half * b for a, b in zip(y, k1)]
@@ -159,71 +164,41 @@ def integrate_dde(
             k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
             k4 = rhs([a + dt * b for a, b in zip(y, k3)], d1)
         y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        i += 1
-        row = Y[i]
+        row = Y[i + 1]
         row[:] = y
         if unit_slice is not None:
             block = row[unit_slice]
             block /= math.sqrt(float(block @ block))
             y = row.tolist()
         if not sum(map(abs, y)) <= limit:
-            _check_divergence(y, float(times[i]), divergence_bound)
-        # equal stage derivatives: most likely free flight, worth a try
-        if i >= next_try and i < n and k1 == k2 == k3 == k4:
-            i, next_try = _fast_forward(Y, i, (k1, k2, k3, k4), sixth, ratio, free_gap,
-                                        divergence_bound)
-            y = Y[i].tolist()
+            _check_divergence(y, float(times[i + 1]), divergence_bound)
     return times, Y
 
 
-def _fast_forward(Y, p, ks, sixth, ratio, free_gap, divergence_bound) -> tuple[int, int]:
-    """Fill rows p+1..K of Y with the increment of the step that produced
-    row p, and return (K, the first latest row worth the next try); K = p
-    when no stretch can be proven.
-
-    What is proven here, in order of cost:
-
-    - row p holds no -0.0. Then no later row does either (x + z is -0.0
-      only for x = z = -0.0), so adding an increment whose zero components
-      differ in sign from the loop's leaves every row the same;
-    - every row the steps from p - 1 on read has ``free_gap >= 0``: the
-      delayed force is off at every stage, so each step adds the same
-      increment values as the last one (the rates do not change, the
-      accelerations are zero);
-    - no skipped row trips the divergence guard; the loop resumes before
-      the first row that does, and raises there as it would have.
-
-    The rows come from an in-place ``np.cumsum``, a sequential scan that
-    adds the increment to the previous row exactly as the loop does.
-    """
-    n = Y.shape[0] - 1
-    if any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in Y[p].tolist()):
-        return p, p + 1
-    r = int(ratio)
-    # a step k reads rows k - r - 1 .. k + 1 - r; the history window covers
-    # what the last step (k = p - 1) read, with one row to spare
-    lo = max(0, p - r - 3)
-    bad = np.flatnonzero(~(free_gap(Y[lo:p + 1]) >= 0.0))
-    if len(bad):
-        return p, lo + int(bad[-1]) + r + 4
-    seg = Y[p:]
-    seg[1:] = [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*ks)]
-    np.cumsum(seg, axis=0, out=seg)
-    # J: first extrapolated row below the gap margin; the steps up to
-    # J + r - 3 read rows below J only (one step to spare), so the loop
-    # resumes with step K = J + r - 2
-    bad = np.flatnonzero(~(free_gap(Y[lo:]) >= 0.0))
-    J = lo + int(bad[0]) if len(bad) else n + 1
-    K = min(n, J + r - 2)
-    if K <= p:
-        return p, max(J, p + 1)
-    tripped = ~np.isfinite(seg[1:K - p + 1]).all(axis=1)
-    if divergence_bound is not None:
-        tripped |= np.abs(seg[1:K - p + 1]).max(axis=1) > divergence_bound
-    hit = np.flatnonzero(tripped)
-    if len(hit):
-        K = p + int(hit[0])
-    return K, max(J, K + 1)
+def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> None:
+    """Fill Y block by block. Steps i..j-1 with j - i <= int(h/dt) - 1 read
+    delayed samples at fractional rows <= i - 1, so rows <= i, which are
+    final: one lerp and one call of the model give every stage sample of
+    the block. Each finished block is checked for divergence, which raises
+    at its first offending row."""
+    n = len(Y) - 1
+    span = int(ratio) - 1
+    history = Y[:, :model.columns]
+    with np.errstate(all="ignore"):
+        for i in range(0, n, span):
+            j = min(n, i + span)
+            # stage samples of step k at rows k - ratio, k + 1/2 - ratio and
+            # k + 1 - ratio (the first of step k + 1), interleaved
+            k = np.arange(i, j + 1, dtype=float)
+            q = np.empty(2 * (j - i) + 1)
+            q[0::2] = k - ratio
+            q[1::2] = k[:-1] + 0.5 - ratio
+            seg = Y[i:j + 1]
+            model.advance(seg, _lerp_rows(history, q).T, dt)
+            bad = np.flatnonzero(~(np.abs(seg[1:]).max(axis=1) <= limit))
+            if len(bad):
+                row = i + 1 + int(bad[0])
+                _check_divergence(Y[row].tolist(), float(times[row]), divergence_bound)
 
 
 def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
@@ -255,7 +230,59 @@ def _lerp_history(Y: np.ndarray, latest: int, q: float) -> list:
     return [v * x0 + w * x1 for x0, x1 in zip(a, b)]
 
 
-# --- right-hand sides ---
+def _lerp_rows(Y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows of Y at the fractional indices q, with the float operations of
+    :func:`_lerp_history` for each: row 0 for q <= 0, the exact row when
+    q is whole, else (1 - w) x0 + w x1 with its own w. Reads no row past
+    ceil(q)."""
+    q = np.maximum(q, 0.0)
+    i0 = q.astype(np.intp)
+    w = q - i0
+    rows = Y[i0]
+    mixed = np.flatnonzero(w)
+    if len(mixed):
+        w = w[mixed, None]
+        rows[mixed] = (1.0 - w) * rows[mixed] + w * Y[i0[mixed] + 1]
+    return rows
+
+
+def _delayed_rows(Y: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """All rows of Y sampled at their own time minus h, as the integrator
+    samples them (:func:`_lerp_rows`)."""
+    if h == 0.0:
+        return Y
+    return _lerp_rows(Y, np.arange(len(Y)) - h / dt)
+
+
+def _advance_pairs(seg: np.ndarray, pos: slice, rate: slice, acc: np.ndarray, dt: float) -> None:
+    """RK4 steps of the (position, rate) column pairs of seg = Y[i:j+1]
+    whose rate derivative is a delayed acceleration: acc holds one row per
+    pair, its values at the 2 (j - i) + 1 interleaved stage samples. The
+    stage derivatives are (r, a0), (r + dt/2 a0, ah), (r + dt/2 ah, ah) and
+    (r + dt ah, a1), so each increment is the loop's expression on arrays,
+    and an in-place cumsum (a sequential scan) adds them row after row as
+    the loop does."""
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    a0, ah, a1 = acc[:, :-1:2], acc[:, 1::2], acc[:, 2::2]
+    v = np.empty((len(acc), len(seg)))
+    v[:, 0] = seg[0, rate]
+    v[:, 1:] = sixth * (a0 + 2.0 * ah + 2.0 * ah + a1)
+    np.cumsum(v, axis=1, out=v)
+    r = v[:, :-1]
+    x = np.empty_like(v)
+    x[:, 0] = seg[0, pos]
+    x[:, 1:] = sixth * (r + 2.0 * (r + half * a0) + 2.0 * (r + half * ah) + (r + dt * ah))
+    np.cumsum(x, axis=1, out=x)
+    seg[:, rate] = v.T
+    seg[:, pos] = x.T
+
+
+# --- right-hand sides and their block forms ---
+
+
+def _springs(contact: ContactParams) -> list:
+    return [(k, tuple(map(float, l))) for k, l in contact.springs]
 
 
 def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
@@ -272,7 +299,7 @@ def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
     k_v = contact.k_v
     b_v = contact.b_v
     bilateral = contact.activation == "bilateral"
-    springs = [(k, tuple(map(float, l))) for k, l in contact.springs]
+    springs = _springs(contact)
 
     def rhs(y, yd):
         th = yd[2]
@@ -289,24 +316,70 @@ def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
     return rhs
 
 
-def free_gap_2d(params: BodyParams) -> FreeGap:
-    """Planar contact gap for the fast-forward of :func:`integrate_dde`
-    under unilateral contact: the depth d = z + a cos(theta) of each row
-    (vectorized, with np.cos) less a margin. The margin covers a delayed
-    sample between two rows, whose depth the right-hand side computes with
-    math.cos on the interpolated row: a (delta theta)^2 / 8 bounds the
-    curvature of cos over the largest attitude step in the block, and
-    GAP_RTOL (|z| + a (1 + |theta|)) the rounding of both evaluations."""
-    a = params.a
+class PlanarModel:
+    """Block form of :func:`make_rhs_2d` for :func:`integrate_dde`. Every
+    planar derivative is a rate of the current state or a delayed
+    acceleration, so the three (position, rate) pairs (z, v_z),
+    (theta, omega) and (y, v_y) advance on arrays, with no per-step loop."""
 
-    def gap(rows):
-        x = rows.T
-        th = x[2]
-        step = float(np.abs(np.diff(th)).max(initial=0.0))
-        margin = 0.125 * a * step * step + GAP_RTOL * (np.abs(x[0]) + a * (1.0 + np.abs(th)))
-        return depth_2d(x, a, np.cos(th)) - margin
+    columns = 4  # the law reads (z, v_z, theta, omega) of a delayed sample
 
-    return gap
+    def __init__(self, params: BodyParams, contact: ContactParams):
+        self.a, self.m, self.J_x = params.a, params.m, params.J_x
+        self.k_v, self.b_v = contact.k_v, contact.b_v
+        self.bilateral = contact.activation == "bilateral"
+        self.springs = _springs(contact)
+
+    def wrench(self, xd):
+        """Applied force f and x-torque tau at the delayed samples xd
+        (columns first), as make_rhs_2d computes them, sin and cos from
+        math included."""
+        th = xd[2].tolist()
+        s = np.array(list(map(math.sin, th)))
+        c = np.array(list(map(math.cos, th)))
+        d = depth_2d(xd, self.a, c)
+        k = contact_stiffness(self.k_v, self.springs, 0.0, s, c)
+        f = contact_force(k, self.b_v, d, depth_rate_2d(xd, self.a, s))
+        if not self.bilateral:
+            f = np.where(d < 0.0, f, 0.0)
+        return f, torque_2d(f, self.a, s)
+
+    def advance(self, seg, xd, dt):
+        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd."""
+        f, tau = self.wrench(xd)
+        acc = np.zeros((3, len(f)))  # v_y' = 0
+        acc[0] = f / self.m
+        acc[1] = tau / self.J_x
+        _advance_pairs(seg, slice(0, 6, 2), slice(1, 6, 2), acc, dt)
+
+
+def _spin_rate(params: BodyParams):
+    """rate(c0, c1, c2, w0, w1, w2, t0, t1, t2): the derivative of the
+    attitude column d_c3 = (c0, c1, c2) and of omega = (w0, w1, w2) under
+    the body torque (t0, t1, t2), as a 6-tuple:
+    d_c3' = -omega x d_c3, omega' = J^-1((J omega) x omega + tau)."""
+    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = params.J.tolist()
+    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(params.J).tolist()
+
+    def rate(c0, c1, c2, w0, w1, w2, t0, t1, t2):
+        # gyroscopic term (J omega) x omega
+        Jw0 = J00 * w0 + J01 * w1 + J02 * w2
+        Jw1 = J10 * w0 + J11 * w1 + J12 * w2
+        Jw2 = J20 * w0 + J21 * w1 + J22 * w2
+        g0 = Jw1 * w2 - Jw2 * w1 + t0
+        g1 = Jw2 * w0 - Jw0 * w2 + t1
+        g2 = Jw0 * w1 - Jw1 * w0 + t2
+        # attitude kinematics -omega x d_c3 = d_c3 x omega
+        return (
+            c1 * w2 - c2 * w1,
+            c2 * w0 - c0 * w2,
+            c0 * w1 - c1 * w0,
+            I00 * g0 + I01 * g1 + I02 * g2,
+            I10 * g0 + I11 * g1 + I12 * g2,
+            I20 * g0 + I21 * g1 + I22 * g2,
+        )
+
+    return rate
 
 
 def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
@@ -314,14 +387,13 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
     omega' = J^-1((J omega) x omega + tau_B), force and torque from the
     delayed sample."""
     m = params.m
-    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = params.J.tolist()
-    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(params.J).tolist()
     a_B = tuple(float(x) for x in params.a_B)
     n_hat = n0, n1, n2 = tuple(float(x) for x in contact.n_hat)
     k_v = contact.k_v
     b_v = contact.b_v
     bilateral = contact.activation == "bilateral"
-    springs = [(k, tuple(map(float, l))) for k, l in contact.springs]
+    springs = _springs(contact)
+    spin = _spin_rate(params)
 
     def rhs(y, yd):
         c0, c1, c2 = yd[6], yd[7], yd[8]
@@ -331,29 +403,82 @@ def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
             f = contact_force(k, b_v, d, depth_rate_3d(yd, n_hat, a_B))
         else:
             f = 0.0
-        t0, t1, t2 = torque_3d(f, a_B, c0, c1, c2)
-        # gyroscopic term (J omega) x omega on the current state
-        w0, w1, w2 = y[9], y[10], y[11]
-        Jw0 = J00 * w0 + J01 * w1 + J02 * w2
-        Jw1 = J10 * w0 + J11 * w1 + J12 * w2
-        Jw2 = J20 * w0 + J21 * w1 + J22 * w2
-        g0 = Jw1 * w2 - Jw2 * w1 + t0
-        g1 = Jw2 * w0 - Jw0 * w2 + t1
-        g2 = Jw0 * w1 - Jw1 * w0 + t2
         fm = f / m
-        # attitude kinematics -omega x d_c3 = d_c3 x omega (current state)
-        return (
-            y[3], y[4], y[5],
-            fm * n0, fm * n1, fm * n2,
-            y[7] * w2 - y[8] * w1,
-            y[8] * w0 - y[6] * w2,
-            y[6] * w1 - y[7] * w0,
-            I00 * g0 + I01 * g1 + I02 * g2,
-            I10 * g0 + I11 * g1 + I12 * g2,
-            I20 * g0 + I21 * g1 + I22 * g2,
-        )
+        return (y[3], y[4], y[5], fm * n0, fm * n1, fm * n2,
+                *spin(y[6], y[7], y[8], y[9], y[10], y[11], *torque_3d(f, a_B, c0, c1, c2)))
 
     return rhs
+
+
+class SpatialModel:
+    """Block form of :func:`make_rhs_3d` for :func:`integrate_dde`. The
+    pairs (r_j, v_j) advance on arrays; (d_c3, omega), whose rates depend
+    on the current state, step in a loop over 6 floats driven by the
+    block's delayed torques. d_c3 is divided by the square root of numpy's
+    dot product of it with itself, as the per-step loop renormalizes it."""
+
+    columns = 12
+
+    def __init__(self, params: BodyParams, contact: ContactParams):
+        self.m = params.m
+        self.a_B = tuple(float(x) for x in params.a_B)
+        self.n_hat = tuple(float(x) for x in contact.n_hat)
+        self.k_v, self.b_v = contact.k_v, contact.b_v
+        self.bilateral = contact.activation == "bilateral"
+        self.springs = _springs(contact)
+        self.spin = _spin_rate(params)
+
+    def wrench(self, xd):
+        """Applied force f and body torque (tau_x, tau_y, tau_z) at the
+        delayed samples xd (columns first), as make_rhs_3d computes them."""
+        c0, c1, c2 = xd[6], xd[7], xd[8]
+        d = depth_3d(xd, self.n_hat, self.a_B)
+        k = contact_stiffness(self.k_v, self.springs, c0, c1, c2)
+        f = contact_force(k, self.b_v, d, depth_rate_3d(xd, self.n_hat, self.a_B))
+        if not self.bilateral:
+            f = np.where(d < 0.0, f, 0.0)
+        return f, torque_3d(f, self.a_B, c0, c1, c2)
+
+    def advance(self, seg, xd, dt):
+        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd."""
+        f, tau = self.wrench(xd)
+        _advance_pairs(seg, slice(0, 3), slice(3, 6), np.multiply.outer(self.n_hat, f / self.m), dt)
+        spin = self.spin
+        tx, ty, tz = (t.tolist() for t in tau)
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        c0, c1, c2, w0, w1, w2 = seg[0, 6:12].tolist()
+        col = np.empty(3)
+        rows = []
+        for i in range(0, len(tx) - 1, 2):
+            # stages p, q, r, s of one step from samples i, i + 1, i + 1, i + 2,
+            # written out per component
+            mx, my, mz = tx[i + 1], ty[i + 1], tz[i + 1]
+            p0, p1, p2, p3, p4, p5 = spin(c0, c1, c2, w0, w1, w2, tx[i], ty[i], tz[i])
+            q0, q1, q2, q3, q4, q5 = spin(
+                c0 + half * p0, c1 + half * p1, c2 + half * p2,
+                w0 + half * p3, w1 + half * p4, w2 + half * p5, mx, my, mz)
+            r0, r1, r2, r3, r4, r5 = spin(
+                c0 + half * q0, c1 + half * q1, c2 + half * q2,
+                w0 + half * q3, w1 + half * q4, w2 + half * q5, mx, my, mz)
+            s0, s1, s2, s3, s4, s5 = spin(
+                c0 + dt * r0, c1 + dt * r1, c2 + dt * r2,
+                w0 + dt * r3, w1 + dt * r4, w2 + dt * r5, tx[i + 2], ty[i + 2], tz[i + 2])
+            c0 = c0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
+            c1 = c1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
+            c2 = c2 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
+            w0 = w0 + sixth * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
+            w1 = w1 + sixth * (p4 + 2.0 * q4 + 2.0 * r4 + s4)
+            w2 = w2 + sixth * (p5 + 2.0 * q5 + 2.0 * r5 + s5)
+            col[0], col[1], col[2] = c0, c1, c2
+            # a zero column gives NaN here and NaN or inf in numpy's
+            # x / 0.0: non-finite either way
+            norm = math.sqrt(col.dot(col)) or math.nan
+            c0 /= norm
+            c1 /= norm
+            c2 /= norm
+            rows.append((c0, c1, c2, w0, w1, w2))
+        seg[1:, 6:12] = rows
 
 
 # --- trajectory recording and contact events ---
@@ -451,19 +576,6 @@ def extract_events(
     return events
 
 
-def _delayed_rows(Y: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """All rows of Y sampled at their own time minus h (vectorized lerp)."""
-    if h == 0.0:
-        return Y
-    n = Y.shape[0] - 1
-    q = np.arange(n + 1) - h / dt
-    q = np.clip(q, 0.0, n)
-    i0 = np.floor(q).astype(int)
-    i1 = np.minimum(i0 + 1, n)
-    w = (q - i0)[:, None]
-    return (1.0 - w) * Y[i0] + w * Y[i1]
-
-
 def simulate(
     config: SimConfig,
     params: BodyParams,
@@ -480,55 +592,43 @@ def simulate(
     instability. Contact events are segmented on the full integration grid
     regardless of the recording decimation.
     """
-    if contact.activation not in ("unilateral", "bilateral"):
-        raise ValueError(
-            f"activation must be 'unilateral' or 'bilateral', got {contact.activation!r}")
+    problem = activation_problem(contact.activation)
+    if problem:
+        raise ValidationError([problem])
     initial = config.initial
-    free_gap = None
     if mode == "3d":
         if isinstance(initial, ChaserState2D):
             initial = initial.embed_3d()
-        rhs = make_rhs_3d(params, contact)
-        y0 = initial.as_vector()
+        rhs, model = make_rhs_3d(params, contact), SpatialModel(params, contact)
         unit_slice = slice(6, 9)
     elif mode == "2d":
         if isinstance(initial, ChaserState3D):
             initial = _project_planar(initial)
-        rhs = make_rhs_2d(params, contact)
-        y0 = initial.as_vector()
+        rhs, model = make_rhs_2d(params, contact), PlanarModel(params, contact)
         unit_slice = None
-        if contact.activation == "unilateral":
-            free_gap = free_gap_2d(params)
     else:
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    y0 = initial.as_vector()
 
     bound = divergence_factor * max(float(np.abs(y0).max()), 1.0)
     times, Y = integrate_dde(
         rhs, y0, config.dt, config.t_end, config.h,
-        unit_slice=unit_slice, divergence_bound=bound, free_gap=free_gap,
+        unit_slice=unit_slice, divergence_bound=bound, model=model,
     )
 
-    # Contact channels on the whole grid, by the same contact functions and
-    # evaluation order as the right-hand side: d and d_dot of the undelayed
-    # state, f and tau of the delayed sample that the integrator applied.
-    x, xd = Y.T, _delayed_rows(Y, config.h, config.dt).T
+    # Contact channels on the whole grid: d and d_dot of the undelayed
+    # state; f and tau of the delayed sample, by the model's own wrench,
+    # so they are what the integrator applied.
+    x = Y.T
     if mode == "2d":
         a = params.a
         d = depth_2d(x, a, np.cos(x[2]))
         d_dot = depth_rate_2d(x, a, np.sin(x[2]))
-        s, c = np.sin(xd[2]), np.cos(xd[2])
-        d_del, dd_del = depth_2d(xd, a, c), depth_rate_2d(xd, a, s)
-        normal = (0.0, s, c)
     else:
-        n_hat, a_B = contact.n_hat, params.a_B
-        d, d_dot = depth_3d(x, n_hat, a_B), depth_rate_3d(x, n_hat, a_B)
-        d_del, dd_del = depth_3d(xd, n_hat, a_B), depth_rate_3d(xd, n_hat, a_B)
-        normal = (xd[6], xd[7], xd[8])
-    k = contact_stiffness(contact.k_v, contact.springs, *normal)
-    f = contact_force(k, contact.b_v, d_del, dd_del)
-    if contact.activation == "unilateral":
-        f = np.where(d_del < 0.0, f, 0.0)
-    tau = torque_2d(f, a, s) if mode == "2d" else np.column_stack(torque_3d(f, a_B, *normal))
+        d, d_dot = depth_3d(x, model.n_hat, model.a_B), depth_rate_3d(x, model.n_hat, model.a_B)
+    f, tau = model.wrench(_delayed_rows(Y[:, :model.columns], config.h, config.dt).T)
+    if mode == "3d":
+        tau = np.column_stack(tau)
 
     events = extract_events(times, d, d_dot, window=event_window)
     rec = slice(None, None, config.record_every)

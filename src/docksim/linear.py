@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import stiffness_tensor
-from .core import BodyParams, ChaserState2D, ContactParams
+from .core import BodyParams, ChaserState2D, ContactParams, nominal_state_2d
 
 
 def reduced_mass(m: float, J_x: float, a: float, alpha: float) -> float:
@@ -111,7 +111,9 @@ def linearize_2d(
     """Build the linear model at the nominal contact state.
 
     k and b default as in :func:`penetration_dde_coeffs`. Rejects
-    alpha = pi/2, where the transformation degenerates (a cos alpha = 0).
+    alpha = pi/2, where the transformation degenerates (a cos alpha = 0),
+    and, through :func:`docksim.core.nominal_state_2d`, any alpha outside
+    [0, pi/2).
     F_y is the closed form; tests check it against the similarity
     transform T F_x T^-1.
     """
@@ -126,7 +128,7 @@ def linearize_2d(
     F_x = gradient_matrix(m, J_x, a, alpha, k, b)
     T = transform_matrix(a, alpha)
     F_y = transformed_matrix(m, m_a, k, b)
-    nominal = ChaserState2D(z=-a * math.sin(alpha), v_z=0.0, theta=math.pi / 2 - alpha, omega=0.0)
+    nominal = nominal_state_2d(params, contact)
     return LinearModel2D(F_x=F_x, T=T, F_y=F_y, m_a=m_a, k=k, b=b, nominal=nominal)
 
 

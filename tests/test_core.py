@@ -39,10 +39,16 @@ class TestNominalState:
         assert nom.z == pytest.approx(-0.3, abs=1e-9)
         assert nom.theta == pytest.approx(0.0, abs=2e-6)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.pi / 2, 2.0])
+    @pytest.mark.parametrize("alpha", [-0.1, math.pi / 2, 2.0])
     def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"alpha must be in \[0, pi/2\)"):
             nominal_state_2d(table1_body(), ContactParams(k_v=0.0, b_v=0.0, alpha=alpha))
+
+    def test_wall_parallel_probe_has_a_nominal_state(self):
+        # alpha = 0: the probe lies along the wall, its tip on it at z = 0
+        nom = nominal_state_2d(table1_body(), ContactParams(k_v=0.0, b_v=0.0, alpha=0.0))
+        assert nom.z == 0.0 and nom.theta == math.pi / 2
+        assert nom.v_z == 0.0 and nom.omega == 0.0
 
     @given(a=st.floats(0.05, 2.0), alpha=st.floats(0.05, math.pi / 2 - 0.05))
     def test_nominal_cancellation_property(self, a, alpha):

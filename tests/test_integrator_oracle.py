@@ -1,13 +1,15 @@
-"""Bitwise oracle for the float-list RK4 loop of ``integrate_dde``.
+"""Bitwise oracle for both paths of ``integrate_dde``.
 
 ``numpy_integrate_dde`` below is the earlier numpy-array form of the same
 delayed RK4 scheme, kept here only as a reference: every stage is a numpy
-expression on the whole state vector. ``integrate_dde`` performs the same
-floating-point operations in the same order on Python floats, so the two
-must agree bit for bit, and must diverge at the same step with the same
-message.
+expression on the whole state vector, one step at a time. ``integrate_dde``
+performs the same floating-point operations in the same order, on Python
+floats in its per-step loop and on arrays in its block path (given a
+``PlanarModel`` or ``SpatialModel``), so each must agree with the reference
+bit for bit, and must diverge at the same step with the same message.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -17,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 import docksim as ds
 from docksim.contact import depth_2d
 from docksim.dynamics import (
+    MIN_BLOCK_RATIO,
     DivergenceError,
+    PlanarModel,
+    SpatialModel,
     extract_events,
-    free_gap_2d,
     integrate_dde,
     make_rhs_2d,
     make_rhs_3d,
@@ -83,16 +87,34 @@ def numpy_lerp_history(Y, latest, q):
     return (1.0 - w) * Y[i0] + w * Y[i0 + 1]
 
 
-def run_both(rhs, y0, dt, t_end, h, unit_slice, bound):
-    """Run both integrators; each result is (times, Y) or the DivergenceError."""
+def run_both(rhs, y0, dt, t_end, h, unit_slice, bound, model=None):
+    """Run both integrators, ``integrate_dde`` with ``model``; each result is
+    (times, Y) or the DivergenceError. With a model and h/dt at or above
+    the crossover, the block path must not call the right-hand side."""
+    calls = [0]
+
+    def counted(y, yd):
+        calls[0] += 1
+        return rhs(y, yd)
+
+    # the per-step loop lets numpy's overflow warnings through on a
+    # diverging run, as it always has; the block path must not
+    quiet = np.errstate(over="ignore", invalid="ignore") if model is None else contextlib.nullcontext()
     results = []
-    for integrate in (integrate_dde, numpy_integrate_dde):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                results.append(integrate(rhs, y0, dt, t_end, h, unit_slice=unit_slice,
-                                         divergence_bound=bound))
-        except DivergenceError as exc:
-            results.append(exc)
+    try:
+        with quiet:
+            results.append(integrate_dde(counted, y0, dt, t_end, h, unit_slice=unit_slice,
+                                         divergence_bound=bound, model=model))
+    except DivergenceError as exc:
+        results.append(exc)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            results.append(numpy_integrate_dde(rhs, y0, dt, t_end, h, unit_slice=unit_slice,
+                                               divergence_bound=bound))
+    except DivergenceError as exc:
+        results.append(exc)
+    if model is not None and h / dt >= MIN_BLOCK_RATIO:
+        assert calls[0] == 0, "the block path called the right-hand side"
     return results
 
 
@@ -110,6 +132,7 @@ def assert_bitwise_equal(new, ref):
 unit = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.2, 1)).map(
     lambda v: np.asarray(v) / np.linalg.norm(v))
 springs = st.lists(st.tuples(st.floats(0.0, 5000.0), unit), max_size=3).map(tuple)
+signed_zero = st.sampled_from([0.0, -0.0])
 
 
 @st.composite
@@ -124,7 +147,9 @@ def delays(draw, dt):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, blocks=False):
+    """A random 2D or 3D run near the wall; with ``blocks``, the model of
+    the block path comes last."""
     mode = draw(st.sampled_from(["2d", "3d"]))
     dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3]))
     h = draw(delays(dt))
@@ -133,6 +158,8 @@ def cases(draw):
     J = np.diag(J_diag)
     if mode == "3d":
         J[0, 1] = J[1, 0] = draw(st.floats(-0.2, 0.2))
+        J[0, 2] = J[2, 0] = draw(st.floats(-0.2, 0.2))
+        J[1, 2] = J[2, 1] = draw(st.floats(-0.2, 0.2))
     a = draw(st.floats(0.1, 0.5))
     a_B = [0.0, 0.0, a] if mode == "2d" else a * draw(unit)
     body = ds.BodyParams(m=m, J=J, a_B=a_B)
@@ -150,9 +177,9 @@ def cases(draw):
         z=-body.a * math.cos(theta) + draw(st.floats(-0.002, 0.004)),
         v_z=draw(st.floats(-0.2, 0.0)),
         theta=theta,
-        omega=draw(st.floats(-0.5, 0.5)),
+        omega=draw(signed_zero | st.floats(-0.5, 0.5)),
         y=draw(st.floats(-0.1, 0.1)),
-        v_y=draw(st.floats(-0.05, 0.05)),
+        v_y=draw(signed_zero | st.floats(-0.05, 0.05)),
     )
     if mode == "2d":
         rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
@@ -161,16 +188,27 @@ def cases(draw):
         tilt = draw(st.floats(-0.05, 0.05))
         d_c3 = np.array([tilt, s3.d_c3[1], s3.d_c3[2]])
         s3 = ds.ChaserState3D(r=s3.r, v=s3.v, d_c3=d_c3 / np.linalg.norm(d_c3),
-                              omega=[draw(st.floats(-0.5, 0.5)) for _ in range(3)])
+                              omega=[draw(signed_zero | st.floats(-0.5, 0.5)) for _ in range(3)])
         rhs, y0, unit_slice = make_rhs_3d(body, contact), s3.as_vector(), slice(6, 9)
     steps = draw(st.integers(1, 300))
     bound = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
-    return rhs, y0, dt, steps * dt, h, unit_slice, bound
+    case = rhs, y0, dt, steps * dt, h, unit_slice, bound
+    if blocks:
+        case += ((PlanarModel if mode == "2d" else SpatialModel)(body, contact),)
+    return case
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
 def test_float_loop_matches_numpy_scheme_bitwise(case):
+    assert_bitwise_equal(*run_both(*case))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases(blocks=True))
+def test_block_path_matches_numpy_scheme_bitwise(case):
+    # h/dt from 1 to 40 puts the run on either side of MIN_BLOCK_RATIO;
+    # below it integrate_dde keeps the per-step loop
     assert_bitwise_equal(*run_both(*case))
 
 
@@ -206,35 +244,78 @@ def test_long_contact_run_matches_numpy_scheme_bitwise(mode, h):
     assert_bitwise_equal(new, ref)
 
 
-# --- the free-flight fast-forward that simulate enables in 2D ---
+def spinning_3d_run(activation):
+    """A spinning 3D probe with a full inertia tensor, started near the
+    wall: omega on all three axes, three springs, and a tilted normal."""
+    body = ds.BodyParams(m=60.0, J=[[1.5, 0.1, -0.05], [0.1, 2.0, 0.08], [-0.05, 0.08, 2.5]],
+                         a_B=[0.01, -0.02, 0.3])
+    contact = ds.ContactParams(k_v=2000.0, b_v=20.0, alpha=math.radians(30.0),
+                               springs=((4000.0, [0.0, 0.0, 1.0]), (1000.0, [1.0, 0.0, 0.0]),
+                                        (1000.0, [0.0, 0.6, 0.8])),
+                               n_hat=[0.05, -0.03, 1.0] / np.linalg.norm([0.05, -0.03, 1.0]),
+                               activation=activation)
+    s = ds.ChaserState2D(z=-0.3 * math.cos(1.0) + 0.003, v_z=-0.03, theta=1.0, omega=0.0).embed_3d()
+    state = ds.ChaserState3D(r=s.r, v=[0.002, 0.001, -0.03], d_c3=s.d_c3, omega=[0.3, -0.4, 0.5])
+    return make_rhs_3d(body, contact), state.as_vector(), SpatialModel(body, contact)
+
+
+@pytest.mark.parametrize("h", [0.016, 0.0163])  # on and off the dt grid
+@pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+def test_long_block_run_matches_numpy_scheme_bitwise(mode, activation, h):
+    if mode == "2d":
+        body = ds.BodyParams(m=60.0, J=np.diag([1.43, 1.43, 1.43]), a_B=[0.0, 0.0, 0.3])
+        contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
+                                   springs=((800.0, [0.0, 0.6, 0.8]),), activation=activation)
+        state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=0.3, v_y=0.01)
+        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
+        model = PlanarModel(body, contact)
+    else:
+        rhs, y0, model = spinning_3d_run(activation)
+        unit_slice = slice(6, 9)
+    new, ref = run_both(rhs, y0, 1e-4, 1.2, h, unit_slice, 1e3, model)
+    assert_bitwise_equal(new, ref)
+    # the probe reached the wall and was pushed back out
+    v_z = ref[1][:, 5 if mode == "3d" else 1]
+    assert v_z[0] < 0.0 < v_z.max()
+
+
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+@pytest.mark.parametrize("bound, message", [(2.0, "divergence bound"), (None, "non-finite")])
+def test_divergence_inside_a_block_is_reported_identically(mode, bound, message):
+    # as test_divergence_is_reported_identically, with h/dt = 16: the state
+    # leaves the bound, or overflows, in the middle of a block
+    body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
+    contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
+    state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
+    if mode == "2d":
+        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
+        model = PlanarModel(body, contact)
+    else:
+        rhs, y0, unit_slice = make_rhs_3d(body, contact), state.embed_3d().as_vector(), slice(6, 9)
+        model = SpatialModel(body, contact)
+    new, ref = run_both(rhs, y0, 1e-3, 2.0, 0.016, unit_slice, bound, model)
+    assert isinstance(ref, DivergenceError) and message in str(ref)
+    assert_bitwise_equal(new, ref)
+    steps = round(ref.t / 1e-3)
+    assert steps % 15 != 0  # not at the end of a block of 15 steps
+
+
+# --- cases first written for the free-flight fast-forward ---
 #
-# integrate_dde given free_gap fills force-free stretches with np.cumsum
-# instead of stepping; the reference steps every row, so each case below
-# must still agree bit for bit.
+# The block path replaced that fast-forward: a zero delayed force is just a
+# value there, so free flight and contact go through the same arrays. The
+# cases keep their names and now run the block path of 2D unilateral
+# contact against the per-step reference.
 
 SPIN_BODY = ds.BodyParams(m=20.0, J=np.diag([0.2, 0.2, 0.2]), a_B=[0.0, 0.0, 0.3])
 SPIN_CONTACT = ds.ContactParams(k_v=3000.0, b_v=2.0, alpha=0.5)
 
 
-def run_fast_forward(body, contact, state, dt, t_end, h, bound):
-    """Both results as in run_both, integrate_dde with free_gap_2d, plus the
-    share of the 4 n stage evaluations the fast-forwarding run made."""
-    rhs = make_rhs_2d(body, contact)
-    calls = [0]
-
-    def counted(y, yd):
-        calls[0] += 1
-        return rhs(y, yd)
-
-    y0 = state.as_vector()
-    results = []
-    for integrate, kwargs in ((integrate_dde, {"free_gap": free_gap_2d(body)}), (numpy_integrate_dde, {})):
-        try:
-            results.append(integrate(counted if kwargs else rhs, y0, dt, t_end, h,
-                                     divergence_bound=bound, **kwargs))
-        except DivergenceError as exc:
-            results.append(exc)
-    return results, calls[0] / (4 * round(t_end / dt))
+def run_planar(body, contact, state, dt, t_end, h, bound):
+    """run_both for a 2D run given the planar model."""
+    return run_both(make_rhs_2d(body, contact), state.as_vector(), dt, t_end, h, None, bound,
+                    PlanarModel(body, contact))
 
 
 def contact_events(result, a):
@@ -259,7 +340,7 @@ def free_flight_cases(draw):
         z=-body.a * math.cos(theta) + draw(st.floats(-0.002, 0.01)),
         v_z=draw(st.floats(-0.1, 0.05)),
         theta=theta,
-        omega=draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)),
+        omega=draw(signed_zero | st.floats(-5.0, 5.0)),
         v_y=draw(st.floats(-0.05, 0.05)),
     )
     steps = draw(st.integers(1, 1500))
@@ -270,8 +351,7 @@ def free_flight_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=free_flight_cases())
 def test_fast_forward_matches_numpy_scheme_bitwise(case):
-    (new, ref), _ = run_fast_forward(*case)
-    assert_bitwise_equal(new, ref)
+    assert_bitwise_equal(*run_planar(*case))
 
 
 @pytest.mark.parametrize("h", [0.016, 0.0163])  # on and off the dt grid
@@ -279,24 +359,22 @@ def test_fast_forward_across_recontacts_matches_numpy_scheme_bitwise(h):
     # the spinning probe swings in and out of the wall: d = z + a cos(theta)
     # is non-monotonic, with free flight between three contacts
     state = ds.ChaserState2D(z=-0.3 * math.cos(1.0) + 0.005, v_z=-0.05, theta=1.0, omega=1.0)
-    (new, ref), share = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 3.0, h, 1e3)
+    new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 3.0, h, 1e3)
     assert_bitwise_equal(new, ref)
     assert len(contact_events(ref, SPIN_BODY.a)) >= 3
-    assert share < 0.5
 
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-13, -1e-6])
 def test_pass_near_the_wall_matches_numpy_scheme_bitwise(gap):
-    # the spinning tip passes theta = pi with a clearance inside the margin,
-    # or touches the wall for less than the delay: the fast-forward stops
-    # short of it, and the loop decides the gate
+    # the spinning tip passes theta = pi with a clearance of 1e-9 or 1e-13,
+    # or touches the wall for less than the delay
     a = SPIN_BODY.a
     state = ds.ChaserState2D(z=a + gap, v_z=0.0, theta=2.0, omega=2.0)
-    (new, ref), share = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 3.0, 0.0163, 1e3)
+    new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 3.0, 0.0163, 1e3)
     assert_bitwise_equal(new, ref)
-    assert free_gap_2d(SPIN_BODY)(ref[1]).min() < 0.0
+    closest = (ref[1][:, 0] + a * np.cos(ref[1][:, 2])).min()
+    assert closest < 1e-6 if gap > 0.0 else closest < 0.0
     assert len(contact_events(ref, a)) == (gap < 0.0)
-    assert share < 0.5
 
 
 @pytest.mark.parametrize("theta, omega, v_y", [
@@ -309,17 +387,16 @@ def test_pass_near_the_wall_matches_numpy_scheme_bitwise(gap):
 def test_fast_forward_signed_zeros_match_numpy_scheme_bitwise(theta, omega, v_y):
     state = ds.ChaserState2D(z=-0.3 * math.cos(theta) + 0.005, v_z=-0.02, theta=theta,
                              omega=omega, y=0.01, v_y=v_y)
-    (new, ref), _ = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, 1e3)
+    new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, 1e3)
     assert_bitwise_equal(new, ref)
     assert contact_events(ref, SPIN_BODY.a)
 
 
 @pytest.mark.parametrize("bound", [1.5, 1.2345])
 def test_fast_forward_reports_divergence_identically(bound):
-    # a free drift away from the wall crosses the bound inside a stretch
-    # that would otherwise be skipped to the end of the run
+    # a free drift away from the wall crosses the bound inside a block
     state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
-    (new, ref), _ = run_fast_forward(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
+    new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
     assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
     assert_bitwise_equal(new, ref)
 
@@ -327,12 +404,13 @@ def test_fast_forward_reports_divergence_identically(bound):
 def test_fast_forward_keeps_a_negative_zero_in_the_loop():
     # (x, x', u, u'): a force-free system whose zero acceleration u'' takes
     # the sign of -x(t-h). The loop turns u' = -0.0 into +0.0 once x(t-h)
-    # turns negative; a fast-forward from the -0.0 row would keep it -0.0
+    # turns negative. A right-hand side of a direct caller has no model, so
+    # integrate_dde steps it one row at a time
     def rhs(y, yd):
         return (y[1], 0.0, y[3], math.copysign(0.0, -yd[0]))
 
     y0 = np.array([1.0, -1.0, 0.5, -0.0])
-    new = integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163, free_gap=lambda rows: np.ones(len(rows)))
+    new = integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163)
     ref = numpy_integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163)
     assert math.copysign(1.0, ref[1][-1, 3]) == 1.0
     assert_bitwise_equal(new, ref)
