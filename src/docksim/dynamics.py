@@ -146,32 +146,35 @@ def integrate_dde(
     half = 0.5 * dt
     sixth = dt / 6.0
     y = Y[0].tolist()
-    for i in range(n):
-        if h == 0.0:
-            k1 = rhs(y, y)
-            y2 = [a + half * b for a, b in zip(y, k1)]
-            k2 = rhs(y2, y2)
-            y3 = [a + half * b for a, b in zip(y, k2)]
-            k3 = rhs(y3, y3)
-            y4 = [a + dt * b for a, b in zip(y, k3)]
-            k4 = rhs(y4, y4)
-        else:
-            d0 = _lerp_history(Y, i, i - ratio)
-            dh = _lerp_history(Y, i, i + 0.5 - ratio)
-            d1 = _lerp_history(Y, i, i + 1.0 - ratio)
-            k1 = rhs(y, d0)
-            k2 = rhs([a + half * b for a, b in zip(y, k1)], dh)
-            k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
-            k4 = rhs([a + dt * b for a, b in zip(y, k3)], d1)
-        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        row = Y[i + 1]
-        row[:] = y
-        if unit_slice is not None:
-            block = row[unit_slice]
-            block /= math.sqrt(float(block @ block))
-            y = row.tolist()
-        if not sum(map(abs, y)) <= limit:
-            _check_divergence(y, float(times[i + 1]), divergence_bound)
+    # a diverging run overflows in the renormalization before the screen
+    # below sees it; it ends in DivergenceError, as in _integrate_blocks
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            if h == 0.0:
+                k1 = rhs(y, y)
+                y2 = [a + half * b for a, b in zip(y, k1)]
+                k2 = rhs(y2, y2)
+                y3 = [a + half * b for a, b in zip(y, k2)]
+                k3 = rhs(y3, y3)
+                y4 = [a + dt * b for a, b in zip(y, k3)]
+                k4 = rhs(y4, y4)
+            else:
+                d0 = _lerp_history(Y, i, i - ratio)
+                dh = _lerp_history(Y, i, i + 0.5 - ratio)
+                d1 = _lerp_history(Y, i, i + 1.0 - ratio)
+                k1 = rhs(y, d0)
+                k2 = rhs([a + half * b for a, b in zip(y, k1)], dh)
+                k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
+                k4 = rhs([a + dt * b for a, b in zip(y, k3)], d1)
+            y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+            row = Y[i + 1]
+            row[:] = y
+            if unit_slice is not None:
+                block = row[unit_slice]
+                block /= math.sqrt(float(block @ block))
+                y = row.tolist()
+            if not sum(map(abs, y)) <= limit:
+                _check_divergence(y, float(times[i + 1]), divergence_bound)
     return times, Y
 
 

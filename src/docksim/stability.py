@@ -17,17 +17,25 @@ first critical delay h_c = h_0. Without damping (beta = 0) the critical
 delay is 0. For omega_c*beta << kappa the approximation h_c = beta/kappa
 holds.
 
-Every function here reads this closed form from :func:`_closed_form`; the
-boundary sweep (:func:`stability_boundary`) evaluates it point by point
-along one coefficient axis. :func:`classify` is the one stable/neutral/
-unstable rule, used by the delay verdicts and by the restitution reading.
+The closed form is written twice, with the same float operations in the
+same order: the scalar form :func:`_crossing`, which the single-point
+functions read through the checks of :func:`_closed_form` and the
+critical-damping bisection reads unchecked, and the grid form
+:func:`_crossing_grid`, with which the boundary sweep
+(:func:`stability_boundary`) solves a whole curve along one coefficient axis
+in one numpy pass, bit for bit the scalar form's values. :func:`classify` is
+the one stable/neutral/unstable rule, used by the delay verdicts and by the
+restitution reading.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .core import write_csv
 
@@ -45,17 +53,69 @@ def _check_params(mu: float, beta: float, kappa: float) -> None:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
 
 
-def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tuple[float, float, list[float]]:
-    """(omega_c, sigma, h_n): the crossing frequency, the crossing indicator
-    and the first n_delays (at least one) crossing delays, after checking
-    the coefficients once."""
-    _check_params(mu, beta, kappa)
+def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float]:
+    """(omega_c, sigma, arctan(omega_c beta / kappa)) of one point, without
+    checks: the scalar form of the closed form. May raise OverflowError or
+    leave omega_c outside (0, inf) where the coefficients leave the
+    floating-point range."""
     b2 = (beta / mu) ** 2
     sigma = math.sqrt(0.25 * b2 * b2 + (kappa / mu) ** 2)
     omega = math.sqrt(0.5 * b2 + sigma)
-    base = math.atan(omega * beta / kappa)
+    return omega, sigma, math.atan(omega * beta / kappa)
+
+
+def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tuple[float, float, list[float]]:
+    """(omega_c, sigma, h_n): the crossing frequency, the crossing indicator
+    and the first n_delays (at least one) crossing delays, after checking
+    the coefficients once. A closed form that overflows or is not finite
+    raises ValueError."""
+    _check_params(mu, beta, kappa)
+    try:
+        omega, sigma, base = _crossing(mu, beta, kappa)
+    except OverflowError:
+        omega = math.nan
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"closed form out of floating-point range at "
+                         f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
     h_n = [(base + 2.0 * math.pi * n) / omega for n in range(max(1, int(n_delays)))]
     return omega, sigma, h_n
+
+
+def _square(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _squares(values: list) -> np.ndarray:
+    """x ** 2 of each value with Python's float power, the square of the
+    scalar form (numpy's x * x differs from it in the last bit for some
+    x); inf where it overflows."""
+    try:
+        return np.array([x ** 2 for x in values])
+    except OverflowError:
+        return np.array(list(map(_square, values)))
+
+
+def _crossing_grid(mu, beta, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(omega_c, sigma, h_c, suspect) over a grid: the grid form of the
+    closed form. Each coefficient is a float or a 1-D array of the grid's
+    length; every value is computed with the float operations of
+    :func:`_crossing` in the same order, so each is the scalar form's bit
+    for bit. suspect flags every point the checked scalar form rejects: a
+    coefficient out of its domain (a non-finite one leaves omega_c at 0, inf
+    or nan) or omega_c outside (0, inf); the numbers of flagged points are
+    meaningless."""
+    with np.errstate(all="ignore"):
+        b2 = _squares(np.atleast_1d(np.divide(beta, mu)).tolist())
+        sigma = np.sqrt(0.25 * b2 * b2 + _squares(np.atleast_1d(np.divide(kappa, mu)).tolist()))
+        omega = np.sqrt(0.5 * b2 + sigma)
+        base = np.array(list(map(math.atan, (omega * beta / kappa).tolist())))
+        h_c = (base + 0.0) / omega
+    suspect = ~((np.greater(mu, 0.0) & np.greater(kappa, 0.0) & np.greater_equal(beta, 0.0))
+                & (omega > 0.0) & (omega < math.inf))
+    return omega, sigma, h_c, suspect
 
 
 def crossing_frequency(mu: float, beta: float, kappa: float) -> float:
@@ -103,27 +163,34 @@ def critical_damping(mu: float, kappa: float, h: float) -> float:
         raise ValueError(f"h must be positive, got {h!r}")
 
     def h_c(beta: float) -> float:
-        return critical_delays(mu, beta, kappa, 1)[0]
+        # h_0 with the operations of _closed_form: (base + 2 pi * 0) / omega
+        omega, _, base = _crossing(mu, beta, kappa)
+        return (base + 0.0) / omega
 
-    hi = max(kappa * h, 1e-9)
-    while h_c(hi) <= h:
-        hi *= 2.0
-        if hi > CRITICAL_DAMPING_BRACKET_MAX:
-            raise ValueError(
-                f"no critical damping below bound {CRITICAL_DAMPING_BRACKET_MAX:.0e}: "
-                f"delay h = {h!r} exceeds the maximum stabilizable delay"
-            )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if h_c(mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    beta_c = 0.5 * (lo + hi)
-    if abs(h_c(beta_c) - h) > CRITICAL_DAMPING_HTOL:
+    try:
+        hi = max(kappa * h, 1e-9)
+        while h_c(hi) <= h:
+            hi *= 2.0
+            if hi > CRITICAL_DAMPING_BRACKET_MAX:
+                raise ValueError(
+                    f"no critical damping below bound {CRITICAL_DAMPING_BRACKET_MAX:.0e}: "
+                    f"delay h = {h!r} exceeds the maximum stabilizable delay"
+                )
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if h_c(mid) < h:
+                lo = mid
+            else:
+                hi = mid
+        beta_c = 0.5 * (lo + hi)
+        h_back = h_c(beta_c)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"critical damping at h = {h!r} leaves the floating-point range "
+                         f"of the closed form (mu={mu!r}, kappa={kappa!r})") from None
+    if abs(h_back - h) > CRITICAL_DAMPING_HTOL:
         raise ArithmeticError(f"critical damping bisection did not converge at h = {h!r}")
     return beta_c
 
@@ -183,8 +250,7 @@ def analyze(
     )
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """One solved point of the neutral-stability locus; error is the
     diagnostic string when the point failed (its numbers are then nan)."""
 
@@ -193,15 +259,6 @@ class BoundaryPoint:
     omega_c: float
     sigma: float
     error: Optional[str] = None
-
-
-def _boundary_point(x: float, mu: float, beta: float, kappa: float) -> BoundaryPoint:
-    try:
-        omega_c, sigma, h_n = _closed_form(mu, beta, kappa)
-    except ValueError as exc:
-        return BoundaryPoint(x=x, h_critical=math.nan, omega_c=math.nan,
-                             sigma=math.nan, error=str(exc))
-    return BoundaryPoint(x=x, h_critical=h_n[0], omega_c=omega_c, sigma=sigma)
 
 
 def stability_boundary(
@@ -213,20 +270,35 @@ def stability_boundary(
 ) -> list[BoundaryPoint]:
     """Neutral-stability curve h_c(x) along one parameter axis.
 
-    axis names the swept coefficient; the other two must be fixed. Points
-    are solved one after another from the closed form and returned in grid
-    order. Per-point failures are recorded on the point and the sweep
-    continues.
+    axis names the swept coefficient; the other two must be fixed. The
+    whole curve is solved in one pass of the closed form over the grid
+    (:func:`_crossing_grid`, bit for bit the scalar form), and the points
+    are returned in grid order. Points the pass flags are solved again by
+    the checked scalar form; a point that fails there (bad coefficient,
+    closed form out of floating-point range) is recorded on the point with
+    its diagnostic and the sweep continues.
     """
     if axis not in ("beta", "kappa", "mu"):
         raise ValueError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
-    coeffs = {"mu": mu, "beta": beta, "kappa": kappa}
-    if any(v is None for name, v in coeffs.items() if name != axis):
+    fixed = {name: v for name, v in (("mu", mu), ("beta", beta), ("kappa", kappa)) if name != axis}
+    if any(v is None for v in fixed.values()):
         raise ValueError(f"sweep along {axis!r} needs the other two coefficients fixed")
     grid = [float(x) for x in grid]
     if not grid:
         raise ValueError("grid must hold at least one point")
-    return [_boundary_point(x, **{**coeffs, axis: x}) for x in grid]
+    omega, sigma, h_c, suspect = _crossing_grid(**fixed, **{axis: np.array(grid)})
+    # tuple.__new__ is what BoundaryPoint._make calls, without its length check
+    points = list(map(tuple.__new__, repeat(BoundaryPoint),
+                      zip(grid, h_c.tolist(), omega.tolist(), sigma.tolist(), repeat(None))))
+    for i in np.flatnonzero(suspect).tolist():
+        x = grid[i]
+        try:
+            omega_i, sigma_i, h_n = _closed_form(**fixed, **{axis: x})
+        except ValueError as exc:
+            points[i] = BoundaryPoint(x, math.nan, math.nan, math.nan, str(exc))
+        else:
+            points[i] = BoundaryPoint(x, h_n[0], omega_i, sigma_i)
+    return points
 
 
 def write_boundary_csv(points: Sequence[BoundaryPoint], path) -> None:

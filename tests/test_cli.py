@@ -150,6 +150,11 @@ class TestStability:
     def test_missing_coefficients_exit_1(self):
         assert run("stability", "--mu", "15.6") == 1
 
+    def test_overflowing_closed_form_exits_1(self, capsys):
+        assert run("stability", "--mu", "1", "--beta", "1e200", "--kappa", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: closed form out of floating-point range") and err.count("\n") == 1
+
 
 class TestBoundary:
     def test_figure_checkpoint(self, tmp_path):
@@ -177,6 +182,15 @@ class TestBoundary:
             curves[kappa] = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.all(curves[2000][:, 1] < curves[1000][:, 1])
         assert np.all(curves[1000][:, 1] < curves[500][:, 1])
+
+    def test_overflowing_point_is_reported_and_written_as_nan(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("boundary", "--axis", "beta", "--mu", "1", "--kappa", "1",
+                   "--grid", "1,1e200", "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert "(2 points, 1 failed)" in captured.out
+        assert "x = 1e+200: closed form out of floating-point range" in captured.err
+        assert out.read_text().splitlines()[2] == "1e+200,nan,nan,nan"
 
     def test_missing_fixed_coefficient_exits_1(self, tmp_path):
         assert run("boundary", "--axis", "beta", "--mu", "60",

@@ -214,6 +214,18 @@ class TestSimulate:
         with pytest.raises(ds.DivergenceError, match="divergence bound"):
             ds.simulate(cfg, body, contact, mode="2d", divergence_factor=1.2)
 
+    def test_per_step_3d_divergence_ends_in_divergence_error(self):
+        # h = 0 runs the per-step loop; the attitude renormalization
+        # overflows before the divergence screen sees the state, and that
+        # must end the run in DivergenceError, not in a numpy overflow
+        # warning (an error under this suite's warning filter)
+        cfg = ds.SimConfig(h=0.0, dt=1e-3, t_end=2.0,
+                           initial=ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0))
+        body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
+        contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
+        with pytest.raises(ds.DivergenceError, match="non-finite"):
+            ds.simulate(cfg, body, contact, mode="3d", divergence_factor=1e300)
+
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
     @pytest.mark.parametrize("h", [0.016, 0.02])  # the bundled h/dt of 160 and 200

@@ -5,6 +5,9 @@ byte for byte, so any change to the integrator, the contact law, the
 post-processing or the writers that moves a single digit shows up here.
 So are the README `boundary` curve, the `energy` CSV of two bundled runs
 (2D and 3D) and the `stability --json` output with and without a delay.
+Beyond the files, a `kappa`-axis and a `mu`-axis `stability_boundary` curve
+(every field of every point, as `float.hex` and error text) and
+`critical_damping` at four delays are pinned bit for bit.
 The hashes were recorded before the implementation they pin was last
 rewritten and must not move when it changes; a change that means to alter
 the outputs has to say why and record new hashes.
@@ -12,9 +15,11 @@ the outputs has to say why and record new hashes.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from docksim.cli import main
+from docksim.stability import critical_damping, stability_boundary
 
 GOLDEN = {
     ("table1", "2d"): ("91e36abd35def9d2fc96160b872101d1505d3e8eacfd93aa45996d421ba4dbd6",
@@ -43,6 +48,23 @@ GOLDEN_BOUNDARY = "cdc0cff2694e9a49e3321e6037980466d06e3df595c9d4ca631f138ba8360
 GOLDEN_STABILITY = {
     ("--h", "0.016"): "20b2b84e57edbd22e9c195585fb49d7bec0fc0ccd1633b942e619bde8f373608",
     (): "9580c1d32e9971b80e2f57a65bc6007f8dba8f8241c6224c5e5ee9e4a2b3f3bf",
+}
+
+# (axis, linspace(start, stop, count), fixed coefficients): SHA-256 of the
+# curve's points, one "x,h_critical,omega_c,sigma,error" line each with the
+# numbers as float.hex; the mu curve starts at -50, so 51 points fail
+GOLDEN_CURVES = {
+    ("kappa", (100.0, 8000.0, 500), (("mu", 60.0), ("beta", 50.0))):
+        "cd476aeb4233e20befa8f8c4c05b7071b3746ebd4fcd7f3cffeb6a27fd0dee89",
+    ("mu", (-50.0, 400.0, 451), (("beta", 50.0), ("kappa", 1000.0))):
+        "6cb2e803e22f4aa5d504f6a025253bbca73fc704a2d9a1b88eb4dc82d5d83ea0",
+}
+# (mu, kappa, h) -> critical_damping(mu, kappa, h).hex()
+GOLDEN_CRITICAL_DAMPING = {
+    (15.6, 3000.0, 0.016): "0x1.8698ed6ea2ca8p+5",
+    (60.0, 1000.0, 0.002): "0x1.000174d971dacp+1",
+    (60.0, 1000.0, 0.02): "0x1.40b7252119fdap+4",
+    (60.0, 1000.0, 0.04): "0x1.42ea3370337ecp+5",
 }
 
 
@@ -89,3 +111,16 @@ def test_stability_json_matches_golden_hash(capsys, delay):
                  *delay, "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STABILITY[delay]
+
+
+@pytest.mark.parametrize("axis, grid, fixed", sorted(GOLDEN_CURVES), ids=lambda v: str(v))
+def test_boundary_curve_matches_golden_hash(axis, grid, fixed):
+    points = stability_boundary(axis, np.linspace(*grid), **dict(fixed))
+    text = "".join(f"{p.x.hex()},{p.h_critical.hex()},{p.omega_c.hex()},{p.sigma.hex()},{p.error}\n"
+                   for p in points)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CURVES[axis, grid, fixed]
+
+
+@pytest.mark.parametrize("mu, kappa, h", sorted(GOLDEN_CRITICAL_DAMPING))
+def test_critical_damping_matches_golden_bits(mu, kappa, h):
+    assert critical_damping(mu, kappa, h).hex() == GOLDEN_CRITICAL_DAMPING[mu, kappa, h]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import docksim as ds
 from docksim.stability import (
     BoundaryPoint,
+    _closed_form,
     analyze,
     approx_critical_delay,
     classify,
@@ -198,11 +199,87 @@ class TestBoundary:
         assert points[0].error is not None and math.isnan(points[0].h_critical)
         assert points[1].error is None
 
+    def test_overflowing_closed_form_is_a_failed_point(self):
+        # (beta/mu)**2 overflows
+        (point,) = stability_boundary("beta", [1e200], mu=1.0, kappa=1.0)
+        assert "floating-point range" in point.error and math.isnan(point.h_critical)
+
+    def test_infinite_crossing_frequency_is_a_failed_point(self):
+        # kappa/mu is inf, so omega_c = inf, which would read h_c = 0
+        (point,) = stability_boundary("kappa", [1e300], mu=1e-10, beta=1.0)
+        assert "floating-point range" in point.error and math.isnan(point.omega_c)
+
+    def test_good_points_solve_around_failed_ones(self):
+        grid = [20.0, 1e200, -1.0, 40.0, math.nan, 60.0]
+        points = stability_boundary("beta", grid, mu=60.0, kappa=1000.0)
+        assert [p.x for p in points[::3]] == [20.0, 40.0]
+        assert [p.error is None for p in points] == [True, False, False, True, False, True]
+        assert points[2].error == "beta must be >= 0, got -1.0"
+        for p in (points[0], points[3], points[5]):
+            assert p == stability_boundary("beta", [p.x], mu=60.0, kappa=1000.0)[0]
+
     def test_csv_export(self, tmp_path):
         points = [BoundaryPoint(x=1.0, h_critical=0.01, omega_c=5.0, sigma=2.0)]
         path = tmp_path / "curve.csv"
         write_boundary_csv(points, path)
         assert path.read_text() == "x_value,h_critical,omega_c,sigma\n1,0.01,5,2\n"
+
+
+def point_bits(p: BoundaryPoint) -> tuple:
+    return p.x.hex(), p.h_critical.hex(), p.omega_c.hex(), p.sigma.hex(), p.error
+
+
+def scalar_point(x: float, mu: float, beta: float, kappa: float) -> tuple:
+    """One boundary point from the checked scalar form, bits and error text."""
+    try:
+        omega_c, sigma, h_n = _closed_form(mu, beta, kappa)
+    except ValueError as exc:
+        return x.hex(), math.nan.hex(), math.nan.hex(), math.nan.hex(), str(exc)
+    return x.hex(), h_n[0].hex(), omega_c.hex(), sigma.hex(), None
+
+
+# ordinary coefficients, beta = 0 (both signs), extreme magnitudes whose
+# ratios underflow or overflow, and invalid values
+coefficients = st.one_of(
+    st.floats(1e-3, 1e4),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e-160, 1.3e154, 1.4e154, 1e200, 1e300]),
+    st.floats(),
+)
+
+
+class TestGridMatchesScalarForm:
+    @settings(max_examples=400, deadline=None)
+    @given(axis=st.sampled_from(["beta", "kappa", "mu"]),
+           grid=st.lists(coefficients, min_size=1, max_size=12),
+           fixed=st.tuples(coefficients, coefficients))
+    def test_bitwise(self, axis, grid, fixed):
+        others = dict(zip([name for name in ("mu", "beta", "kappa") if name != axis], fixed))
+        points = stability_boundary(axis, grid, **others)
+        assert list(map(point_bits, points)) == [scalar_point(x, **others, **{axis: x}) for x in grid]
+
+    @pytest.mark.parametrize("axis, fixed", [
+        ("beta", {"mu": 60.0, "kappa": 1000.0}),
+        ("kappa", {"mu": 60.0, "beta": 50.0}),
+        ("mu", {"beta": 50.0, "kappa": 1000.0}),
+    ])
+    def test_bitwise_on_a_dense_grid(self, axis, fixed):
+        # Python's x ** 2 and numpy's x * x disagree in the last bit for a
+        # share of inputs, so a long grid shows a wrong square
+        grid = np.linspace(1.0, 8000.0, 4001).tolist()
+        points = stability_boundary(axis, grid, **fixed)
+        assert list(map(point_bits, points)) == [scalar_point(x, **fixed, **{axis: x}) for x in grid]
+
+
+class TestOutOfRange:
+    def test_scalar_api_raises_value_error(self):
+        with pytest.raises(ValueError, match="floating-point range"):
+            analyze(1.0, 1e200, 1.0)
+        with pytest.raises(ValueError, match="floating-point range"):
+            crossing_frequency(1e-10, 1.0, 1e300)
+
+    def test_critical_damping_raises_value_error(self):
+        with pytest.raises(ValueError, match="floating-point range"):
+            critical_damping(1e-160, 1.0, 0.01)
 
 
 class TestVerdict4thOrder:
