@@ -217,7 +217,8 @@ def _grid(text: str) -> list[float]:
 
 
 def _write_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Standard JSON: a nan or inf value raises ValueError, never written."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:

@@ -47,14 +47,18 @@ does, not pairwise), and the 3D attitude column is renormalized with
 numpy's dot product, which rounds differently from a plain sum of squares.
 
 ``integrate_dde`` on the bundled scenarios, best of 5 on a 2-vCPU VM
-(Python 3.11.7, numpy 2.4.6), per-step loop against block path: ``table1``
-(2D) 13.4 against 1.2 µs/step, ``fig7`` (2D) 12.2 against 1.0, ``demo3d``
-(3D) 34.1 against 9.0.
+(Python 3.11.7, numpy 2.4.6), per-step loop against block path with the
+wrench it records: ``table1`` (2D) 8.4 against 0.75 µs/step, ``fig7`` (2D)
+8.8 against 0.68, ``demo3d`` (3D) 19.9 against 5.7.
 
-The contact channels :func:`simulate` records are the model's ``wrench`` on
-the delayed rows of the same block lerp (:func:`_delayed_rows`), so the
-recorded force is the applied force; the right-hand sides and the models
-evaluate the contact law through the functions of :mod:`docksim.contact`.
+The contact channels :func:`simulate` records are the force and torque the
+integrator applied, which it leaves on the model as ``model.applied``, so
+the contact law is evaluated once per run. The block path keeps the wrench
+at each block's even stage samples, k - h/dt for its rows k; after the
+per-step loop the model's ``wrench`` runs once on the delayed rows of the
+whole grid (:func:`_delayed_rows`, the same lerp). The right-hand sides and
+the models evaluate the contact law through the functions of
+:mod:`docksim.contact`.
 
 The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 :func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
@@ -128,6 +132,10 @@ def integrate_dde(
     :class:`SpatialModel`, built from the same parameters). Given one and
     h/dt >= MIN_BLOCK_RATIO, the run advances in blocks of int(h/dt) - 1
     steps and never calls ``rhs``; the rows are the same bit for bit.
+    Given a model, the run also sets ``model.applied`` to (f, tau), the
+    force and torque applied at every row, samples along the last axis: the
+    model's ``wrench`` at the rows sampled one delay back
+    (:func:`_delayed_rows`).
     """
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
@@ -136,9 +144,10 @@ def integrate_dde(
     Y[0] = y0
     times = np.arange(n + 1) * dt
     ratio = h / dt
-    # sum(|y|) bounds every |y_j|, and a NaN or inf component makes the
-    # comparison with the finite limit fail, so one pass screens each step;
-    # _check_divergence then decides exactly
+    # sum(|y|) of a step, or max |y| of a block, bounds every |y_j|, and a
+    # NaN or inf component makes the comparison with the finite limit fail,
+    # so one pass screens each step or block; _check_divergence then decides
+    # exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
     if model is not None and h > 0.0 and ratio >= MIN_BLOCK_RATIO:
         _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound)
@@ -175,6 +184,8 @@ def integrate_dde(
                 y = row.tolist()
             if not sum(map(abs, y)) <= limit:
                 _check_divergence(y, float(times[i + 1]), divergence_bound)
+    if model is not None:
+        model.applied = model.wrench(_delayed_rows(Y[:, :model.columns], h, dt).T)
     return times, Y
 
 
@@ -182,26 +193,33 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
     """Fill Y block by block. Steps i..j-1 with j - i <= int(h/dt) - 1 read
     delayed samples at fractional rows <= i - 1, so rows <= i, which are
     final: one lerp and one call of the model give every stage sample of
-    the block. Each finished block is checked for divergence, which raises
-    at its first offending row."""
+    the block. The even samples, k - ratio for k = i..j, are the delayed
+    samples of rows i..j, so their wrench is recorded as ``model.applied``.
+    Each finished block is checked for divergence, which raises at its
+    first offending row."""
     n = len(Y) - 1
     span = int(ratio) - 1
     history = Y[:, :model.columns]
+    # stage samples of step k at rows k - ratio, k + 1/2 - ratio and
+    # k + 1 - ratio (the first of step k + 1), interleaved
+    k = np.arange(n + 1, dtype=float)
+    q = np.empty(2 * n + 1)
+    q[0::2] = k - ratio
+    q[1::2] = (k[:-1] + 0.5) - ratio
+    f_rec = np.empty(n + 1)
+    tau_rec = np.empty(model.torque_shape + (n + 1,))
     with np.errstate(all="ignore"):
         for i in range(0, n, span):
             j = min(n, i + span)
-            # stage samples of step k at rows k - ratio, k + 1/2 - ratio and
-            # k + 1 - ratio (the first of step k + 1), interleaved
-            k = np.arange(i, j + 1, dtype=float)
-            q = np.empty(2 * (j - i) + 1)
-            q[0::2] = k - ratio
-            q[1::2] = k[:-1] + 0.5 - ratio
             seg = Y[i:j + 1]
-            model.advance(seg, _lerp_rows(history, q).T, dt)
-            bad = np.flatnonzero(~(np.abs(seg[1:]).max(axis=1) <= limit))
-            if len(bad):
+            f, tau = model.advance(seg, _lerp_rows(history, q[2 * i:2 * j + 1]).T, dt)
+            f_rec[i:j + 1] = f[0::2]
+            tau_rec[..., i:j + 1] = tau[..., 0::2]
+            if not np.abs(seg[1:]).max() <= limit:
+                bad = np.flatnonzero(~(np.abs(seg[1:]).max(axis=1) <= limit))
                 row = i + 1 + int(bad[0])
                 _check_divergence(Y[row].tolist(), float(times[row]), divergence_bound)
+    model.applied = f_rec, tau_rec
 
 
 def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
@@ -326,6 +344,7 @@ class PlanarModel:
     (theta, omega) and (y, v_y) advance on arrays, with no per-step loop."""
 
     columns = 4  # the law reads (z, v_z, theta, omega) of a delayed sample
+    torque_shape = ()  # tau is the scalar x-torque
 
     def __init__(self, params: BodyParams, contact: ContactParams):
         self.a, self.m, self.J_x = params.a, params.m, params.J_x
@@ -338,8 +357,8 @@ class PlanarModel:
         (columns first), as make_rhs_2d computes them, sin and cos from
         math included."""
         th = xd[2].tolist()
-        s = np.array(list(map(math.sin, th)))
-        c = np.array(list(map(math.cos, th)))
+        s = np.fromiter(map(math.sin, th), float, len(th))
+        c = np.fromiter(map(math.cos, th), float, len(th))
         d = depth_2d(xd, self.a, c)
         k = contact_stiffness(self.k_v, self.springs, 0.0, s, c)
         f = contact_force(k, self.b_v, d, depth_rate_2d(xd, self.a, s))
@@ -348,12 +367,14 @@ class PlanarModel:
         return f, torque_2d(f, self.a, s)
 
     def advance(self, seg, xd, dt):
-        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd."""
+        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd;
+        returns the wrench at those samples."""
         f, tau = self.wrench(xd)
         acc = np.zeros((3, len(f)))  # v_y' = 0
         acc[0] = f / self.m
         acc[1] = tau / self.J_x
         _advance_pairs(seg, slice(0, 6, 2), slice(1, 6, 2), acc, dt)
+        return f, tau
 
 
 def _spin_rate(params: BodyParams):
@@ -421,6 +442,7 @@ class SpatialModel:
     dot product of it with itself, as the per-step loop renormalizes it."""
 
     columns = 12
+    torque_shape = (3,)  # tau is the body torque, one row per component
 
     def __init__(self, params: BodyParams, contact: ContactParams):
         self.m = params.m
@@ -432,7 +454,7 @@ class SpatialModel:
         self.spin = _spin_rate(params)
 
     def wrench(self, xd):
-        """Applied force f and body torque (tau_x, tau_y, tau_z) at the
+        """Applied force f and body torque rows (tau_x, tau_y, tau_z) at the
         delayed samples xd (columns first), as make_rhs_3d computes them."""
         c0, c1, c2 = xd[6], xd[7], xd[8]
         d = depth_3d(xd, self.n_hat, self.a_B)
@@ -440,14 +462,15 @@ class SpatialModel:
         f = contact_force(k, self.b_v, d, depth_rate_3d(xd, self.n_hat, self.a_B))
         if not self.bilateral:
             f = np.where(d < 0.0, f, 0.0)
-        return f, torque_3d(f, self.a_B, c0, c1, c2)
+        return f, np.array(torque_3d(f, self.a_B, c0, c1, c2))
 
     def advance(self, seg, xd, dt):
-        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd."""
+        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd;
+        returns the wrench at those samples."""
         f, tau = self.wrench(xd)
         _advance_pairs(seg, slice(0, 3), slice(3, 6), np.multiply.outer(self.n_hat, f / self.m), dt)
         spin = self.spin
-        tx, ty, tz = (t.tolist() for t in tau)
+        tx, ty, tz = tau.tolist()
         half = 0.5 * dt
         sixth = dt / 6.0
         c0, c1, c2, w0, w1, w2 = seg[0, 6:12].tolist()
@@ -482,6 +505,7 @@ class SpatialModel:
             c2 /= norm
             rows.append((c0, c1, c2, w0, w1, w2))
         seg[1:, 6:12] = rows
+        return f, tau
 
 
 # --- trajectory recording and contact events ---
@@ -620,8 +644,7 @@ def simulate(
     )
 
     # Contact channels on the whole grid: d and d_dot of the undelayed
-    # state; f and tau of the delayed sample, by the model's own wrench,
-    # so they are what the integrator applied.
+    # state; f and tau as the integrator applied them.
     x = Y.T
     if mode == "2d":
         a = params.a
@@ -629,7 +652,7 @@ def simulate(
         d_dot = depth_rate_2d(x, a, np.sin(x[2]))
     else:
         d, d_dot = depth_3d(x, model.n_hat, model.a_B), depth_rate_3d(x, model.n_hat, model.a_B)
-    f, tau = model.wrench(_delayed_rows(Y[:, :model.columns], config.h, config.dt).T)
+    f, tau = model.applied
     if mode == "3d":
         tau = np.column_stack(tau)
 

@@ -241,8 +241,8 @@ def analyze(
     omega_c, sigma, h_n = _closed_form(mu, beta, kappa, n_delays)
     verdict = None
     if h is not None:
-        if h < 0.0:
-            raise ValueError(f"h must be >= 0, got {h!r}")
+        if not math.isfinite(h) or h < 0.0:
+            raise ValueError(f"h must be finite and >= 0, got {h!r}")
         verdict = classify(h, h_n[0], band)
     return StabilityResult(
         mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_n[0],

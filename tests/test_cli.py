@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from docksim.cli import load_scenario, main, scenario_path
+from docksim.cli import _write_json, load_scenario, main, scenario_path
 
 BUNDLED = ["table1.json", "fig7.json", "fig9.json", "demo3d.json"]
 
@@ -154,6 +155,25 @@ class TestStability:
         assert run("stability", "--mu", "1", "--beta", "1e200", "--kappa", "1") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: closed form out of floating-point range") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    @pytest.mark.parametrize("source", [["--mu", "1", "--beta", "1", "--kappa", "1"],
+                                        ["--from-scenario", "table1.json"]])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_non_finite_delay_exits_1(self, capsys, h, source, json_flag):
+        assert run("stability", *source, "--h", h, *json_flag) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: h must be finite and >= 0, got {float(h)!r}\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_values(tmp_path, capsys, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _write_json({"h": value}, str(path))
+    with pytest.raises(ValueError):
+        _write_json({"h": [1.0, value]}, None)
+    assert not path.exists() and capsys.readouterr().out == ""
 
 
 class TestBoundary:

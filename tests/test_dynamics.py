@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import docksim as ds
 from docksim import dynamics
 from docksim.dynamics import (
+    PlanarModel,
+    SpatialModel,
     _delayed_rows,
     _lerp_history,
     _lerp_rows,
@@ -232,7 +234,8 @@ class TestSimulate:
     def test_block_path_makes_no_scalar_rhs_call(self, body, monkeypatch, mode, activation, h):
         # simulate hands integrate_dde the block form of the model, which
         # advances whole blocks on arrays and never calls the per-step
-        # right-hand side closure
+        # right-hand side closure; it records the applied wrench as it goes,
+        # so no whole-grid delayed lerp runs afterwards
         factory_name = "make_rhs_2d" if mode == "2d" else "make_rhs_3d"
         factory = getattr(dynamics, factory_name)
         calls = [0]
@@ -246,7 +249,11 @@ class TestSimulate:
 
             return counted
 
+        def no_delayed_rows(*args):
+            raise AssertionError("_delayed_rows called on the block path")
+
         monkeypatch.setattr(dynamics, factory_name, counting_factory)
+        monkeypatch.setattr(dynamics, "_delayed_rows", no_delayed_rows)
         traj, events = ds.simulate(approach_config(h=h), body,
                                    table1_contact(b_v=50.0, activation=activation), mode=mode)
         assert calls[0] == 0
@@ -322,6 +329,21 @@ class TestSimulate:
             w = Y[:, 9:12]
             torque = dY[:, 9:12] @ body.J.T - np.cross(w @ body.J.T, w)
         np.testing.assert_allclose(traj.tau, torque, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
+    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0, per-step loop (5 dt), block path
+    def test_recorded_channels_are_the_wrench_of_the_delayed_rows(self, body, mode, activation, h):
+        # whichever path ran, f and tau are the model's wrench on the grid
+        # sampled one delay back, as a whole-grid lerp gives it, bit for bit
+        contact = table1_contact(b_v=50.0, activation=activation)
+        cfg = approach_config(h=h, t_end=1.0)
+        traj, _ = ds.simulate(cfg, body, contact, mode=mode)
+        model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
+        f, tau = model.wrench(_delayed_rows(traj.states, cfg.h, cfg.dt).T)
+        assert np.any(f != 0.0)
+        assert traj.f.tobytes() == f.tobytes()
+        assert traj.tau.tobytes() == np.transpose(tau).tobytes()
 
     def test_elastic_zero_delay_restitution(self, body):
         # near-linear elastic regime: slow approach keeps the attitude drift
