@@ -9,7 +9,8 @@ internally; degree-valued keys are converted at the scenario-file boundary
 All types here are plain value carriers. They do not self-validate;
 :func:`validate` is the single gate that checks every invariant and reports
 all violations at once. :func:`step_count` is the one rule for how many
-fixed steps a run takes, and :func:`write_csv` the one writer of the
+fixed steps a run takes, :func:`delay_problem` the one rule for which
+delays a run accepts, and :func:`write_csv` the one writer of the
 9-significant-digit CSV data files.
 """
 
@@ -242,6 +243,18 @@ def activation_problem(activation) -> str | None:
     return f"activation must be 'unilateral' or 'bilateral', got {activation!r}"
 
 
+def delay_problem(h: float, dt: float = 0.0) -> str | None:
+    """The diagnostic for a delay h that a run with steps dt cannot use,
+    else None. h must be finite and >= 0, and 0 or >= dt: the explicit
+    fixed-step scheme resolves delayed arguments from completed steps only.
+    The default dt = 0 checks the first part alone."""
+    if not (math.isfinite(h) and h >= 0.0):
+        return f"h must be finite and >= 0, got {h!r}"
+    if 0.0 < h < dt:
+        return f"delay h = {h!r} must be 0 or >= dt = {dt!r}"
+    return None
+
+
 def step_count(t_end: float, dt: float) -> int:
     """Number of fixed steps dt in t_end: a whole number >= 1 up to a
     relative STEP_COUNT_RTOL, else ValueError (never silently rounded)."""
@@ -333,14 +346,12 @@ def validate(
     if problem:
         diags.append(problem)
 
-    if not math.isfinite(sim.h) or sim.h < 0.0:
-        diags.append(f"h must be >= 0, got {sim.h!r}")
-    if not math.isfinite(sim.dt) or sim.dt <= 0.0:
+    dt_ok = math.isfinite(sim.dt) and sim.dt > 0.0
+    problem = delay_problem(sim.h, sim.dt if dt_ok else 0.0)
+    if problem:
+        diags.append(problem)
+    if not dt_ok:
         diags.append(f"dt must be positive, got {sim.dt!r}")
-    elif 0.0 < sim.h < sim.dt:
-        # the explicit fixed-step scheme resolves delayed arguments from
-        # completed steps only, which needs h = 0 or h >= dt
-        diags.append(f"delay h = {sim.h!r} must be 0 or >= dt = {sim.dt!r}")
     if not math.isfinite(sim.t_end) or not sim.t_end > sim.dt:
         diags.append(f"t_end = {sim.t_end!r} must be finite and exceed dt = {sim.dt!r}")
     elif sim.dt > 0.0:

@@ -10,20 +10,27 @@ out of contact, where the right-hand side is force-free, so the constant
 pre-history is exact).
 
 h = 0 is special-cased: the delayed argument is the current stage state and
-the scheme is plain RK4 for the undelayed ODE. A delay in (0, dt) is
-rejected by validation since the explicit scheme can only look up completed
-steps.
+the scheme is plain RK4 for the undelayed ODE. A delay that is negative,
+not finite or in (0, dt) is rejected (:func:`docksim.core.delay_problem`),
+since the explicit scheme can only look up completed steps.
+
+Each contact mode is one class, :class:`PlanarModel` (2D) and
+:class:`SpatialModel` (3D). It unpacks the body and contact parameters once
+and holds everything that depends on the mode: the scalar right-hand side
+``model.rhs(y, y_delayed)``, its block form (``wrench`` and ``advance``),
+the state vector of an initial state, the unit-norm columns the integrator
+renormalizes and the undelayed depth channels. :func:`simulate` looks the
+class up by mode and passes one model to :func:`integrate_dde`;
+:func:`make_rhs_2d` and :func:`make_rhs_3d` return a model's ``rhs``.
 
 Two paths run the scheme. The per-step loop calls a right-hand side
-``rhs(y, y_delayed)`` (:func:`make_rhs_2d`, :func:`make_rhs_3d` or a
-caller's own) on Python floats, and reads the delayed rows with
-:func:`_lerp_history`. It serves h = 0, callers without a model, and delays
-shorter than ``MIN_BLOCK_RATIO`` steps, where a block is too short to pay
-for its numpy calls (the measured crossover is at about 8 to 9 steps in 2D
-and in 3D).
+``rhs(y, y_delayed)`` (a model's ``rhs`` or a caller's own) on Python
+floats, and reads the delayed rows with :func:`_lerp_history`. It serves
+h = 0, callers without a model, and delays shorter than
+``MIN_BLOCK_RATIO`` steps, where a block is too short to pay for its numpy
+calls (the measured crossover is at about 8 to 9 steps in 2D and in 3D).
 
-The block path serves :func:`simulate`, which passes the block form of its
-right-hand side (:class:`PlanarModel`, :class:`SpatialModel`). The force
+The block path serves :func:`simulate`, which passes the model. The force
 applied over the next h was sensed h ago, so when the run reaches row i the
 delayed samples of steps i .. i + int(h/dt) - 2 lie in rows that are
 already final. For such a block, one vectorized lerp (:func:`_lerp_rows`)
@@ -52,13 +59,13 @@ wrench it records: ``table1`` (2D) 8.4 against 0.75 µs/step, ``fig7`` (2D)
 8.8 against 0.68, ``demo3d`` (3D) 19.9 against 5.7.
 
 The contact channels :func:`simulate` records are the force and torque the
-integrator applied, which it leaves on the model as ``model.applied``, so
-the contact law is evaluated once per run. The block path keeps the wrench
-at each block's even stage samples, k - h/dt for its rows k; after the
-per-step loop the model's ``wrench`` runs once on the delayed rows of the
-whole grid (:func:`_delayed_rows`, the same lerp). The right-hand sides and
-the models evaluate the contact law through the functions of
-:mod:`docksim.contact`.
+integrator applied, which it leaves on the model as ``model.applied``, in
+the trajectory's row layout, so the contact law is evaluated once per run.
+The block path keeps the wrench at each block's even stage samples,
+k - h/dt for its rows k; after the per-step loop the model's ``wrench``
+runs once on the delayed rows of the whole grid (:func:`_delayed_rows`,
+the same lerp). The models evaluate the contact law through the functions
+of :mod:`docksim.contact`.
 
 The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 :func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
@@ -84,6 +91,7 @@ from .contact import (
     torque_3d,
 )
 from .core import (
+    AnyState,
     BodyParams,
     ChaserState2D,
     ChaserState3D,
@@ -91,6 +99,7 @@ from .core import (
     SimConfig,
     ValidationError,
     activation_problem,
+    delay_problem,
     step_count,
     write_csv,
 )
@@ -128,17 +137,22 @@ def integrate_dde(
     Pre-history is the constant initial state. Not decimated; callers slice.
     t_end must be a whole number of steps (:func:`docksim.core.step_count`).
 
-    ``model`` is the block form of ``rhs`` (:class:`PlanarModel`,
-    :class:`SpatialModel`, built from the same parameters). Given one and
-    h/dt >= MIN_BLOCK_RATIO, the run advances in blocks of int(h/dt) - 1
-    steps and never calls ``rhs``; the rows are the same bit for bit.
-    Given a model, the run also sets ``model.applied`` to (f, tau), the
-    force and torque applied at every row, samples along the last axis: the
-    model's ``wrench`` at the rows sampled one delay back
-    (:func:`_delayed_rows`).
+    h must be 0 or a finite delay >= dt (:func:`docksim.core.delay_problem`),
+    else ValueError.
+
+    ``model`` is the :class:`PlanarModel` or :class:`SpatialModel` whose
+    scalar form is ``rhs``. Given one and h/dt >= MIN_BLOCK_RATIO, the run
+    advances in blocks of int(h/dt) - 1 steps with the model's block form
+    and never calls ``rhs``; the rows are the same bit for bit. Given a
+    model, the run also sets ``model.applied`` to (f, tau), the force and
+    torque applied at every row, one row per grid point: the model's
+    ``wrench`` at the rows sampled one delay back (:func:`_delayed_rows`).
     """
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
+    problem = delay_problem(h, dt)
+    if problem:
+        raise ValueError(problem)
     dim = y0.size
     Y = np.empty((n + 1, dim))
     Y[0] = y0
@@ -149,7 +163,7 @@ def integrate_dde(
     # so one pass screens each step or block; _check_divergence then decides
     # exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
-    if model is not None and h > 0.0 and ratio >= MIN_BLOCK_RATIO:
+    if model is not None and ratio >= MIN_BLOCK_RATIO:
         _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound)
         return times, Y
     half = 0.5 * dt
@@ -168,9 +182,9 @@ def integrate_dde(
                 y4 = [a + dt * b for a, b in zip(y, k3)]
                 k4 = rhs(y4, y4)
             else:
-                d0 = _lerp_history(Y, i, i - ratio)
-                dh = _lerp_history(Y, i, i + 0.5 - ratio)
-                d1 = _lerp_history(Y, i, i + 1.0 - ratio)
+                d0 = _lerp_history(Y, i - ratio)
+                dh = _lerp_history(Y, i + 0.5 - ratio)
+                d1 = _lerp_history(Y, i + 1.0 - ratio)
                 k1 = rhs(y, d0)
                 k2 = rhs([a + half * b for a, b in zip(y, k1)], dh)
                 k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
@@ -207,14 +221,14 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
     q[0::2] = k - ratio
     q[1::2] = (k[:-1] + 0.5) - ratio
     f_rec = np.empty(n + 1)
-    tau_rec = np.empty(model.torque_shape + (n + 1,))
+    tau_rec = np.empty((n + 1,) + model.torque_shape)
     with np.errstate(all="ignore"):
         for i in range(0, n, span):
             j = min(n, i + span)
             seg = Y[i:j + 1]
             f, tau = model.advance(seg, _lerp_rows(history, q[2 * i:2 * j + 1]).T, dt)
             f_rec[i:j + 1] = f[0::2]
-            tau_rec[..., i:j + 1] = tau[..., 0::2]
+            tau_rec[i:j + 1] = tau[0::2]
             if not np.abs(seg[1:]).max() <= limit:
                 bad = np.flatnonzero(~(np.abs(seg[1:]).max(axis=1) <= limit))
                 row = i + 1 + int(bad[0])
@@ -235,14 +249,12 @@ def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None
         )
 
 
-def _lerp_history(Y: np.ndarray, latest: int, q: float) -> list:
-    """Row of Y at fractional index q (q <= latest), as a list of floats;
-    constant before row 0."""
+def _lerp_history(Y: np.ndarray, q: float) -> list:
+    """Row of Y at fractional index q, as a list of floats; constant before
+    row 0. Reads no row past ceil(q), so q may be the latest final row."""
     if q <= 0.0:
         return Y[0].tolist()
     i0 = int(q)
-    if i0 >= latest:
-        return Y[latest].tolist()
     w = q - i0
     if w == 0.0:
         return Y[i0].tolist()
@@ -299,7 +311,7 @@ def _advance_pairs(seg: np.ndarray, pos: slice, rate: slice, acc: np.ndarray, dt
     seg[:, pos] = x.T
 
 
-# --- right-hand sides and their block forms ---
+# --- one model per contact mode ---
 
 
 def _springs(contact: ContactParams) -> list:
@@ -307,55 +319,71 @@ def _springs(contact: ContactParams) -> list:
 
 
 def make_rhs_2d(params: BodyParams, contact: ContactParams) -> Rhs:
-    """Planar RHS closure over state vectors (z, v_z, theta, omega, y, v_y).
+    """The scalar right-hand side of :class:`PlanarModel`."""
+    return PlanarModel(params, contact).rhs
+
+
+class PlanarModel:
+    """The planar contact dynamics, on state vectors
+    (z, v_z, theta, omega, y, v_y):
 
     z' = v_z, v_z' = f/m, theta' = omega, omega' = tau/J_x, y' = v_y,
     v_y' = 0, with f and tau computed from the delayed sample. The spring
     set's effective stiffness is re-evaluated from the delayed attitude
     (wall normal in body frame = (0, sin theta, cos theta) at t - h).
-    """
-    a = params.a
-    m = params.m
-    J_x = params.J_x
-    k_v = contact.k_v
-    b_v = contact.b_v
-    bilateral = contact.activation == "bilateral"
-    springs = _springs(contact)
 
-    def rhs(y, yd):
-        th = yd[2]
-        s = math.sin(th)
-        c = math.cos(th)
-        d = depth_2d(yd, a, c)
-        if bilateral or d < 0.0:
-            k = contact_stiffness(k_v, springs, 0.0, s, c)
-            f = contact_force(k, b_v, d, depth_rate_2d(yd, a, s))
-        else:
-            f = 0.0
-        return (y[1], f / m, y[3], torque_2d(f, a, s) / J_x, y[5], 0.0)
-
-    return rhs
-
-
-class PlanarModel:
-    """Block form of :func:`make_rhs_2d` for :func:`integrate_dde`. Every
-    planar derivative is a rate of the current state or a delayed
-    acceleration, so the three (position, rate) pairs (z, v_z),
-    (theta, omega) and (y, v_y) advance on arrays, with no per-step loop."""
+    ``rhs(y, yd)`` is the scalar form, a closure over the parameters (no
+    attribute lookups per call). In the block form every planar derivative
+    is a rate of the current state or a delayed acceleration, so the three
+    (position, rate) pairs (z, v_z), (theta, omega) and (y, v_y) advance on
+    arrays, with no per-step loop."""
 
     columns = 4  # the law reads (z, v_z, theta, omega) of a delayed sample
     torque_shape = ()  # tau is the scalar x-torque
+    unit_slice = None  # no column to renormalize
 
     def __init__(self, params: BodyParams, contact: ContactParams):
-        self.a, self.m, self.J_x = params.a, params.m, params.J_x
-        self.k_v, self.b_v = contact.k_v, contact.b_v
-        self.bilateral = contact.activation == "bilateral"
-        self.springs = _springs(contact)
+        self.a = a = params.a
+        self.m = m = params.m
+        self.J_x = J_x = params.J_x
+        self.k_v = k_v = contact.k_v
+        self.b_v = b_v = contact.b_v
+        self.bilateral = bilateral = contact.activation == "bilateral"
+        self.springs = springs = _springs(contact)
+
+        def rhs(y, yd):
+            th = yd[2]
+            s = math.sin(th)
+            c = math.cos(th)
+            d = depth_2d(yd, a, c)
+            if bilateral or d < 0.0:
+                k = contact_stiffness(k_v, springs, 0.0, s, c)
+                f = contact_force(k, b_v, d, depth_rate_2d(yd, a, s))
+            else:
+                f = 0.0
+            return (y[1], f / m, y[3], torque_2d(f, a, s) / J_x, y[5], 0.0)
+
+        self.rhs = rhs
+
+    def initial_vector(self, initial: AnyState) -> np.ndarray:
+        """State vector of a planar state, or of a 3D state that lies in the
+        plane (ValueError for any other)."""
+        if not isinstance(initial, ChaserState3D):
+            return initial.as_vector()
+        v = initial.as_vector().tolist()
+        if max(abs(v[j]) for j in (0, 3, 6, 10, 11)) > 1e-12:
+            raise ValueError("initial 3D state is not planar; cannot run in 2D mode")
+        return np.array([v[2], v[5], math.atan2(v[7], v[8]), v[9], v[1], v[4]])
+
+    def depth(self, x):
+        """Penetration depth d and rate d_dot of the states x (columns
+        first), undelayed."""
+        return depth_2d(x, self.a, np.cos(x[2])), depth_rate_2d(x, self.a, np.sin(x[2]))
 
     def wrench(self, xd):
         """Applied force f and x-torque tau at the delayed samples xd
-        (columns first), as make_rhs_2d computes them, sin and cos from
-        math included."""
+        (columns first), as ``rhs`` computes them, sin and cos from math
+        included."""
         th = xd[2].tolist()
         s = np.fromiter(map(math.sin, th), float, len(th))
         c = np.fromiter(map(math.cos, th), float, len(th))
@@ -407,62 +435,76 @@ def _spin_rate(params: BodyParams):
 
 
 def make_rhs_3d(params: BodyParams, contact: ContactParams) -> Rhs:
-    """12-state RHS closure: r' = v, v' = (f/m) n_hat, d_c3' = -omega x d_c3,
-    omega' = J^-1((J omega) x omega + tau_B), force and torque from the
-    delayed sample."""
-    m = params.m
-    a_B = tuple(float(x) for x in params.a_B)
-    n_hat = n0, n1, n2 = tuple(float(x) for x in contact.n_hat)
-    k_v = contact.k_v
-    b_v = contact.b_v
-    bilateral = contact.activation == "bilateral"
-    springs = _springs(contact)
-    spin = _spin_rate(params)
-
-    def rhs(y, yd):
-        c0, c1, c2 = yd[6], yd[7], yd[8]
-        d = depth_3d(yd, n_hat, a_B)
-        if bilateral or d < 0.0:
-            k = contact_stiffness(k_v, springs, c0, c1, c2)
-            f = contact_force(k, b_v, d, depth_rate_3d(yd, n_hat, a_B))
-        else:
-            f = 0.0
-        fm = f / m
-        return (y[3], y[4], y[5], fm * n0, fm * n1, fm * n2,
-                *spin(y[6], y[7], y[8], y[9], y[10], y[11], *torque_3d(f, a_B, c0, c1, c2)))
-
-    return rhs
+    """The scalar right-hand side of :class:`SpatialModel`."""
+    return SpatialModel(params, contact).rhs
 
 
 class SpatialModel:
-    """Block form of :func:`make_rhs_3d` for :func:`integrate_dde`. The
-    pairs (r_j, v_j) advance on arrays; (d_c3, omega), whose rates depend
-    on the current state, step in a loop over 6 floats driven by the
-    block's delayed torques. d_c3 is divided by the square root of numpy's
-    dot product of it with itself, as the per-step loop renormalizes it."""
+    """The 12-state rigid-body contact dynamics, on state vectors
+    (r, v, d_c3, omega):
+
+    r' = v, v' = (f/m) n_hat, d_c3' = -omega x d_c3,
+    omega' = J^-1((J omega) x omega + tau_B), force and torque from the
+    delayed sample.
+
+    ``rhs(y, yd)`` is the scalar form, a closure over the parameters. In
+    the block form the pairs (r_j, v_j) advance on arrays; (d_c3, omega),
+    whose rates depend on the current state, step in a loop over 6 floats
+    driven by the block's delayed torques. d_c3 is divided by the square
+    root of numpy's dot product of it with itself, as the per-step loop
+    renormalizes it."""
 
     columns = 12
-    torque_shape = (3,)  # tau is the body torque, one row per component
+    torque_shape = (3,)  # tau is the body torque, three columns per row
+    unit_slice = slice(6, 9)  # d_c3, renormalized after every step
 
     def __init__(self, params: BodyParams, contact: ContactParams):
-        self.m = params.m
-        self.a_B = tuple(float(x) for x in params.a_B)
-        self.n_hat = tuple(float(x) for x in contact.n_hat)
-        self.k_v, self.b_v = contact.k_v, contact.b_v
-        self.bilateral = contact.activation == "bilateral"
-        self.springs = _springs(contact)
-        self.spin = _spin_rate(params)
+        self.m = m = params.m
+        self.a_B = a_B = tuple(float(x) for x in params.a_B)
+        self.n_hat = n_hat = n0, n1, n2 = tuple(float(x) for x in contact.n_hat)
+        self.k_v = k_v = contact.k_v
+        self.b_v = b_v = contact.b_v
+        self.bilateral = bilateral = contact.activation == "bilateral"
+        self.springs = springs = _springs(contact)
+        self.spin = spin = _spin_rate(params)
+
+        def rhs(y, yd):
+            c0, c1, c2 = yd[6], yd[7], yd[8]
+            d = depth_3d(yd, n_hat, a_B)
+            if bilateral or d < 0.0:
+                k = contact_stiffness(k_v, springs, c0, c1, c2)
+                f = contact_force(k, b_v, d, depth_rate_3d(yd, n_hat, a_B))
+            else:
+                f = 0.0
+            fm = f / m
+            return (y[3], y[4], y[5], fm * n0, fm * n1, fm * n2,
+                    *spin(y[6], y[7], y[8], y[9], y[10], y[11], *torque_3d(f, a_B, c0, c1, c2)))
+
+        self.rhs = rhs
+
+    def initial_vector(self, initial: AnyState) -> np.ndarray:
+        """State vector of a 3D state, or of a planar one embedded
+        (:meth:`docksim.core.ChaserState2D.embed_3d`)."""
+        if isinstance(initial, ChaserState2D):
+            initial = initial.embed_3d()
+        return initial.as_vector()
+
+    def depth(self, x):
+        """Penetration depth d and rate d_dot of the states x (columns
+        first), undelayed."""
+        return depth_3d(x, self.n_hat, self.a_B), depth_rate_3d(x, self.n_hat, self.a_B)
 
     def wrench(self, xd):
-        """Applied force f and body torque rows (tau_x, tau_y, tau_z) at the
-        delayed samples xd (columns first), as make_rhs_3d computes them."""
+        """Applied force f and body torque tau, one (tau_x, tau_y, tau_z)
+        row per sample, at the delayed samples xd (columns first), as
+        ``rhs`` computes them."""
         c0, c1, c2 = xd[6], xd[7], xd[8]
         d = depth_3d(xd, self.n_hat, self.a_B)
         k = contact_stiffness(self.k_v, self.springs, c0, c1, c2)
         f = contact_force(k, self.b_v, d, depth_rate_3d(xd, self.n_hat, self.a_B))
         if not self.bilateral:
             f = np.where(d < 0.0, f, 0.0)
-        return f, np.array(torque_3d(f, self.a_B, c0, c1, c2))
+        return f, np.column_stack(torque_3d(f, self.a_B, c0, c1, c2))
 
     def advance(self, seg, xd, dt):
         """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd;
@@ -470,7 +512,7 @@ class SpatialModel:
         f, tau = self.wrench(xd)
         _advance_pairs(seg, slice(0, 3), slice(3, 6), np.multiply.outer(self.n_hat, f / self.m), dt)
         spin = self.spin
-        tx, ty, tz = tau.tolist()
+        tx, ty, tz = tau.T.tolist()
         half = 0.5 * dt
         sixth = dt / 6.0
         c0, c1, c2, w0, w1, w2 = seg[0, 6:12].tolist()
@@ -603,6 +645,10 @@ def extract_events(
     return events
 
 
+# mode -> the class of its model
+_MODELS = {"2d": PlanarModel, "3d": SpatialModel}
+
+
 def simulate(
     config: SimConfig,
     params: BodyParams,
@@ -611,8 +657,9 @@ def simulate(
     event_window: float = 0.02,
     divergence_factor: float = 1e3,
 ) -> tuple[Trajectory, list[ContactEvent]]:
-    """Run the delayed nonlinear model and return the recorded trajectory
-    plus the detected contact events.
+    """Run the delayed nonlinear model of ``mode`` (:class:`PlanarModel`
+    for "2d", :class:`SpatialModel` for "3d") and return the recorded
+    trajectory plus the detected contact events.
 
     The divergence guard aborts (DivergenceError) when the state magnitude
     exceeds divergence_factor times the initial magnitude, signaling
@@ -622,39 +669,21 @@ def simulate(
     problem = activation_problem(contact.activation)
     if problem:
         raise ValidationError([problem])
-    initial = config.initial
-    if mode == "3d":
-        if isinstance(initial, ChaserState2D):
-            initial = initial.embed_3d()
-        rhs, model = make_rhs_3d(params, contact), SpatialModel(params, contact)
-        unit_slice = slice(6, 9)
-    elif mode == "2d":
-        if isinstance(initial, ChaserState3D):
-            initial = _project_planar(initial)
-        rhs, model = make_rhs_2d(params, contact), PlanarModel(params, contact)
-        unit_slice = None
-    else:
+    if mode not in _MODELS:
         raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
-    y0 = initial.as_vector()
+    model = _MODELS[mode](params, contact)
+    y0 = model.initial_vector(config.initial)
 
     bound = divergence_factor * max(float(np.abs(y0).max()), 1.0)
     times, Y = integrate_dde(
-        rhs, y0, config.dt, config.t_end, config.h,
-        unit_slice=unit_slice, divergence_bound=bound, model=model,
+        model.rhs, y0, config.dt, config.t_end, config.h,
+        unit_slice=model.unit_slice, divergence_bound=bound, model=model,
     )
 
     # Contact channels on the whole grid: d and d_dot of the undelayed
     # state; f and tau as the integrator applied them.
-    x = Y.T
-    if mode == "2d":
-        a = params.a
-        d = depth_2d(x, a, np.cos(x[2]))
-        d_dot = depth_rate_2d(x, a, np.sin(x[2]))
-    else:
-        d, d_dot = depth_3d(x, model.n_hat, model.a_B), depth_rate_3d(x, model.n_hat, model.a_B)
+    d, d_dot = model.depth(Y.T)
     f, tau = model.applied
-    if mode == "3d":
-        tau = np.column_stack(tau)
 
     events = extract_events(times, d, d_dot, window=event_window)
     rec = slice(None, None, config.record_every)
@@ -669,21 +698,6 @@ def simulate(
         in_contact=(d < 0.0)[rec],
     )
     return traj, events
-
-
-def _project_planar(state: ChaserState3D) -> ChaserState2D:
-    v = state.as_vector()
-    planar = [v[0], v[3], v[6], v[10], v[11]]
-    if max(abs(x) for x in planar) > 1e-12:
-        raise ValueError("initial 3D state is not planar; cannot run in 2D mode")
-    return ChaserState2D(
-        z=float(state.r[2]),
-        v_z=float(state.v[2]),
-        theta=math.atan2(float(state.d_c3[1]), float(state.d_c3[2])),
-        omega=float(state.omega[0]),
-        y=float(state.r[1]),
-        v_y=float(state.v[1]),
-    )
 
 
 TRAJ_COLUMNS_2D = ["t", "z", "v_z", "theta", "omega", "d", "d_dot", "f", "tau"]

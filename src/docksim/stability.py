@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import write_csv
+from .core import delay_problem, write_csv
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
 CRITICAL_DAMPING_HTOL = 1e-9  # [s]
@@ -241,8 +241,9 @@ def analyze(
     omega_c, sigma, h_n = _closed_form(mu, beta, kappa, n_delays)
     verdict = None
     if h is not None:
-        if not math.isfinite(h) or h < 0.0:
-            raise ValueError(f"h must be finite and >= 0, got {h!r}")
+        problem = delay_problem(h)
+        if problem:
+            raise ValueError(problem)
         verdict = classify(h, h_n[0], band)
     return StabilityResult(
         mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_n[0],

@@ -30,6 +30,15 @@ def test_t_end_off_the_step_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "off.traj.csv").exists()
 
 
+@pytest.mark.parametrize("h", ["Infinity", "NaN", "-0.016"])
+def test_unusable_delay_exits_1(tmp_path, capsys, h):
+    code = run("simulate", "table1.json", "--set", f"sim.h={h}", "--out", str(tmp_path / "bad"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: h must be finite and >= 0, got {float(h)!r}\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
 @pytest.mark.parametrize("override", [
     "body.m=null",
     "body=5",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from docksim import (
     nominal_state_2d,
     validate,
 )
-from docksim.core import step_count, write_csv
+from docksim.core import delay_problem, step_count, write_csv
 
 from conftest import depth_and_rate_2d, table1_body, table1_contact
 
@@ -147,6 +148,83 @@ class TestValidate:
         bad = SimConfig(h=0.016, dt=1e-4, t_end=1.0, initial=state)
         with pytest.raises(ValidationError, match="d_c3 not unit"):
             validate(body, contact, bad)
+
+
+def _bundle(body=None, contact=None, sim=None):
+    """The valid bundle with the fields in each dict replaced."""
+    return tuple(replace(x, **(changes or {})) for x, changes in zip(_valid_bundle(), (body, contact, sim)))
+
+
+_STATE_3D = dict(r=[0.0, 0.0, -0.14], v=[0.0, 0.0, -0.02], d_c3=[0.0, 0.6, 0.8], omega=[0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bundle, message", [
+    (_bundle(body=dict(J=[[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]])), "J has non-finite entries"),
+    (_bundle(body=dict(J=[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]])), "J must be symmetric"),
+    (_bundle(body=dict(a_B=[0.0, 0.0, np.inf])), "a_B has non-finite entries"),
+    (_bundle(contact=dict(springs=((-5.0, [0.0, 0.6, 0.8]),))),
+     "spring k_1 must be >= 0, got -5.0"),
+    (_bundle(sim=dict(h=-0.016)), "h must be finite and >= 0, got -0.016"),
+    (_bundle(sim=dict(h=np.nan)), "h must be finite and >= 0, got nan"),
+    (_bundle(sim=dict(h=np.inf)), "h must be finite and >= 0, got inf"),
+    (_bundle(sim=dict(dt=0.0)), "dt must be positive, got 0.0"),
+    (_bundle(sim=dict(dt=-1e-4)), "dt must be positive, got -0.0001"),
+    (_bundle(sim=dict(record_every=0)), "record_every must be >= 1, got 0"),
+    (_bundle(sim=dict(initial=ChaserState2D(z=np.nan, v_z=0.0, theta=1.0, omega=0.0))),
+     "initial 2D state has non-finite entries"),
+    (_bundle(sim=dict(initial=ChaserState3D(**{**_STATE_3D, "omega": [0.0, np.inf, 0.0]}))),
+     "initial 3D state has non-finite entries"),
+    (_bundle(sim=dict(initial=ChaserState2D(z=-0.14, v_z=0.0, theta=-0.1, omega=0.0))),
+     "theta must lie in [0, pi] for valid contact geometry, got -0.1"),
+    (_bundle(sim=dict(initial=[-0.14, -0.02, 1.0, 0.0])),
+     "initial must be ChaserState2D or ChaserState3D, got list"),
+])
+def test_validate_reports_each_violation(bundle, message):
+    with pytest.raises(ValidationError) as err:
+        validate(*bundle)
+    assert err.value.diagnostics == [message]
+
+
+def test_validate_reports_every_violation_in_order():
+    bundle = _bundle(body=dict(J=[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]),
+                     contact=dict(springs=((-5.0, [0.0, 0.6, 0.8]),)),
+                     sim=dict(h=np.inf, record_every=0,
+                              initial=ChaserState2D(z=-0.14, v_z=0.0, theta=4.0, omega=0.0)))
+    with pytest.raises(ValidationError) as err:
+        validate(*bundle)
+    assert err.value.diagnostics == [
+        "J must be symmetric",
+        "spring k_1 must be >= 0, got -5.0",
+        "h must be finite and >= 0, got inf",
+        "record_every must be >= 1, got 0",
+        "theta must lie in [0, pi] for valid contact geometry, got 4.0",
+    ]
+    assert str(err.value) == "; ".join(err.value.diagnostics)
+
+
+def test_validate_renormalizes_a_near_unit_attitude_column():
+    near_unit = ChaserState3D(**{**_STATE_3D, "d_c3": [0.0, 0.6, 0.8 + 5e-7]})
+    body, contact, sim = _bundle(sim=dict(initial=near_unit))
+    _, _, fixed = validate(body, contact, sim)
+    assert fixed is not sim and fixed.h == sim.h and fixed.dt == sim.dt
+    assert np.linalg.norm(fixed.initial.d_c3) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(fixed.initial.r, sim.initial.r)
+    assert validate(body, contact, fixed)[2] is fixed
+
+
+@pytest.mark.parametrize("h, dt, message", [
+    (0.0, 1e-4, None),
+    (-0.0, 1e-4, None),
+    (1e-4, 1e-4, None),
+    (0.0163, 1e-4, None),
+    (5e-5, 1e-4, "delay h = 5e-05 must be 0 or >= dt = 0.0001"),
+    (-0.016, 1e-4, "h must be finite and >= 0, got -0.016"),
+    (math.nan, 1e-4, "h must be finite and >= 0, got nan"),
+    (math.inf, 1e-4, "h must be finite and >= 0, got inf"),
+    (5e-5, 0.0, None),  # the default dt = 0 checks sign and finiteness only
+])
+def test_delay_problem(h, dt, message):
+    assert delay_problem(h, dt) == message
 
 
 def test_states_round_trip_through_vectors():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import docksim as ds
 from docksim import dynamics
+from docksim.core import delay_problem
 from docksim.dynamics import (
     PlanarModel,
     SpatialModel,
@@ -28,8 +29,8 @@ class TestDelayLine:
 
     def test_constant_prehistory(self):
         Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(_lerp_history(Y, 1, -5.0), [1.0, 2.0])
-        assert np.array_equal(_lerp_history(Y, 1, 0.0), [1.0, 2.0])
+        assert np.array_equal(_lerp_history(Y, -5.0), [1.0, 2.0])
+        assert np.array_equal(_lerp_history(Y, 0.0), [1.0, 2.0])
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])] * 3),
@@ -43,13 +44,13 @@ class TestDelayLine:
         q = np.minimum(q, latest)
         block = _lerp_rows(Y, q)
         for qi, row in zip(q, block):
-            assert row.tobytes() == np.array(_lerp_history(Y, latest, float(qi))).tobytes()
+            assert row.tobytes() == np.array(_lerp_history(Y, float(qi))).tobytes()
 
     def test_linear_ramp_interpolates_exactly(self):
         Y = np.array([[2.0 * i * 0.1] for i in range(8)])
         # a linear signal is reproduced exactly by linear interpolation
         for t in (0.05, 0.12, 0.33, 0.61):
-            assert _lerp_history(Y, 7, t / 0.1)[0] == pytest.approx(2.0 * t, abs=1e-15)
+            assert _lerp_history(Y, t / 0.1)[0] == pytest.approx(2.0 * t, abs=1e-15)
 
 
 class TestRhs2D:
@@ -151,6 +152,67 @@ class TestRhsContract:
         assert all(type(v) is float for v in from_lists)
         assert np.array(rhs(y, yd)).tobytes() == np.array(from_lists).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(["2d", "3d"]),
+           activation=st.sampled_from(["unilateral", "bilateral"]),
+           zero=st.sampled_from([None, 0.0, -0.0]),
+           y=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+           yd=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+           probe=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+           normal=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+           th=st.floats(0.1, 1.4))
+    def test_scalar_and_block_forms_agree_bitwise(self, mode, activation, zero, y, yd, probe,
+                                                  normal, th):
+        # model.rhs (per-step loop) and model.wrench (block path) apply the
+        # same force, 2D torque and 3D spin input on any delayed sample,
+        # also at a depth of exactly +0.0 or -0.0, where only the bilateral
+        # law pushes; n_hat is tilted off the z axis
+        if zero is not None:
+            # probe at the centre of mass, every depth term a zero of that
+            # sign: d = zero exactly
+            probe = [zero] * 3
+            if mode == "2d":
+                # the probe length |a_B| is +0.0, so a cos(theta) takes the
+                # sign of cos(theta)
+                yd[0], yd[2] = zero, (th if math.copysign(1.0, zero) > 0 else math.pi - th)
+            else:
+                yd[0:3] = [zero] * 3
+                yd[6:9] = [abs(c) + 0.1 for c in yd[6:9]]
+        body = ds.BodyParams(m=60.0, J=[[1.5, 0.1, 0.0], [0.1, 2.0, 0.05], [0.0, 0.05, 2.5]],
+                             a_B=probe)
+        n_hat = np.array(normal) / np.linalg.norm(normal)
+        contact = ds.ContactParams(k_v=3000.0, b_v=40.0, alpha=math.radians(30), n_hat=n_hat,
+                                   springs=((500.0, [0.0, 0.6, 0.8]),), activation=activation)
+        spun = []
+        spin_rate = dynamics._spin_rate
+
+        def recording_spin_rate(params):
+            rate = spin_rate(params)
+
+            def recorded(*args):
+                spun.append(args[6:])
+                return rate(*args)
+
+            return recorded
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_spin_rate", recording_spin_rate)
+            model = dynamics._MODELS[mode](body, contact)
+        dim = 6 if mode == "2d" else 12
+        y, yd = y[:dim], yd[:dim]
+        if zero is not None:
+            d, _ = model.depth(np.array([yd]).T)
+            assert d.tobytes() == np.array([zero]).tobytes()
+        out = np.array(model.rhs(y, yd))
+        f, tau = model.wrench(np.array([yd]).T)
+        assert len(f) == 1 and tau.shape == (1,) + model.torque_shape
+        if mode == "2d":
+            assert out[1:2].tobytes() == (f / body.m).tobytes()
+            assert out[3:4].tobytes() == (tau / body.J_x).tobytes()
+        else:
+            assert out[3:6].tobytes() == np.multiply.outer(model.n_hat, f / body.m)[:, 0].tobytes()
+            assert np.array(spun[-1]).tobytes() == tau[0].tobytes()
+
 
 class TestStep:
     def test_drift_is_exact(self):
@@ -195,6 +257,27 @@ class TestStep:
             integrate_dde(lambda y, yd: np.array([float("inf")]), np.array([1.0]), 0.1, 0.1, 0.0)
 
 
+def count_scalar_rhs_calls(monkeypatch, mode):
+    """Make simulate build models whose scalar form ``rhs`` counts its
+    calls; returns the list of models built and the call counter."""
+    models, calls = [], [0]
+
+    class Counted(dynamics._MODELS[mode]):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rhs = self.rhs
+
+            def counted(y, yd):
+                calls[0] += 1
+                return rhs(y, yd)
+
+            self.rhs = counted
+            models.append(self)
+
+    monkeypatch.setitem(dynamics._MODELS, mode, Counted)
+    return models, calls
+
+
 class TestSimulate:
     def test_no_contact_before_arrival(self, body, contact):
         cfg = approach_config(t_end=0.3)  # approach takes 0.5 s
@@ -232,32 +315,45 @@ class TestSimulate:
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
     @pytest.mark.parametrize("h", [0.016, 0.02])  # the bundled h/dt of 160 and 200
     def test_block_path_makes_no_scalar_rhs_call(self, body, monkeypatch, mode, activation, h):
-        # simulate hands integrate_dde the block form of the model, which
-        # advances whole blocks on arrays and never calls the per-step
-        # right-hand side closure; it records the applied wrench as it goes,
-        # so no whole-grid delayed lerp runs afterwards
-        factory_name = "make_rhs_2d" if mode == "2d" else "make_rhs_3d"
-        factory = getattr(dynamics, factory_name)
-        calls = [0]
-
-        def counting_factory(*args):
-            rhs = factory(*args)
-
-            def counted(y, yd):
-                calls[0] += 1
-                return rhs(y, yd)
-
-            return counted
+        # simulate hands integrate_dde one model, which advances whole
+        # blocks on arrays and never calls its scalar form; it records the
+        # applied wrench as it goes, so no whole-grid delayed lerp runs
+        # afterwards
+        models, calls = count_scalar_rhs_calls(monkeypatch, mode)
 
         def no_delayed_rows(*args):
             raise AssertionError("_delayed_rows called on the block path")
 
-        monkeypatch.setattr(dynamics, factory_name, counting_factory)
         monkeypatch.setattr(dynamics, "_delayed_rows", no_delayed_rows)
         traj, events = ds.simulate(approach_config(h=h), body,
                                    table1_contact(b_v=50.0, activation=activation), mode=mode)
-        assert calls[0] == 0
+        assert len(models) == 1 and calls[0] == 0
         assert events and traj.f.max() > 0.0
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_per_step_path_calls_the_scalar_rhs_of_the_model(self, body, monkeypatch, mode):
+        # the counter of the test above sees the calls of the per-step loop
+        # (5 steps of delay, under MIN_BLOCK_RATIO): four per step
+        models, calls = count_scalar_rhs_calls(monkeypatch, mode)
+        cfg = approach_config(h=5e-4, t_end=0.1)
+        ds.simulate(cfg, body, table1_contact(b_v=50.0), mode=mode)
+        assert len(models) == 1 and calls[0] == 4 * 1000
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("h", [-0.016, math.nan, math.inf, 5e-5])  # 5e-5 is dt/2
+    def test_unusable_delay_is_rejected(self, body, contact, mode, h):
+        # the delay rule of validate() holds for direct calls as well
+        cfg = approach_config(h=h)
+        text = delay_problem(h, cfg.dt)
+        assert text is not None
+        with pytest.raises(ValueError) as raised:
+            ds.simulate(cfg, body, contact, mode=mode)
+        assert str(raised.value) == text
+        model = dynamics._MODELS[mode](body, contact)
+        with pytest.raises(ValueError) as raised:
+            integrate_dde(model.rhs, model.initial_vector(cfg.initial), cfg.dt, cfg.t_end, h,
+                          unit_slice=model.unit_slice, model=model)
+        assert str(raised.value) == text
 
     def test_record_every_decimates_uniformly(self, body, contact):
         cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=approach_config().initial,
@@ -343,7 +439,7 @@ class TestSimulate:
         f, tau = model.wrench(_delayed_rows(traj.states, cfg.h, cfg.dt).T)
         assert np.any(f != 0.0)
         assert traj.f.tobytes() == f.tobytes()
-        assert traj.tau.tobytes() == np.transpose(tau).tobytes()
+        assert traj.tau.tobytes() == tau.tobytes()
 
     def test_elastic_zero_delay_restitution(self, body):
         # near-linear elastic regime: slow approach keeps the attitude drift
@@ -407,6 +503,26 @@ class TestExtractEvents:
         (ev,) = extract_events(t, d, dd, window=0.0)
         assert ev.v_minus == dd[1]
         assert ev.v_plus == dd[5]
+
+    def test_reentry_inside_the_window_ends_the_exit_average(self):
+        # two contacts 5 samples apart with a 10-sample window: the exit
+        # rate of the first and the entry rate of the second average only
+        # the 5 samples between them (d_dot is the sample index)
+        t = np.arange(100) * 0.01
+        d = np.ones(100)
+        d[20:30] = -1.0
+        d[35:45] = -1.0
+        dd = np.arange(100.0)
+        first, second = extract_events(t, d, dd, window=0.1)
+        assert first.t_in == pytest.approx(0.195) and first.t_out == pytest.approx(0.295)
+        assert first.v_minus == np.mean(dd[10:20])
+        assert first.v_plus == np.mean(dd[30:35]) == 32.0
+        assert second.v_minus == np.mean(dd[30:35])
+        assert second.v_plus == np.mean(dd[45:55])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_have_no_event(self, n):
+        assert extract_events(np.zeros(n), -np.ones(n), np.zeros(n)) == []
 
 
 def test_trajectory_csv_round_trip(tmp_path, body, contact):
