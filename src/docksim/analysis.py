@@ -14,6 +14,7 @@ bracketing and works while the contact is still in progress.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -137,10 +138,12 @@ def observed_energy(
     values; the continuation is bitwise identical to having processed one
     concatenated stream, so windowed energies are exactly additive.
     Classification per sample: lossless while |dE| < tolerance, otherwise
-    passive (dE < 0) or active (dE > 0).
+    passive (dE < 0) or active (dE > 0). dt must be finite and > 0, the
+    tolerance finite and >= 0 (ValueError).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_sample_time(dt)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     inc = dt * np.hstack([
         streams.f_m * streams.v_m - streams.f_in * streams.v_r,
         streams.tau_m * streams.omega_m - streams.tau_in * streams.omega_r,
@@ -163,6 +166,11 @@ def observed_energy(
     )
 
 
+def _check_sample_time(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+
+
 def resample(t_src: np.ndarray, values: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
     """Linear-interpolation resampling of one (N,) or (N,k) channel block."""
     values = np.asarray(values, dtype=float)
@@ -183,12 +191,17 @@ def streams_from_trajectories(
     time dt, up to the last whole sample of the shorter run
     (:func:`docksim.core.sample_count`). In 2D the force acts along z and
     the torque about x; in 3D the recorded intensity is expanded along
-    n_hat and the recorded torque used as-is.
+    n_hat and the recorded torque used as-is. dt must be finite, > 0 and
+    no longer than that run (ValueError).
     """
     if measured.mode != commanded.mode:
         raise ValueError("measured and commanded trajectories must share a mode")
+    _check_sample_time(dt)
     t_end = min(float(measured.times[-1]), float(commanded.times[-1]))
-    t = np.arange(1, sample_count(t_end, dt) + 1) * dt
+    samples = sample_count(t_end, dt)
+    if samples < 1:
+        raise ValueError(f"dt = {dt!r} s gives no sample in a run of {t_end!r} s")
+    t = np.arange(1, samples + 1) * dt
 
     def expand(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if traj.mode == "2d":

@@ -45,6 +45,23 @@ block's torques. A zero force is just a value here, so free flight and
 contact take the same path. Each finished block is checked for divergence,
 which raises at its first offending row with the per-step message and t.
 
+In free flight the delayed wrench is exactly zero, so the planar model
+speculates there. After a block whose force and torque samples are all
+bitwise equal (signed zeros count), the next span of ``SPECULATIVE_BLOCKS``
+blocks is pushed under that held wrench first (``PlanarModel.push``), then
+its own stage samples are lerped from the pushed rows and the wrench is
+evaluated there. Step s of a span from row i reads samples 2s, 2s + 1 and
+2s + 2, which lie in rows <= i + s; so while every sample matches the held
+wrench bit for bit, each pushed row is the row the sequential scheme gives,
+and one long in-place cumsum adds as the chained ones do. With the first
+mismatch at sample m the first (m - 1) // 2 steps are committed, their
+wrench recorded and their rows screened for divergence; normal blocks
+resume at the first uncommitted step, and a span that commits nothing
+falls through to a normal block. ``PlanarModel.wrench`` also calls ``math.sin`` and
+``math.cos`` once per run of bitwise-equal theta, which holds still before
+the first contact. :class:`SpatialModel` never speculates: its push is the
+per-step attitude loop, so a rejected span would waste whole loop steps.
+
 Both paths give the rows of the earlier numpy-array form of the scheme bit
 for bit, because each float operation is the elementwise one of that form,
 in the same order: numpy's + - * / on float64 round as Python floats do, the
@@ -53,10 +70,13 @@ sequential scan (cumsum adds the increments row after row, as the loop
 does, not pairwise), and the 3D attitude column is renormalized with
 numpy's dot product, which rounds differently from a plain sum of squares.
 
-``integrate_dde`` on the bundled scenarios, best of 5 on a 2-vCPU VM
-(Python 3.11.7, numpy 2.4.6), per-step loop against block path with the
-wrench it records: ``table1`` (2D) 8.4 against 0.75 µs/step, ``fig7`` (2D)
-8.8 against 0.68, ``demo3d`` (3D) 19.9 against 5.7.
+``integrate_dde`` on the bundled scenarios as :func:`simulate` calls it,
+recording included, best of 5 runs (median of 5 rounds) on a 2-vCPU VM
+(Python 3.11.7, numpy 2.4.6): ``table1`` (2D) 0.50 µs/step against 0.88
+with base blocks only, ``fig7`` (2D) 0.56 against 0.78, ``demo3d`` (3D,
+no spans) 6.3 against 5.9, which is noise on that VM
+(``BENCH_planar_blocks.json``). The per-step loop took 8.4, 8.8 and 19.9
+µs/step in an earlier measurement on the same VM.
 
 The contact channels :func:`simulate` records are the force and torque the
 integrator applied, which it leaves on the model as ``model.applied``, in
@@ -111,6 +131,10 @@ Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 # model: a block of int(h/dt) - 1 steps then pays more for its numpy calls
 # than it saves (measured crossover, see the module docstring)
 MIN_BLOCK_RATIO = 9
+# length of a speculative span of planar free flight, in blocks of
+# int(h/dt) - 1 steps (measured: 4 to 16 all pay, 8 most; see the module
+# docstring)
+SPECULATIVE_BLOCKS = 8
 
 
 class DivergenceError(RuntimeError):
@@ -143,10 +167,12 @@ def integrate_dde(
     ``model`` is the :class:`PlanarModel` or :class:`SpatialModel` whose
     scalar form is ``rhs``. Given one and h/dt >= MIN_BLOCK_RATIO, the run
     advances in blocks of int(h/dt) - 1 steps with the model's block form
-    and never calls ``rhs``; the rows are the same bit for bit. Given a
-    model, the run also sets ``model.applied`` to (f, tau), the force and
-    torque applied at every row, one row per grid point: the model's
-    ``wrench`` at the rows sampled one delay back (:func:`_delayed_rows`).
+    (in 2D, under a steady wrench, in checked spans of SPECULATIVE_BLOCKS
+    blocks) and never calls ``rhs``; the rows are the same bit for bit.
+    Given a model, the run also sets ``model.applied`` to (f, tau), the
+    force and torque applied at every row, one row per grid point: the
+    model's ``wrench`` at the rows sampled one delay back
+    (:func:`_delayed_rows`).
     """
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
@@ -209,8 +235,20 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
     final: one lerp and one call of the model give every stage sample of
     the block. The even samples, k - ratio for k = i..j, are the delayed
     samples of rows i..j, so their wrench is recorded as ``model.applied``.
-    Each finished block is checked for divergence, which raises at its
-    first offending row."""
+
+    After a block whose wrench samples are all bitwise equal, a model that
+    ``speculates`` (the planar one) runs a span of SPECULATIVE_BLOCKS
+    blocks on a guess: it pushes the span's rows under that held wrench,
+    then lerps the span's own stage samples from them and evaluates the
+    wrench there. Step s reads samples 2s, 2s + 1 and 2s + 2, which read
+    rows <= i + s only, so while every sample so far equals the held
+    wrench the pushed rows are the sequential ones: with the first
+    mismatch at sample m, the first (m - 1) // 2 steps are committed and
+    the rest is recomputed by normal blocks from the first uncommitted
+    step. A span that commits nothing falls through to a normal block.
+
+    Each finished block, and each committed part of a span, is checked for
+    divergence, which raises at its first offending row."""
     n = len(Y) - 1
     span = int(ratio) - 1
     history = Y[:, :model.columns]
@@ -222,18 +260,42 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
     q[1::2] = (k[:-1] + 0.5) - ratio
     f_rec = np.empty(n + 1)
     tau_rec = np.empty((n + 1,) + model.torque_shape)
+    held = None  # the steady wrench of the last block, one sample each
+    i = 0
     with np.errstate(all="ignore"):
-        for i in range(0, n, span):
-            j = min(n, i + span)
-            seg = Y[i:j + 1]
-            f, tau = model.advance(seg, _lerp_rows(history, q[2 * i:2 * j + 1]).T, dt)
-            f_rec[i:j + 1] = f[0::2]
-            tau_rec[i:j + 1] = tau[0::2]
-            if not np.abs(seg[1:]).max() <= limit:
-                bad = np.flatnonzero(~(np.abs(seg[1:]).max(axis=1) <= limit))
+        while i < n:
+            if held is None:
+                j = min(n, i + span)
+                f, tau = model.advance(Y[i:j + 1], _lerp_rows(history, q[2 * i:2 * j + 1]).T, dt)
+                if model.speculates and _first_change(f, tau, f[:1], tau[:1]) == len(f):
+                    held = f[:1], tau[:1]
+            else:
+                j = min(n, i + SPECULATIVE_BLOCKS * span)
+                model.push(Y[i:j + 1], *held, dt)
+                f, tau = model.wrench(_lerp_rows(history, q[2 * i:2 * j + 1]).T)
+                m = _first_change(f, tau, *held)
+                if m < len(f):
+                    held = None
+                    j = i + (m - 1) // 2
+                    if j <= i:
+                        continue
+            f_rec[i:j + 1] = f[:2 * (j - i) + 1:2]
+            tau_rec[i:j + 1] = tau[:2 * (j - i) + 1:2]
+            seg = Y[i + 1:j + 1]
+            if not np.abs(seg).max() <= limit:
+                bad = np.flatnonzero(~(np.abs(seg).max(axis=1) <= limit))
                 row = i + 1 + int(bad[0])
                 _check_divergence(Y[row].tolist(), float(times[row]), divergence_bound)
+            i = j
     model.applied = f_rec, tau_rec
+
+
+def _first_change(f: np.ndarray, tau: np.ndarray, f0: np.ndarray, tau0: np.ndarray) -> int:
+    """Index of the first sample whose f or tau differs from the one-sample
+    f0 or tau0 bit for bit (so signed zeros count), or len(f) if none."""
+    changed = np.flatnonzero((f.view(np.int64) != f0.view(np.int64))
+                             | (tau.view(np.int64) != tau0.view(np.int64)))
+    return int(changed[0]) if len(changed) else len(f)
 
 
 def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
@@ -339,6 +401,7 @@ class PlanarModel:
     arrays, with no per-step loop."""
 
     columns = 4  # the law reads (z, v_z, theta, omega) of a delayed sample
+    speculates = True  # a held wrench pushes a span on arrays (push)
     torque_shape = ()  # tau is the scalar x-torque
     unit_slice = None  # no column to renormalize
 
@@ -384,9 +447,18 @@ class PlanarModel:
         """Applied force f and x-torque tau at the delayed samples xd
         (columns first), as ``rhs`` computes them, sin and cos from math
         included."""
-        th = xd[2].tolist()
-        s = np.fromiter(map(math.sin, th), float, len(th))
-        c = np.fromiter(map(math.cos, th), float, len(th))
+        th = xd[2]
+        # one math.sin and math.cos per run of bitwise-equal theta, which is
+        # constant through free flight without spin
+        bits = th.view(np.int64)
+        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        runs = th[first].tolist()
+        s = np.fromiter(map(math.sin, runs), float, len(runs))
+        c = np.fromiter(map(math.cos, runs), float, len(runs))
+        if len(runs) < len(th):
+            counts = np.diff(first, append=len(th))
+            s = np.repeat(s, counts)
+            c = np.repeat(c, counts)
         d = depth_2d(xd, self.a, c)
         k = contact_stiffness(self.k_v, self.springs, 0.0, s, c)
         f = contact_force(k, self.b_v, d, depth_rate_2d(xd, self.a, s))
@@ -398,11 +470,16 @@ class PlanarModel:
         """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd;
         returns the wrench at those samples."""
         f, tau = self.wrench(xd)
-        acc = np.zeros((3, len(f)))  # v_y' = 0
+        self.push(seg, f, tau, dt)
+        return f, tau
+
+    def push(self, seg, f, tau, dt):
+        """Steps i..j-1 into seg = Y[i:j+1] under the wrench (f, tau) at
+        their 2 (j - i) + 1 stage samples, or under one held sample of it."""
+        acc = np.zeros((3, 2 * len(seg) - 1))  # v_y' = 0
         acc[0] = f / self.m
         acc[1] = tau / self.J_x
         _advance_pairs(seg, slice(0, 6, 2), slice(1, 6, 2), acc, dt)
-        return f, tau
 
 
 def _spin_rate(params: BodyParams):
@@ -455,6 +532,9 @@ class SpatialModel:
     renormalizes it."""
 
     columns = 12
+    # no speculative spans: the push is the per-step attitude loop, so a
+    # rejected span would waste whole loop steps
+    speculates = False
     torque_shape = (3,)  # tau is the body torque, three columns per row
     unit_slice = slice(6, 9)  # d_c3, renormalized after every step
 

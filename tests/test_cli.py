@@ -263,6 +263,27 @@ class TestEnergy:
                    "--out", str(tmp_path / "e.csv")) == 1
         assert "unrecognized trajectory header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--dt", "0"),
+        ("--dt", "-0.004"),
+        ("--dt", "nan"),
+        ("--dt", "inf"),
+        ("--dt", "10"),  # longer than the 0.9 s run: no sample
+        ("--tolerance", "nan"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "inf"),
+    ])
+    def test_unusable_sample_time_or_tolerance_exits_1(self, tmp_path, capsys, option, value):
+        traj = self._write_run(tmp_path, "run", ["contact.b_v=50"])
+        capsys.readouterr()
+        out = tmp_path / "e.csv"
+        assert run("energy", "--measured", str(traj), "--commanded", str(traj),
+                   "--out", str(out), option, value) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert option.lstrip("-") in err
+        assert not out.exists()
+
     def test_mismatched_row_counts_exit_1(self, tmp_path):
         traj = self._write_run(tmp_path, "full")
         lines = traj.read_text().splitlines()

@@ -278,6 +278,19 @@ def count_scalar_rhs_calls(monkeypatch, mode):
     return models, calls
 
 
+def count_wrench_calls(monkeypatch, cls):
+    """Count the calls of ``cls.wrench``, one per block or span."""
+    calls = [0]
+    wrench = cls.wrench
+
+    def counted(self, xd):
+        calls[0] += 1
+        return wrench(self, xd)
+
+    monkeypatch.setattr(cls, "wrench", counted)
+    return calls
+
+
 class TestSimulate:
     def test_no_contact_before_arrival(self, body, contact):
         cfg = approach_config(t_end=0.3)  # approach takes 0.5 s
@@ -338,6 +351,21 @@ class TestSimulate:
         cfg = approach_config(h=5e-4, t_end=0.1)
         ds.simulate(cfg, body, table1_contact(b_v=50.0), mode=mode)
         assert len(models) == 1 and calls[0] == 4 * 1000
+
+    def test_planar_free_flight_runs_in_speculative_spans(self, body, monkeypatch):
+        # table1 spends about 81% of its 12 000 steps in free flight, where
+        # the delayed wrench is steady: speculative spans of
+        # SPECULATIVE_BLOCKS blocks cover it, so the contact law runs far
+        # fewer times than the 76 blocks of 159 steps
+        calls = count_wrench_calls(monkeypatch, PlanarModel)
+        ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode="2d")
+        assert 0 < calls[0] < 76 // 2
+
+    def test_spatial_model_never_speculates(self, body, monkeypatch):
+        # the same run in 3D: one wrench call per block of 159 steps
+        calls = count_wrench_calls(monkeypatch, SpatialModel)
+        _, events = ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode="3d")
+        assert events and calls[0] == math.ceil(12000 / 159)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("h", [-0.016, math.nan, math.inf, 5e-5])  # 5e-5 is dt/2

@@ -20,6 +20,7 @@ import docksim as ds
 from docksim.contact import depth_2d
 from docksim.dynamics import (
     MIN_BLOCK_RATIO,
+    SPECULATIVE_BLOCKS,
     DivergenceError,
     PlanarModel,
     SpatialModel,
@@ -261,13 +262,21 @@ def spinning_3d_run(activation):
 
 @pytest.mark.parametrize("h", [0.016, 0.0163])  # on and off the dt grid
 @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
-@pytest.mark.parametrize("mode", ["2d", "3d"])
-def test_long_block_run_matches_numpy_scheme_bitwise(mode, activation, h):
+@pytest.mark.parametrize("mode, omega", [
+    pytest.param("2d", 0.3, id="2d"),
+    # theta held still through about 5 000 steps of unilateral free flight:
+    # the per-run trig, accepted speculative spans and a span rejected at
+    # contact onset all run
+    pytest.param("2d", 0.0, id="2d-still"),
+    pytest.param("2d", -0.0, id="2d-still-negative-zero"),
+    pytest.param("3d", None, id="3d"),
+])
+def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h):
     if mode == "2d":
         body = ds.BodyParams(m=60.0, J=np.diag([1.43, 1.43, 1.43]), a_B=[0.0, 0.0, 0.3])
         contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
                                    springs=((800.0, [0.0, 0.6, 0.8]),), activation=activation)
-        state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=0.3, v_y=0.01)
+        state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=omega, v_y=0.01)
         rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
         model = PlanarModel(body, contact)
     else:
@@ -275,9 +284,14 @@ def test_long_block_run_matches_numpy_scheme_bitwise(mode, activation, h):
         unit_slice = slice(6, 9)
     new, ref = run_both(rhs, y0, 1e-4, 1.2, h, unit_slice, 1e3, model)
     assert_bitwise_equal(new, ref)
-    # the probe reached the wall and was pushed back out
     v_z = ref[1][:, 5 if mode == "3d" else 1]
-    assert v_z[0] < 0.0 < v_z.max()
+    if omega == 0.0 and activation == "unilateral":
+        # theta held still until the probe reached the wall, which slowed it
+        theta = ref[1][:, 2]
+        assert (theta[:5000] == theta[0]).all() and v_z[0] < v_z.max()
+    else:
+        # the probe reached the wall and was pushed back out
+        assert v_z[0] < 0.0 < v_z.max()
 
 
 @pytest.mark.parametrize("mode", ["2d", "3d"])
@@ -394,11 +408,17 @@ def test_fast_forward_signed_zeros_match_numpy_scheme_bitwise(theta, omega, v_y)
 
 @pytest.mark.parametrize("bound", [1.5, 1.2345])
 def test_fast_forward_reports_divergence_identically(bound):
-    # a free drift away from the wall crosses the bound inside a block
+    # a free drift away from the wall crosses the bound inside a committed
+    # speculative span: the delayed force is zero and the torque -0.0 from
+    # the first block of 15 steps on, so spans of SPECULATIVE_BLOCKS blocks
+    # start at step 15 and commit whole
     state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
     new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
     assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
     assert_bitwise_equal(new, ref)
+    steps = round(ref.t / 1e-3)
+    # past the first block of 15 steps a span started at
+    assert steps > 15 and (steps - 15) % (SPECULATIVE_BLOCKS * 15) > 15
 
 
 def test_fast_forward_keeps_a_negative_zero_in_the_loop():
