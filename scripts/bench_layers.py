@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Layer benchmark of the block path: integrate_dde microseconds per step
+and contact-law (model ``wrench``) calls per run on the bundled scenarios,
+table1 and fig7 in 2D and table1, fig7 and demo3d in 3D.
+
+integrate_dde is called as docksim.dynamics.simulate calls it: the model's
+scalar rhs, its unit slice, the divergence bound 1e3 * max(|y0|, 1) and
+the model itself, so the recorded wrench is included. Each case gets one
+untimed warm-up run, which also counts the wrench calls, then --repeat
+timed runs (time.perf_counter); a round keeps the best of them. The JSON
+holds each round's best and the median of the round bests.
+
+Without --side, every round runs in this process on the docksim it
+imports. With --side LABEL=SRC (repeatable), every round runs each side in
+a fresh Python process with PYTHONPATH=SRC, alternating which side goes
+first, and the JSON holds one entry per side: a before/after comparison of
+two checkouts.
+
+Usage: python scripts/bench_layers.py [--rounds 5] [--repeat 5] [--t-end T]
+           [--side before=../old/src --side after=src] [--out bench.json]
+"""
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+CASES = [("table1", "2d"), ("fig7", "2d"), ("table1", "3d"), ("fig7", "3d"), ("demo3d", "3d")]
+
+
+def measure(t_end, repeat) -> dict:
+    """One round: {case: {steps, wrench_calls, us_per_step}}."""
+    from docksim import dynamics
+    from docksim.cli import load_scenario, scenario_path
+
+    result = {}
+    for name, mode in CASES:
+        body, contact, sim, _ = load_scenario(scenario_path(name))
+        if t_end is not None:
+            sim = dataclasses.replace(sim, t_end=t_end)
+        model = dynamics._MODELS[mode](body, contact)
+        y0 = model.initial_vector(sim.initial)
+        bound = 1e3 * max(float(np.abs(y0).max()), 1.0)  # simulate's default divergence_factor
+
+        def run():
+            return dynamics.integrate_dde(model.rhs, y0, sim.dt, sim.t_end, sim.h,
+                                          unit_slice=model.unit_slice, divergence_bound=bound,
+                                          model=model)
+
+        calls = [0]
+        wrench = model.wrench
+
+        def counted(xd):
+            calls[0] += 1
+            return wrench(xd)
+
+        model.wrench = counted
+        steps = len(run()[0]) - 1
+        model.wrench = wrench
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - t0)
+        result[f"{name}-{mode}"] = {"steps": steps, "wrench_calls": calls[0],
+                                    "us_per_step": round(best / steps * 1e6, 4)}
+    return result
+
+
+def summarize(rounds: list) -> dict:
+    """Per case: steps, wrench calls per run, the round bests and their median."""
+    out = {}
+    for case in rounds[0]:
+        bests = [r[case]["us_per_step"] for r in rounds]
+        out[case] = {
+            "steps": rounds[0][case]["steps"],
+            "wrench_calls_per_run": rounds[0][case]["wrench_calls"],
+            "best_of_repeat_per_round": bests,
+            "median_of_round_bests": round(statistics.median(bests), 4),
+        }
+    return out
+
+
+def run_side(src, t_end, repeat) -> dict:
+    """One round in a fresh process on the docksim under src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, os.path.abspath(__file__), "--raw", "--repeat", str(repeat)]
+    if t_end is not None:
+        cmd += ["--t-end", repr(t_end)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--repeat", type=int, default=5, help="timed runs per case and round")
+    ap.add_argument("--t-end", type=float, default=None, help="run length [s] (default: each scenario's)")
+    ap.add_argument("--side", action="append", default=[], metavar="LABEL=SRC",
+                    help="measure the docksim under SRC in fresh processes (repeatable)")
+    ap.add_argument("--raw", action="store_true", help="print one round's raw JSON and exit")
+    ap.add_argument("--out", default=None, help="write the JSON here instead of stdout")
+    args = ap.parse_args()
+    if args.rounds < 1 or args.repeat < 1:
+        ap.error("--rounds and --repeat must be >= 1")
+    if args.raw:
+        print(json.dumps(measure(args.t_end, args.repeat)))
+        return 0
+
+    report = {
+        "what": "integrate_dde microseconds per step (as simulate calls it) and model wrench "
+                "calls per run, per scenario and mode",
+        "method": f"{args.rounds} rounds; per round and case one untimed warm-up run, then the best "
+                  f"of {args.repeat} timed runs",
+        "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
+                   f"numpy {np.__version__}",
+        "t_end": args.t_end,
+        "unit": "us/step",
+    }
+    if args.side:
+        sides = [s.split("=", 1) for s in args.side]
+        if any(len(s) != 2 for s in sides):
+            ap.error("--side must look like LABEL=SRC")
+        rounds = {label: [] for label, _ in sides}
+        for r in range(args.rounds):
+            for label, src in (sides if r % 2 == 0 else sides[::-1]):
+                rounds[label].append(run_side(src, args.t_end, args.repeat))
+        report["method"] += "; each round runs each side in a fresh process, alternating which goes first"
+        report["sides"] = {label: summarize(rounds[label]) for label in rounds}
+    else:
+        report["workloads"] = summarize([measure(args.t_end, args.repeat) for _ in range(args.rounds)])
+    text = json.dumps(report, indent=1)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

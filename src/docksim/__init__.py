@@ -52,10 +52,8 @@ from .stability import (
     FourthOrderVerdict,
     StabilityResult,
     analyze,
-    approx_critical_delay,
     critical_damping,
     critical_delays,
-    crossing_direction,
     crossing_frequency,
     stability_boundary,
     verdict_4th_order,

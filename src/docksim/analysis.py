@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import sample_count, write_csv
+from .core import nonnegative_problem, sample_count, write_csv
 from .dynamics import ContactEvent, Trajectory
 from .stability import classify
 
@@ -142,8 +142,9 @@ def observed_energy(
     tolerance finite and >= 0 (ValueError).
     """
     _check_sample_time(dt)
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    problem = nonnegative_problem("tolerance", tolerance)
+    if problem:
+        raise ValueError(problem)
     inc = dt * np.hstack([
         streams.f_m * streams.v_m - streams.f_in * streams.v_r,
         streams.tau_m * streams.omega_m - streams.tau_in * streams.omega_r,

@@ -33,6 +33,7 @@ from .core import (
     ContactParams,
     SimConfig,
     ValidationError,
+    nonnegative_problem,
     validate,
 )
 
@@ -190,6 +191,10 @@ def _parse_scenario(doc, overrides: list[str]):
     analysis_doc = dict(doc.get("analysis", {}))
     _check_keys("analysis", analysis_doc, set(ANALYSIS_DEFAULTS))
     options = {**ANALYSIS_DEFAULTS, **{k: float(v) for k, v in analysis_doc.items()}}
+    for key, value in options.items():
+        problem = nonnegative_problem(f"analysis.{key}", value)
+        if problem:
+            raise ScenarioError(problem)
     return body, contact, sim, options
 
 

@@ -10,7 +10,9 @@ All types here are plain value carriers. They do not self-validate;
 :func:`validate` is the single gate that checks every invariant and reports
 all violations at once. :func:`step_count` is the one rule for how many
 fixed steps a run takes, :func:`delay_problem` the one rule for which
-delays a run accepts, and :func:`write_csv` the one writer of the
+delays a run accepts, :func:`nonnegative_problem` the one rule for a value
+that must be finite and >= 0 (a delay, an averaging window, a neutrality
+band, a tolerance), and :func:`write_csv` the one writer of the
 9-significant-digit CSV data files.
 """
 
@@ -243,16 +245,19 @@ def activation_problem(activation) -> str | None:
     return f"activation must be 'unilateral' or 'bilateral', got {activation!r}"
 
 
+def nonnegative_problem(name: str, x: float) -> str | None:
+    """The diagnostic for a value x that is not finite and >= 0, else None."""
+    return None if 0.0 <= x < math.inf else f"{name} must be finite and >= 0, got {x!r}"
+
+
 def delay_problem(h: float, dt: float = 0.0) -> str | None:
     """The diagnostic for a delay h that a run with steps dt cannot use,
     else None. h must be finite and >= 0, and 0 or >= dt: the explicit
     fixed-step scheme resolves delayed arguments from completed steps only.
     The default dt = 0 checks the first part alone."""
-    if not (math.isfinite(h) and h >= 0.0):
-        return f"h must be finite and >= 0, got {h!r}"
     if 0.0 < h < dt:
         return f"delay h = {h!r} must be 0 or >= dt = {dt!r}"
-    return None
+    return nonnegative_problem("h", h)
 
 
 def step_count(t_end: float, dt: float) -> int:

@@ -17,8 +17,8 @@ since the explicit scheme can only look up completed steps.
 Each contact mode is one class, :class:`PlanarModel` (2D) and
 :class:`SpatialModel` (3D). It unpacks the body and contact parameters once
 and holds everything that depends on the mode: the scalar right-hand side
-``model.rhs(y, y_delayed)``, its block form (``wrench`` and ``advance``),
-the state vector of an initial state, the unit-norm columns the integrator
+``model.rhs(y, y_delayed)``, its block form (``wrench`` and ``push``), the
+state vector of an initial state, the unit-norm columns the integrator
 renormalizes and the undelayed depth channels. :func:`simulate` looks the
 class up by mode and passes one model to :func:`integrate_dde`;
 :func:`make_rhs_2d` and :func:`make_rhs_3d` return a model's ``rhs``.
@@ -30,37 +30,38 @@ h = 0, callers without a model, and delays shorter than
 ``MIN_BLOCK_RATIO`` steps, where a block is too short to pay for its numpy
 calls (the measured crossover is at about 8 to 9 steps in 2D and in 3D).
 
-The block path serves :func:`simulate`, which passes the model. The force
-applied over the next h was sensed h ago, so when the run reaches row i the
-delayed samples of steps i .. i + int(h/dt) - 2 lie in rows that are
-already final. For such a block, one vectorized lerp (:func:`_lerp_rows`)
-gives the three stage samples of every step, one call of the model's
-``wrench`` gives their force and torque, and each (position, rate) pair
-whose rate derivative is that delayed acceleration -- (z, v_z),
-(theta, omega) and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the
-RK4 increments on arrays and an in-place ``np.cumsum``. So a 2D block runs
-no Python loop per step; in 3D the attitude column and omega, whose rates
-depend on the current state, step in a loop over 6 floats driven by the
-block's torques. A zero force is just a value here, so free flight and
-contact take the same path. Each finished block is checked for divergence,
-which raises at its first offending row with the per-step message and t.
+The block path serves :func:`simulate`, which passes the model, and runs
+the same protocol for both modes. The force applied over the next h was
+sensed h ago, so when the run reaches row i the delayed samples of steps
+i .. i + int(h/dt) - 2 lie in rows that are already final. For such a
+block, one vectorized lerp (:func:`_lerp_rows`) gives the three stage
+samples of every step, ``model.wrench`` gives their force and torque, and
+``model.push`` steps the block under them: each (position, rate) pair whose
+rate derivative is that delayed acceleration -- (z, v_z), (theta, omega)
+and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the RK4 increments
+on arrays and an in-place ``np.cumsum``. So a 2D block runs no Python loop
+per step; in 3D the attitude column and omega, whose rates depend on the
+current state, step in a loop over 6 floats driven by the block's torques.
+A zero force is just a value here, so free flight and contact take the
+same path. Each finished block is checked for divergence, which raises at
+its first offending row with the per-step message and t.
 
-In free flight the delayed wrench is exactly zero, so the planar model
-speculates there. After a block whose force and torque samples are all
-bitwise equal (signed zeros count), the next span of ``SPECULATIVE_BLOCKS``
-blocks is pushed under that held wrench first (``PlanarModel.push``), then
-its own stage samples are lerped from the pushed rows and the wrench is
-evaluated there. Step s of a span from row i reads samples 2s, 2s + 1 and
-2s + 2, which lie in rows <= i + s; so while every sample matches the held
-wrench bit for bit, each pushed row is the row the sequential scheme gives,
-and one long in-place cumsum adds as the chained ones do. With the first
+In free flight the delayed wrench is exactly zero, so the run speculates
+there. After a block whose force and torque samples are all bitwise equal
+(signed zeros count, and a 3D torque row matches only if all its
+components do), the next span of ``SPECULATIVE_BLOCKS`` blocks is pushed
+under that held wrench first, then its own stage samples are lerped from
+the pushed rows and the wrench is evaluated there. Step s of a span from
+row i reads samples 2s, 2s + 1 and 2s + 2, which lie in rows <= i + s; so
+while every sample matches the held wrench bit for bit, each pushed row is
+the row the sequential scheme gives, and one long in-place cumsum (and, in
+3D, one long attitude loop) adds as the chained ones do. With the first
 mismatch at sample m the first (m - 1) // 2 steps are committed, their
 wrench recorded and their rows screened for divergence; normal blocks
 resume at the first uncommitted step, and a span that commits nothing
-falls through to a normal block. ``PlanarModel.wrench`` also calls ``math.sin`` and
-``math.cos`` once per run of bitwise-equal theta, which holds still before
-the first contact. :class:`SpatialModel` never speculates: its push is the
-per-step attitude loop, so a rejected span would waste whole loop steps.
+falls through to a normal block. ``PlanarModel.wrench`` also calls
+``math.sin`` and ``math.cos`` once per run of bitwise-equal theta, which
+holds still before the first contact.
 
 Both paths give the rows of the earlier numpy-array form of the scheme bit
 for bit, because each float operation is the elementwise one of that form,
@@ -70,13 +71,14 @@ sequential scan (cumsum adds the increments row after row, as the loop
 does, not pairwise), and the 3D attitude column is renormalized with
 numpy's dot product, which rounds differently from a plain sum of squares.
 
-``integrate_dde`` on the bundled scenarios as :func:`simulate` calls it,
-recording included, best of 5 runs (median of 5 rounds) on a 2-vCPU VM
-(Python 3.11.7, numpy 2.4.6): ``table1`` (2D) 0.50 µs/step against 0.88
-with base blocks only, ``fig7`` (2D) 0.56 against 0.78, ``demo3d`` (3D,
-no spans) 6.3 against 5.9, which is noise on that VM
-(``BENCH_planar_blocks.json``). The per-step loop took 8.4, 8.8 and 19.9
-µs/step in an earlier measurement on the same VM.
+Contact-law (``wrench``) calls per run on the bundled scenarios:
+``table1`` 25 and ``fig7`` 50 in either mode, ``demo3d`` 211.
+``integrate_dde`` as :func:`simulate` calls it, recording included, best
+of 5 runs (median of 8 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
+2.4.6): about 0.8 µs/step in 2D and 8 to 10 µs/step in 3D, where the
+attitude loop takes most of the time (``BENCH_spatial_spans.json``, from
+``scripts/bench_layers.py``). The per-step loop took 8.4, 8.8 and 19.9
+µs/step on ``table1``, ``fig7`` and ``demo3d`` in an earlier measurement.
 
 The contact channels :func:`simulate` records are the force and torque the
 integrator applied, which it leaves on the model as ``model.applied``, in
@@ -120,6 +122,7 @@ from .core import (
     ValidationError,
     activation_problem,
     delay_problem,
+    nonnegative_problem,
     step_count,
     write_csv,
 )
@@ -131,9 +134,8 @@ Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 # model: a block of int(h/dt) - 1 steps then pays more for its numpy calls
 # than it saves (measured crossover, see the module docstring)
 MIN_BLOCK_RATIO = 9
-# length of a speculative span of planar free flight, in blocks of
-# int(h/dt) - 1 steps (measured: 4 to 16 all pay, 8 most; see the module
-# docstring)
+# length of a speculative span of free flight, in blocks of int(h/dt) - 1
+# steps (measured on planar runs: 4 to 16 all pay, 8 most)
 SPECULATIVE_BLOCKS = 8
 
 
@@ -167,8 +169,8 @@ def integrate_dde(
     ``model`` is the :class:`PlanarModel` or :class:`SpatialModel` whose
     scalar form is ``rhs``. Given one and h/dt >= MIN_BLOCK_RATIO, the run
     advances in blocks of int(h/dt) - 1 steps with the model's block form
-    (in 2D, under a steady wrench, in checked spans of SPECULATIVE_BLOCKS
-    blocks) and never calls ``rhs``; the rows are the same bit for bit.
+    (under a steady wrench, in checked spans of SPECULATIVE_BLOCKS blocks)
+    and never calls ``rhs``; the rows are the same bit for bit.
     Given a model, the run also sets ``model.applied`` to (f, tau), the
     force and torque applied at every row, one row per grid point: the
     model's ``wrench`` at the rows sampled one delay back
@@ -230,22 +232,24 @@ def integrate_dde(
 
 
 def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> None:
-    """Fill Y block by block. Steps i..j-1 with j - i <= int(h/dt) - 1 read
-    delayed samples at fractional rows <= i - 1, so rows <= i, which are
-    final: one lerp and one call of the model give every stage sample of
-    the block. The even samples, k - ratio for k = i..j, are the delayed
-    samples of rows i..j, so their wrench is recorded as ``model.applied``.
+    """Fill Y block by block with the model's ``wrench`` and ``push``.
+    Steps i..j-1 with j - i <= int(h/dt) - 1 read delayed samples at
+    fractional rows <= i - 1, so rows <= i, which are final: one lerp and
+    one ``wrench`` call give the wrench at every stage sample of the block,
+    and ``push`` steps the block under it. The even samples, k - ratio for
+    k = i..j, are the delayed samples of rows i..j, so their wrench is
+    recorded as ``model.applied``.
 
-    After a block whose wrench samples are all bitwise equal, a model that
-    ``speculates`` (the planar one) runs a span of SPECULATIVE_BLOCKS
-    blocks on a guess: it pushes the span's rows under that held wrench,
-    then lerps the span's own stage samples from them and evaluates the
-    wrench there. Step s reads samples 2s, 2s + 1 and 2s + 2, which read
-    rows <= i + s only, so while every sample so far equals the held
-    wrench the pushed rows are the sequential ones: with the first
-    mismatch at sample m, the first (m - 1) // 2 steps are committed and
-    the rest is recomputed by normal blocks from the first uncommitted
-    step. A span that commits nothing falls through to a normal block.
+    After a block whose wrench samples are all bitwise equal, a span of
+    SPECULATIVE_BLOCKS blocks runs on a guess: ``push`` steps the span's
+    rows under that held wrench, then the span's own stage samples are
+    lerped from them and ``wrench`` is evaluated there. Step s reads
+    samples 2s, 2s + 1 and 2s + 2, which read rows <= i + s only, so while
+    every sample so far equals the held wrench the pushed rows are the
+    sequential ones: with the first mismatch at sample m, the first
+    (m - 1) // 2 steps are committed and the rest is recomputed by normal
+    blocks from the first uncommitted step. A span that commits nothing
+    falls through to a normal block.
 
     Each finished block, and each committed part of a span, is checked for
     divergence, which raises at its first offending row."""
@@ -266,8 +270,9 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
         while i < n:
             if held is None:
                 j = min(n, i + span)
-                f, tau = model.advance(Y[i:j + 1], _lerp_rows(history, q[2 * i:2 * j + 1]).T, dt)
-                if model.speculates and _first_change(f, tau, f[:1], tau[:1]) == len(f):
+                f, tau = model.wrench(_lerp_rows(history, q[2 * i:2 * j + 1]).T)
+                model.push(Y[i:j + 1], f, tau, dt)
+                if _first_change(f, tau, f[:1], tau[:1]) == len(f):
                     held = f[:1], tau[:1]
             else:
                 j = min(n, i + SPECULATIVE_BLOCKS * span)
@@ -292,10 +297,17 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
 
 def _first_change(f: np.ndarray, tau: np.ndarray, f0: np.ndarray, tau0: np.ndarray) -> int:
     """Index of the first sample whose f or tau differs from the one-sample
-    f0 or tau0 bit for bit (so signed zeros count), or len(f) if none."""
-    changed = np.flatnonzero((f.view(np.int64) != f0.view(np.int64))
-                             | (tau.view(np.int64) != tau0.view(np.int64)))
-    return int(changed[0]) if len(changed) else len(f)
+    f0 or tau0 bit for bit (so signed zeros count), or len(f) if none; a
+    3D torque row differs if any of its components does."""
+    m = len(f)
+    for x, x0 in ((f, f0), (tau, tau0)):
+        # flat indices, so a sample's row of x.size // len(f) components
+        # maps back to it by floor division (no reduction along the rows,
+        # which costs numpy several times more)
+        changed = np.flatnonzero(x.view(np.int64) != x0.view(np.int64))
+        if len(changed):
+            m = min(m, int(changed[0]) // (x.size // len(f)))
+    return m
 
 
 def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
@@ -401,7 +413,6 @@ class PlanarModel:
     arrays, with no per-step loop."""
 
     columns = 4  # the law reads (z, v_z, theta, omega) of a delayed sample
-    speculates = True  # a held wrench pushes a span on arrays (push)
     torque_shape = ()  # tau is the scalar x-torque
     unit_slice = None  # no column to renormalize
 
@@ -466,13 +477,6 @@ class PlanarModel:
             f = np.where(d < 0.0, f, 0.0)
         return f, torque_2d(f, self.a, s)
 
-    def advance(self, seg, xd, dt):
-        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd;
-        returns the wrench at those samples."""
-        f, tau = self.wrench(xd)
-        self.push(seg, f, tau, dt)
-        return f, tau
-
     def push(self, seg, f, tau, dt):
         """Steps i..j-1 into seg = Y[i:j+1] under the wrench (f, tau) at
         their 2 (j - i) + 1 stage samples, or under one held sample of it."""
@@ -532,9 +536,6 @@ class SpatialModel:
     renormalizes it."""
 
     columns = 12
-    # no speculative spans: the push is the per-step attitude loop, so a
-    # rejected span would waste whole loop steps
-    speculates = False
     torque_shape = (3,)  # tau is the body torque, three columns per row
     unit_slice = slice(6, 9)  # d_c3, renormalized after every step
 
@@ -586,13 +587,13 @@ class SpatialModel:
             f = np.where(d < 0.0, f, 0.0)
         return f, np.column_stack(torque_3d(f, self.a_B, c0, c1, c2))
 
-    def advance(self, seg, xd, dt):
-        """Steps i..j-1 into seg = Y[i:j+1] from their stage samples xd;
-        returns the wrench at those samples."""
-        f, tau = self.wrench(xd)
-        _advance_pairs(seg, slice(0, 3), slice(3, 6), np.multiply.outer(self.n_hat, f / self.m), dt)
+    def push(self, seg, f, tau, dt):
+        """Steps i..j-1 into seg = Y[i:j+1] under the wrench (f, tau) at
+        their 2 (j - i) + 1 stage samples, or under one held sample of it."""
+        tx, ty, tz = np.broadcast_to(tau, (2 * len(seg) - 1, 3)).T.tolist()
+        acc = np.broadcast_to(np.multiply.outer(self.n_hat, f / self.m), (3, len(tx)))
+        _advance_pairs(seg, slice(0, 3), slice(3, 6), acc, dt)
         spin = self.spin
-        tx, ty, tz = tau.T.tolist()
         half = 0.5 * dt
         sixth = dt / 6.0
         c0, c1, c2, w0, w1, w2 = seg[0, 6:12].tolist()
@@ -627,7 +628,6 @@ class SpatialModel:
             c2 /= norm
             rows.append((c0, c1, c2, w0, w1, w2))
         seg[1:, 6:12] = rows
-        return f, tau
 
 
 # --- trajectory recording and contact events ---
@@ -684,8 +684,11 @@ def extract_events(
     mean of d_dot over that span just before entry / after exit, clipped to
     samples outside contact and to the neighbouring events; window = 0 takes
     the single bracketing sample. Events still open at the end of the run
-    are dropped.
+    are dropped. window must be finite and >= 0 (ValueError).
     """
+    problem = nonnegative_problem("window", window)
+    if problem:
+        raise ValueError(problem)
     d = np.asarray(d)
     d_dot = np.asarray(d_dot)
     times = np.asarray(times)
@@ -695,7 +698,8 @@ def extract_events(
     inside = d < 0.0
     starts = np.flatnonzero(inside[1:] & ~inside[:-1]) + 1
     events: list[ContactEvent] = []
-    n_w = max(1, int(round(window / dt))) if window > 0.0 else 1
+    # a window longer than the run covers the run
+    n_w = max(1, int(round(min(window / dt, len(d))))) if window > 0.0 else 1
     prev_exit = 0
     for i_in in starts:
         after = np.flatnonzero(~inside[i_in:])

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import delay_problem, write_csv
+from .core import delay_problem, nonnegative_problem, write_csv
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
 CRITICAL_DAMPING_HTOL = 1e-9  # [s]
@@ -123,13 +123,6 @@ def crossing_frequency(mu: float, beta: float, kappa: float) -> float:
     return _closed_form(mu, beta, kappa)[0]
 
 
-def crossing_direction(mu: float, beta: float, kappa: float) -> float:
-    """Crossing indicator sigma(omega_c). Positive: the root pair leaves the
-    open left half-plane (switch). For this system it is always positive, so
-    delays beyond h_c can never restabilize."""
-    return _closed_form(mu, beta, kappa)[1]
-
-
 def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> tuple[float, list[float]]:
     """First critical delay h_c and the first n_delays crossing delays h_n.
 
@@ -139,14 +132,6 @@ def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> 
     """
     h_n = _closed_form(mu, beta, kappa, n_delays)[2]
     return h_n[0], h_n
-
-
-def approx_critical_delay(beta: float, kappa: float) -> float:
-    """Small-ratio approximation h_c = beta/kappa, valid for
-    omega_c*beta << kappa."""
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
-    return beta / kappa
 
 
 def critical_damping(mu: float, kappa: float, h: float) -> float:
@@ -237,14 +222,13 @@ def analyze(
     n_delays: int = 5,
     band: float = DEFAULT_NEUTRAL_BAND,
 ) -> StabilityResult:
-    """Full pole-location summary; verdict included when h is given."""
+    """Full pole-location summary; verdict included when h is given. h
+    and band must be finite and >= 0 (ValueError), band also without h."""
     omega_c, sigma, h_n = _closed_form(mu, beta, kappa, n_delays)
-    verdict = None
-    if h is not None:
-        problem = delay_problem(h)
-        if problem:
-            raise ValueError(problem)
-        verdict = classify(h, h_n[0], band)
+    problem = nonnegative_problem("band", band) or (None if h is None else delay_problem(h))
+    if problem:
+        raise ValueError(problem)
+    verdict = None if h is None else classify(h, h_n[0], band)
     return StabilityResult(
         mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_n[0],
         h_n=tuple(h_n), sigma=sigma, h=h, verdict=verdict,

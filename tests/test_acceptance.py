@@ -97,7 +97,7 @@ def test_criterion_03_approximation_validity():
         if omega_c * beta / kappa >= 0.3:
             continue
         h_c, _ = ds.critical_delays(mu, beta, kappa)
-        worst = max(worst, abs(ds.approx_critical_delay(beta, kappa) - h_c) / h_c)
+        worst = max(worst, abs(beta / kappa - h_c) / h_c)
         checked += 1
     h_check, _ = ds.critical_delays(60.0, 20.0, 1000.0)
     checkpoint_err = abs(h_check - 0.020) / 0.020

@@ -53,6 +53,20 @@ def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
     assert err.count("\n") == 1  # one line, no traceback
 
 
+@pytest.mark.parametrize("key", ["averaging_window", "neutrality_band"])
+@pytest.mark.parametrize("value", ["1e400", "NaN", "-1", "Infinity"])
+def test_unusable_analysis_option_exits_1(tmp_path, capsys, key, value):
+    # 1e400 reads as inf: the window used to end in an OverflowError
+    # traceback, a NaN or negative window in one sample, and a bad band
+    # rewrote every verdict ("neutral" for inf)
+    code = run("simulate", "table1.json", "--set", f"analysis.{key}={value}",
+               "--out", str(tmp_path / "bad"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: analysis.{key} must be finite and >= 0, got {float(value)!r}\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
 def test_energy_tolerance_is_not_a_scenario_key(tmp_path, capsys):
     code = run("simulate", "table1.json", "--set", "analysis.energy_tolerance=1e-6",
                "--out", str(tmp_path / "x"))
@@ -173,6 +187,14 @@ class TestStability:
         assert run("stability", *source, "--h", h, *json_flag) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: h must be finite and >= 0, got {float(h)!r}\n"
+
+    @pytest.mark.parametrize("band", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("source", [["--mu", "1", "--beta", "1", "--kappa", "1"],
+                                        ["--from-scenario", "table1.json"]])
+    def test_unusable_band_exits_1(self, capsys, band, source):
+        assert run("stability", *source, "--h", "0.5", "--band", band) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: band must be finite and >= 0, got {float(band)!r}\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -352,20 +352,15 @@ class TestSimulate:
         ds.simulate(cfg, body, table1_contact(b_v=50.0), mode=mode)
         assert len(models) == 1 and calls[0] == 4 * 1000
 
-    def test_planar_free_flight_runs_in_speculative_spans(self, body, monkeypatch):
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_free_flight_runs_in_speculative_spans(self, body, monkeypatch, mode):
         # table1 spends about 81% of its 12 000 steps in free flight, where
-        # the delayed wrench is steady: speculative spans of
-        # SPECULATIVE_BLOCKS blocks cover it, so the contact law runs far
-        # fewer times than the 76 blocks of 159 steps
-        calls = count_wrench_calls(monkeypatch, PlanarModel)
-        ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode="2d")
-        assert 0 < calls[0] < 76 // 2
-
-    def test_spatial_model_never_speculates(self, body, monkeypatch):
-        # the same run in 3D: one wrench call per block of 159 steps
-        calls = count_wrench_calls(monkeypatch, SpatialModel)
-        _, events = ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode="3d")
-        assert events and calls[0] == math.ceil(12000 / 159)
+        # the delayed wrench is steady: in either mode, speculative spans of
+        # SPECULATIVE_BLOCKS blocks cover it, so the contact law runs 25
+        # times instead of once per block of 159 steps (76 blocks)
+        calls = count_wrench_calls(monkeypatch, dynamics._MODELS[mode])
+        _, events = ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode=mode)
+        assert events and calls[0] == 25 < math.ceil(12000 / 159)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("h", [-0.016, math.nan, math.inf, 5e-5])  # 5e-5 is dt/2
@@ -551,6 +546,18 @@ class TestExtractEvents:
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_samples_have_no_event(self, n):
         assert extract_events(np.zeros(n), -np.ones(n), np.zeros(n)) == []
+
+    @pytest.mark.parametrize("window", [math.nan, -0.02, math.inf, 1e300])
+    def test_unusable_window_is_rejected(self, window):
+        t = np.arange(10) * 0.1
+        d = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        if window == 1e300:
+            # finite: the average covers every sample outside contact
+            (ev,) = extract_events(t, d, t, window=window)
+            assert ev.v_minus == np.mean(t[:2]) and ev.v_plus == np.mean(t[4:])
+            return
+        with pytest.raises(ValueError, match=f"window must be finite and >= 0, got {window!r}"):
+            extract_events(t, d, t, window=window)
 
 
 def test_trajectory_csv_round_trip(tmp_path, body, contact):

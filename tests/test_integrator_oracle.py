@@ -270,25 +270,30 @@ def spinning_3d_run(activation):
     pytest.param("2d", 0.0, id="2d-still"),
     pytest.param("2d", -0.0, id="2d-still-negative-zero"),
     pytest.param("3d", None, id="3d"),
+    # the same approach in 3D, the attitude held still: accepted spans and
+    # a span rejected at contact onset run through the attitude loop
+    pytest.param("3d", 0.0, id="3d-still"),
 ])
 def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h):
-    if mode == "2d":
+    if omega is None:
+        rhs, y0, model = spinning_3d_run(activation)
+        unit_slice = slice(6, 9)
+    else:
         body = ds.BodyParams(m=60.0, J=np.diag([1.43, 1.43, 1.43]), a_B=[0.0, 0.0, 0.3])
         contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
                                    springs=((800.0, [0.0, 0.6, 0.8]),), activation=activation)
         state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=omega, v_y=0.01)
-        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
-        model = PlanarModel(body, contact)
-    else:
-        rhs, y0, model = spinning_3d_run(activation)
-        unit_slice = slice(6, 9)
+        model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
+        y0 = model.initial_vector(state)
+        rhs, unit_slice = model.rhs, model.unit_slice
     new, ref = run_both(rhs, y0, 1e-4, 1.2, h, unit_slice, 1e3, model)
     assert_bitwise_equal(new, ref)
     v_z = ref[1][:, 5 if mode == "3d" else 1]
     if omega == 0.0 and activation == "unilateral":
-        # theta held still until the probe reached the wall, which slowed it
-        theta = ref[1][:, 2]
-        assert (theta[:5000] == theta[0]).all() and v_z[0] < v_z.max()
+        # the attitude held still until the probe reached the wall, which
+        # slowed it
+        attitude = ref[1][:, 6:9] if mode == "3d" else ref[1][:, 2:3]
+        assert (attitude[:5000] == attitude[0]).all() and v_z[0] < v_z.max()
     else:
         # the probe reached the wall and was pushed back out
         assert v_z[0] < 0.0 < v_z.max()
@@ -406,14 +411,24 @@ def test_fast_forward_signed_zeros_match_numpy_scheme_bitwise(theta, omega, v_y)
     assert contact_events(ref, SPIN_BODY.a)
 
 
-@pytest.mark.parametrize("bound", [1.5, 1.2345])
-def test_fast_forward_reports_divergence_identically(bound):
+@pytest.mark.parametrize("mode, bound", [
+    pytest.param("2d", 1.5, id="1.5"),
+    pytest.param("2d", 1.2345, id="1.2345"),
+    pytest.param("3d", 1.5, id="3d-1.5"),
+    pytest.param("3d", 1.2345, id="3d-1.2345"),
+])
+def test_fast_forward_reports_divergence_identically(mode, bound):
     # a free drift away from the wall crosses the bound inside a committed
-    # speculative span: the delayed force is zero and the torque -0.0 from
-    # the first block of 15 steps on, so spans of SPECULATIVE_BLOCKS blocks
-    # start at step 15 and commit whole
+    # speculative span: the delayed force is zero and the torque steady
+    # from the first block of 15 steps on, so spans of SPECULATIVE_BLOCKS
+    # blocks start at step 15 and commit whole
     state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
-    new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
+    if mode == "2d":
+        new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
+    else:
+        model = SpatialModel(SPIN_BODY, SPIN_CONTACT)
+        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 0.0163,
+                            model.unit_slice, bound, model)
     assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)

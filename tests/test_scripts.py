@@ -53,3 +53,20 @@ def test_run_demo3d(tmp_path):
     assert digest == DEMO3D_TRAJ_SHA
     digest = hashlib.sha256((tmp_path / "damped.events.json").read_bytes()).hexdigest()
     assert digest == DEMO3D_EVENTS_SHA
+
+
+def test_bench_layers(tmp_path):
+    cases = {"table1-2d", "fig7-2d", "table1-3d", "fig7-3d", "demo3d-3d"}
+    out = tmp_path / "bench.json"
+    run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1", "--repeat", "1", "--out", str(out))
+    workloads = json.loads(out.read_text())["workloads"]
+    assert set(workloads) == cases
+    for case in workloads.values():
+        # 500 steps: one block of 159 steps, then one speculative span
+        assert case["steps"] == 500 and case["wrench_calls_per_run"] == 2
+        assert case["median_of_round_bests"] > 0.0
+    # one round of each side in its own process
+    report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
+                                   "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
+    assert set(report["sides"]) == {"a", "b"}
+    assert all(set(side) == cases for side in report["sides"].values())

@@ -9,11 +9,9 @@ from docksim.stability import (
     BoundaryPoint,
     _closed_form,
     analyze,
-    approx_critical_delay,
     classify,
     critical_damping,
     critical_delays,
-    crossing_direction,
     crossing_frequency,
     stability_boundary,
     verdict_4th_order,
@@ -61,9 +59,8 @@ class TestCriticalDelays:
         assert 0.016 <= h_c <= 0.017
 
     def test_heavy_slow_point_matches_approximation(self):
-        h_c, _ = critical_delays(63.0, 16.0, 1000.0)
-        assert h_c == pytest.approx(0.016, rel=5e-3)
-        assert approx_critical_delay(16.0, 1000.0) == pytest.approx(0.016)
+        # the small-ratio approximation h_c = beta / kappa
+        assert analyze(63.0, 16.0, 1000.0).h_c == pytest.approx(16.0 / 1000.0, rel=5e-3)
 
     @given(coeff_draws)
     def test_delays_strictly_increase(self, draw):
@@ -81,14 +78,12 @@ class TestCriticalDelays:
 
 
 class TestApproximation:
-    def test_plain_division(self):
-        assert approx_critical_delay(50.0, 3000.0) == pytest.approx(50.0 / 3000.0)
+    """The small-ratio approximation h_c = beta / kappa, valid for
+    omega_c beta << kappa."""
 
     def test_figure_checkpoint(self):
         # beta = 20, kappa = 1000 at mu = 60: plot reads ~20 ms
-        assert approx_critical_delay(20.0, 1000.0) == pytest.approx(0.020)
-        h_c, _ = critical_delays(60.0, 20.0, 1000.0)
-        assert h_c == pytest.approx(0.020, rel=0.02)
+        assert analyze(60.0, 20.0, 1000.0).h_c == pytest.approx(20.0 / 1000.0, rel=0.02)
 
     @settings(max_examples=500)
     @given(coeff_draws)
@@ -97,24 +92,28 @@ class TestApproximation:
         w = crossing_frequency(mu, beta, kappa)
         if w * beta / kappa >= 0.3 or beta == 0.0:
             return
-        h_c, _ = critical_delays(mu, beta, kappa)
+        h_c = analyze(mu, beta, kappa).h_c
         if h_c == 0.0:
             # beta so small that omega*beta/kappa underflows: both forms are 0
-            assert approx_critical_delay(beta, kappa) < 1e-300
+            assert beta / kappa < 1e-300
             return
-        assert abs(approx_critical_delay(beta, kappa) - h_c) / h_c < 0.05
+        assert abs(beta / kappa - h_c) / h_c < 0.05
 
 
 class TestCrossingDirection:
+    """The crossing indicator sigma(omega_c) that analyze returns. Positive:
+    the root pair leaves the open left half-plane (switch), so delays
+    beyond h_c can never restabilize."""
+
     def test_undamped(self):
-        assert crossing_direction(M_A, 0.0, 3000.0) == pytest.approx(3000.0 / M_A)
+        assert analyze(M_A, 0.0, 3000.0).sigma == pytest.approx(3000.0 / M_A)
 
     def test_reference_value(self):
-        assert crossing_direction(M_A, 50.0, 3000.0) == pytest.approx(192.37627547624527, rel=1e-12)
+        assert analyze(M_A, 50.0, 3000.0).sigma == pytest.approx(192.37627547624527, rel=1e-12)
 
     @given(coeff_draws)
     def test_always_a_switch(self, draw):
-        assert crossing_direction(*draw) > 0.0
+        assert analyze(*draw).sigma > 0.0
 
     @settings(max_examples=200)
     @given(coeff_draws)
@@ -126,7 +125,7 @@ class TestCrossingDirection:
         gain = lambda om: (mu * om * om) ** 2 - ((beta * om) ** 2 + kappa * kappa)
         dw = 1e-6 * w
         fd = (gain(w + dw) - gain(w - dw)) / (2 * dw)
-        assert fd / (4 * mu * mu * w) == pytest.approx(crossing_direction(mu, beta, kappa), rel=1e-6)
+        assert fd / (4 * mu * mu * w) == pytest.approx(analyze(mu, beta, kappa).sigma, rel=1e-6)
 
 
 class TestCriticalDamping:
@@ -345,6 +344,17 @@ class TestClassify:
         assert analyze(M_A, 50.0, 3000.0, h=h).verdict == classify(h, res.h_c, 0.01)
         v = verdict_4th_order(table1_body(), table1_contact(b_v=50.0), h)
         assert v.verdict == classify(h, v.h_c, 0.01)
+
+
+@pytest.mark.parametrize("band", [math.nan, -0.01, math.inf])
+def test_unusable_band_is_rejected(band):
+    message = f"band must be finite and >= 0, got {band!r}"
+    with pytest.raises(ValueError, match=message):
+        analyze(M_A, 50.0, 3000.0, band=band)
+    with pytest.raises(ValueError, match=message):
+        analyze(M_A, 50.0, 3000.0, h=0.016, band=band)
+    with pytest.raises(ValueError, match=message):
+        verdict_4th_order(table1_body(), table1_contact(b_v=50.0), 0.016, band=band)
 
 
 def test_as_dict_leaves_out_missing_delay():
