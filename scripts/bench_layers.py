@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the block path: integrate_dde microseconds per step
-and contact-law (model ``wrench``) calls per run on the bundled scenarios,
-table1 and fig7 in 2D and table1, fig7 and demo3d in 3D.
+"""Layer benchmark of the block path and of CSV export: integrate_dde
+microseconds per step, contact-law (model ``wrench``) calls per run, and
+write_trajectory_csv / read_trajectory_csv microseconds per row on the
+bundled scenarios, table1 and fig7 in 2D and table1, fig7 and demo3d in 3D.
 
 integrate_dde is called as docksim.dynamics.simulate calls it: the model's
 scalar rhs, its unit slice, the divergence bound 1e3 * max(|y0|, 1) and
 the model itself, so the recorded wrench is included. Each case gets one
 untimed warm-up run, which also counts the wrench calls, then --repeat
-timed runs (time.perf_counter); a round keeps the best of them. The JSON
-holds each round's best and the median of the round bests.
+timed runs (time.perf_counter); a round keeps the best of them. The CSV
+timings write the case's simulate trajectory (rows and columns stated) to
+a temporary file and read it back, best of --repeat each after one untimed
+write. The JSON holds each round's best and the median of the round bests.
 
 Without --side, every round runs in this process on the docksim it
 imports. With --side LABEL=SRC (repeatable), every round runs each side in
@@ -28,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -35,8 +39,18 @@ import numpy as np
 CASES = [("table1", "2d"), ("fig7", "2d"), ("table1", "3d"), ("fig7", "3d"), ("demo3d", "3d")]
 
 
+def best_of(repeat, fn) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def measure(t_end, repeat) -> dict:
-    """One round: {case: {steps, wrench_calls, us_per_step}}."""
+    """One round: {case: {steps, wrench_calls, us_per_step, csv_rows,
+    csv_columns, write_us_per_row, read_us_per_row}}."""
     from docksim import dynamics
     from docksim.cli import load_scenario, scenario_path
 
@@ -64,27 +78,45 @@ def measure(t_end, repeat) -> dict:
         model.wrench = counted
         steps = len(run()[0]) - 1
         model.wrench = wrench
-        best = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
+        best = best_of(repeat, run)
+
+        traj, _ = dynamics.simulate(sim, body, contact, mode=mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bench.traj.csv")
+            dynamics.write_trajectory_csv(traj, path)
+            with open(path) as fh:
+                columns = fh.readline().count(",") + 1
+            write = best_of(repeat, lambda: dynamics.write_trajectory_csv(traj, path))
+            read = best_of(repeat, lambda: dynamics.read_trajectory_csv(path))
+        rows = len(traj.times)
         result[f"{name}-{mode}"] = {"steps": steps, "wrench_calls": calls[0],
-                                    "us_per_step": round(best / steps * 1e6, 4)}
+                                    "us_per_step": round(best / steps * 1e6, 4),
+                                    "csv_rows": rows, "csv_columns": columns,
+                                    "write_us_per_row": round(write / rows * 1e6, 4),
+                                    "read_us_per_row": round(read / rows * 1e6, 4)}
     return result
 
 
 def summarize(rounds: list) -> dict:
-    """Per case: steps, wrench calls per run, the round bests and their median."""
+    """Per case: steps, wrench calls per run, the round bests and their
+    median; then the CSV size and the write/read round bests and medians."""
     out = {}
     for case in rounds[0]:
-        bests = [r[case]["us_per_step"] for r in rounds]
+        first = rounds[0][case]
+        bests = {key: [r[case][key] for r in rounds]
+                 for key in ("us_per_step", "write_us_per_row", "read_us_per_row")}
         out[case] = {
-            "steps": rounds[0][case]["steps"],
-            "wrench_calls_per_run": rounds[0][case]["wrench_calls"],
-            "best_of_repeat_per_round": bests,
-            "median_of_round_bests": round(statistics.median(bests), 4),
+            "steps": first["steps"],
+            "wrench_calls_per_run": first["wrench_calls"],
+            "best_of_repeat_per_round": bests["us_per_step"],
+            "median_of_round_bests": round(statistics.median(bests["us_per_step"]), 4),
+            "csv_rows": first["csv_rows"],
+            "csv_columns": first["csv_columns"],
         }
+        for fn, key in (("write_trajectory_csv", "write_us_per_row"),
+                        ("read_trajectory_csv", "read_us_per_row")):
+            out[case][f"{fn}_us_per_row_per_round"] = bests[key]
+            out[case][f"{fn}_us_per_row"] = round(statistics.median(bests[key]), 4)
     return out
 
 
@@ -115,14 +147,15 @@ def main() -> int:
         return 0
 
     report = {
-        "what": "integrate_dde microseconds per step (as simulate calls it) and model wrench "
-                "calls per run, per scenario and mode",
+        "what": "integrate_dde microseconds per step (as simulate calls it), model wrench "
+                "calls per run, and write_trajectory_csv / read_trajectory_csv microseconds "
+                "per row of the simulate trajectory, per scenario and mode",
         "method": f"{args.rounds} rounds; per round and case one untimed warm-up run, then the best "
                   f"of {args.repeat} timed runs",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
         "t_end": args.t_end,
-        "unit": "us/step",
+        "unit": "us/step; CSV: us/row",
     }
     if args.side:
         sides = [s.split("=", 1) for s in args.side]

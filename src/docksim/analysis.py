@@ -44,8 +44,10 @@ def restitution(event: ContactEvent, band: float = DEFAULT_RESTITUTION_BAND) -> 
 
     epsilon < 1 reads stable (energy lost), epsilon > 1 unstable (energy
     injected); a band around 1 reads neutral (:func:`docksim.stability.classify`
-    with limit 1). Raises when the event has no impact velocity (v_minus = 0).
+    with limit 1). Raises when the band is not finite and >= 0, or when the
+    event has no impact velocity (v_minus = 0).
     """
+    _check_band(band)
     if event.v_minus == 0.0:
         raise ValueError("no impact velocity: v_minus is zero")
     eps = abs(event.v_plus) / abs(event.v_minus)
@@ -55,7 +57,9 @@ def restitution(event: ContactEvent, band: float = DEFAULT_RESTITUTION_BAND) -> 
 def events_payload(events: Sequence[ContactEvent], band: float) -> list[dict]:
     """JSON-ready list of contact events, each with its restitution reading;
     an event without impact velocity gets epsilon None and the
-    classification "no impact velocity"."""
+    classification "no impact velocity". Raises when the band is not
+    finite and >= 0, with or without events."""
+    _check_band(band)
     payload = []
     for ev in events:
         entry = {"t_in": ev.t_in, "t_out": ev.t_out, "v_minus": ev.v_minus,
@@ -67,6 +71,12 @@ def events_payload(events: Sequence[ContactEvent], band: float) -> list[dict]:
             entry.update(epsilon=None, classification="no impact velocity")
         payload.append(entry)
     return payload
+
+
+def _check_band(band: float) -> None:
+    problem = nonnegative_problem("band", band)
+    if problem:
+        raise ValueError(problem)
 
 
 def _channels(name: str, arr) -> np.ndarray:

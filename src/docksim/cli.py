@@ -60,15 +60,24 @@ def _check_keys(section: str, data: dict, allowed: set[str], required: tuple[str
             raise ScenarioError(f"{section}: missing {key}")
 
 
+def _number(section: str, data: dict, key: str, default=None, kind=float):
+    """data[key] (or a non-None default when absent) as kind. JSON
+    true/false are not numbers, though float(True) would read them as 1."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool):
+        raise ScenarioError(f"{section}.{key} must be a number, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _angle(section: str, data: dict, name: str, required: bool = True):
     """Read an angle given either in radians (name) or degrees (name_deg)."""
     deg = name + "_deg"
     if name in data and deg in data:
         raise ScenarioError(f"{section}: give either {name} or {deg}, not both")
     if name in data:
-        return float(data[name])
+        return _number(section, data, name)
     if deg in data:
-        return math.radians(float(data[deg]))
+        return math.radians(_number(section, data, deg))
     if required:
         raise ScenarioError(f"{section}: missing {name} (or {deg})")
     return None
@@ -137,20 +146,21 @@ def _parse_scenario(doc, overrides: list[str]):
         raise ScenarioError("body: give exactly one of J (3x3) or J_x")
     if ("a" in body_doc) == ("a_B" in body_doc):
         raise ScenarioError("body: give exactly one of a (probe length) or a_B (probe vector)")
-    J = body_doc["J"] if "J" in body_doc else np.diag([float(body_doc["J_x"])] * 3)
-    a_B = body_doc["a_B"] if "a_B" in body_doc else [0.0, 0.0, float(body_doc["a"])]
-    body = BodyParams(m=float(body_doc["m"]), J=J, a_B=a_B)
+    J = body_doc["J"] if "J" in body_doc else np.diag([_number("body", body_doc, "J_x")] * 3)
+    a_B = body_doc["a_B"] if "a_B" in body_doc else [0.0, 0.0, _number("body", body_doc, "a")]
+    body = BodyParams(m=_number("body", body_doc, "m"), J=J, a_B=a_B)
 
     contact_doc = doc["contact"]
     _check_keys("contact", contact_doc,
                 {"k_v", "b_v", "alpha", "alpha_deg", "springs", "n_hat", "activation"}, ("k_v", "b_v"))
     springs = []
     for i, spring in enumerate(contact_doc.get("springs", [])):
-        _check_keys(f"contact.springs[{i}]", spring, {"k", "l_hat"}, ("k", "l_hat"))
-        springs.append((float(spring["k"]), spring["l_hat"]))
+        section = f"contact.springs[{i}]"
+        _check_keys(section, spring, {"k", "l_hat"}, ("k", "l_hat"))
+        springs.append((_number(section, spring, "k"), spring["l_hat"]))
     contact = ContactParams(
-        k_v=float(contact_doc["k_v"]),
-        b_v=float(contact_doc["b_v"]),
+        k_v=_number("contact", contact_doc, "k_v"),
+        b_v=_number("contact", contact_doc, "b_v"),
         alpha=_angle("contact", contact_doc, "alpha"),
         springs=tuple(springs),
         n_hat=contact_doc.get("n_hat", (0.0, 0.0, 1.0)),
@@ -165,12 +175,12 @@ def _parse_scenario(doc, overrides: list[str]):
         _check_keys("sim.initial", init_doc,
                     {"mode", "z", "v_z", "theta", "theta_deg", "omega", "y", "v_y"}, ("z", "v_z", "omega"))
         initial = ChaserState2D(
-            z=float(init_doc["z"]),
-            v_z=float(init_doc["v_z"]),
+            z=_number("sim.initial", init_doc, "z"),
+            v_z=_number("sim.initial", init_doc, "v_z"),
             theta=_angle("sim.initial", init_doc, "theta"),
-            omega=float(init_doc["omega"]),
-            y=float(init_doc.get("y", 0.0)),
-            v_y=float(init_doc.get("v_y", 0.0)),
+            omega=_number("sim.initial", init_doc, "omega"),
+            y=_number("sim.initial", init_doc, "y", 0.0),
+            v_y=_number("sim.initial", init_doc, "v_y", 0.0),
         )
     elif mode == "3d":
         _check_keys("sim.initial", init_doc, {"mode", "r", "v", "d_c3", "omega"},
@@ -181,16 +191,16 @@ def _parse_scenario(doc, overrides: list[str]):
     else:
         raise ScenarioError("sim.initial: mode must be '2d' or '3d'")
     sim = SimConfig(
-        h=float(sim_doc["h"]),
-        dt=float(sim_doc.get("dt", 1e-4)),
-        t_end=float(sim_doc["t_end"]),
+        h=_number("sim", sim_doc, "h"),
+        dt=_number("sim", sim_doc, "dt", 1e-4),
+        t_end=_number("sim", sim_doc, "t_end"),
         initial=initial,
-        record_every=int(sim_doc.get("record_every", 1)),
+        record_every=_number("sim", sim_doc, "record_every", 1, kind=int),
     )
 
     analysis_doc = dict(doc.get("analysis", {}))
     _check_keys("analysis", analysis_doc, set(ANALYSIS_DEFAULTS))
-    options = {**ANALYSIS_DEFAULTS, **{k: float(v) for k, v in analysis_doc.items()}}
+    options = {**ANALYSIS_DEFAULTS, **{k: _number("analysis", analysis_doc, k) for k in analysis_doc}}
     for key, value in options.items():
         problem = nonnegative_problem(f"analysis.{key}", value)
         if problem:

@@ -13,14 +13,16 @@ fixed steps a run takes, :func:`delay_problem` the one rule for which
 delays a run accepts, :func:`nonnegative_problem` the one rule for a value
 that must be finite and >= 0 (a delay, an averaging window, a neutrality
 band, a tolerance), and :func:`write_csv` the one writer of the
-9-significant-digit CSV data files.
+9-significant-digit CSV data files, which formats bounded chunks of rows
+with one ``%.9g`` format each and checks the header and label columns
+against the values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -34,6 +36,10 @@ UNIT_EXACT_TOL = 1e-12
 # t_end/dt may differ from a whole number by this fraction of itself (the
 # rounding of decimal inputs such as 1.2/1e-4 = 11999.999999999998).
 STEP_COUNT_RTOL = 1e-9
+# Rows that write_csv formats with one printf-style call: bounded, so a
+# chunk's text stays small, and large enough that the per-call overhead
+# vanishes (64 to 1024 rows write a 12 001 x 9 table equally fast).
+_CSV_CHUNK_ROWS = 512
 
 
 class ValidationError(ValueError):
@@ -286,16 +292,28 @@ def sample_count(span: float, dt: float) -> int:
 def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[Sequence[str]] = ()) -> None:
     """Header line, then one row per sample: the ``columns`` side by side
     (2-D blocks keep their columns) at 9 significant digits, negative zeros
-    as 0, followed by the text columns ``labels``. Rows are formatted one
-    at a time, never as a Python copy of the whole table."""
+    as 0, followed by the text columns ``labels``. A header whose length is
+    not the column count, or a label column whose length is not the row
+    count, raises ValueError. Rows are formatted ``_CSV_CHUNK_ROWS`` at a
+    time with one ``%`` format per chunk, never as a Python copy of the
+    whole table."""
     block = np.column_stack(columns)
     block += 0.0  # squash negative zeros for stable formatting
-    line = ",".join(["{:.9g}"] * block.shape[1] + ["{}"] * len(labels)) + "\n"
-    texts = zip(*labels) if labels else repeat(())
+    rows, width = block.shape
+    if len(header) != width + len(labels):
+        raise ValueError(f"header has {len(header)} names for {width} value and "
+                         f"{len(labels)} label columns")
+    for j, col in enumerate(labels):
+        if len(col) != rows:
+            raise ValueError(f"label column {j} has {len(col)} rows, the values have {rows}")
+    # "%.9g" % x and "{:.9g}".format(x) are the same float-to-text conversion
+    line = ",".join(["%.9g"] * width + ["%s"] * len(labels)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row, text in zip(block, texts):
-            fh.write(line.format(*row.tolist(), *text))
+        for i in range(0, rows, _CSV_CHUNK_ROWS):
+            cols = block[i:i + _CSV_CHUNK_ROWS].T.tolist()
+            cols += [col[i:i + _CSV_CHUNK_ROWS] for col in labels]
+            fh.write((line * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
 
 
 def _check_unit(name: str, vec: np.ndarray, diags: list[str]) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +56,12 @@ class TestRestitution:
         assert restitution(event(-1.0, np.nextafter(0.75, 0.0)), band=0.25).classification == "stable"
         assert restitution(event(-1.0, 1.0), band=0.0).classification == "neutral"
 
+    @pytest.mark.parametrize("band", [math.inf, math.nan, -1.0])
+    def test_unusable_band_raises(self, band):
+        # an infinite band used to read epsilon = 1.5 as neutral, nan and -1 as unstable
+        with pytest.raises(ValueError, match=f"^band must be finite and >= 0, got {band!r}$"):
+            restitution(event(-0.02, 0.03), band=band)
+
 
 class TestEventsPayload:
     def test_entries_carry_restitution(self):
@@ -66,6 +74,12 @@ class TestEventsPayload:
         assert entry["epsilon"] is None
         assert entry["classification"] == "no impact velocity"
         assert entry["max_depth"] == 1e-3
+
+    @pytest.mark.parametrize("events", [[event(-0.02, 0.03)], [event(0.0, 0.01)], []])
+    @pytest.mark.parametrize("band", [math.inf, math.nan, -1.0])
+    def test_unusable_band_raises(self, events, band):
+        with pytest.raises(ValueError, match=f"^band must be finite and >= 0, got {band!r}$"):
+            events_payload(events, band)
 
 
 def constant_streams(n, watts_measured=1.0, watts_input=0.0):

@@ -67,6 +67,35 @@ def test_unusable_analysis_option_exits_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "bad.traj.csv").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("body.m=true", "body.m must be a number, got true"),
+    ("contact.b_v=true", "contact.b_v must be a number, got true"),
+    ("contact.alpha_deg=false", "contact.alpha_deg must be a number, got false"),
+    ('contact.springs=[{"k": true, "l_hat": [0, 0, 1]}]', "contact.springs[0].k must be a number, got true"),
+    ("sim.initial.v_z=true", "sim.initial.v_z must be a number, got true"),
+    ("sim.initial.y=false", "sim.initial.y must be a number, got false"),
+    ("sim.record_every=true", "sim.record_every must be a number, got true"),
+    ("sim.dt=true", "sim.dt must be a number, got true"),
+    ("analysis.neutrality_band=false", "analysis.neutrality_band must be a number, got false"),
+])
+def test_boolean_for_a_number_exits_1(tmp_path, capsys, override, message):
+    # float(True) is 1.0: b_v = true used to run with b_v = 1 N*s/m
+    code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "bad"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
+def test_boolean_window_and_damping_exit_1(tmp_path, capsys):
+    # both used to be accepted: the run went ahead with b_v = 1 and a 1 s window
+    code = run("simulate", "table1", "--set", "contact.b_v=true",
+               "--set", "analysis.averaging_window=true", "--out", str(tmp_path / "bad"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: contact.b_v must be a number, got true\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
 def test_energy_tolerance_is_not_a_scenario_key(tmp_path, capsys):
     code = run("simulate", "table1.json", "--set", "analysis.energy_tolerance=1e-6",
                "--out", str(tmp_path / "x"))

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from docksim import (
     BodyParams,
@@ -15,7 +16,7 @@ from docksim import (
     nominal_state_2d,
     validate,
 )
-from docksim.core import delay_problem, step_count, write_csv
+from docksim.core import _CSV_CHUNK_ROWS, delay_problem, step_count, write_csv
 
 from conftest import depth_and_rate_2d, table1_body, table1_contact
 
@@ -280,3 +281,75 @@ def test_write_csv_format(tmp_path):
     assert path.read_text() == ("a,b,c,tag\n"
                                 "1,0.333333333,-2.5e-12,x\n"
                                 "0,1e+10,0.1,y\n")
+
+
+class TestWriteCsvChecks:
+    def test_short_label_column_raises(self, tmp_path):
+        # zip used to cut the table to the label's one row, without a word
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="^label column 0 has 1 rows, the values have 3$"):
+            write_csv(path, ["a", "b", "tag"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], labels=[["x"]])
+        assert not path.exists()
+
+    def test_long_label_column_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="label column 1 has 3 rows, the values have 2"):
+            write_csv(tmp_path / "out.csv", ["a", "s", "t"], [[1.0, 2.0]],
+                      labels=[["x", "y"], ["x", "y", "z"]])
+
+    @pytest.mark.parametrize("header", [["a"], ["a", "b", "c"], []])
+    def test_header_of_another_width_raises(self, tmp_path, header):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"^header has {len(header)} names for 2 value and 0 label columns$"):
+            write_csv(path, header, [[1.0, 2.0], [4.0, 5.0]])
+        assert not path.exists()
+
+
+def row_at_a_time_csv(path, header, columns, labels=()):
+    """Reference for write_csv: the writer it replaced, one str.format call
+    and one write per row."""
+    block = np.column_stack(columns)
+    block += 0.0
+    line = ",".join(["{:.9g}"] * block.shape[1] + ["{}"] * len(labels)) + "\n"
+    texts = zip(*labels) if labels else repeat(())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row, text in zip(block, texts):
+            fh.write(line.format(*row.tolist(), *text))
+
+
+MAX = np.finfo(float).max
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+               math.inf, -math.inf, math.nan, -math.nan, MAX, -MAX, np.nextafter(MAX, 0.0),
+               1e16, -1e16, 1e-16, 9999999995.0, 999999999.5, 0.1, 1e308, 1e-320]
+
+
+class TestWriteCsvMatchesRowWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.sampled_from([0, 1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                                 2 * _CSV_CHUNK_ROWS + 7]),
+           widths=st.lists(st.sampled_from([None, 1, 3]), min_size=1, max_size=4),
+           n_labels=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1),
+           drawn=st.lists(st.floats(width=64), max_size=8))
+    def test_same_bytes(self, tmp_path_factory, rows, widths, n_labels, seed, drawn):
+        # arbitrary float64 bit patterns (subnormals, nan payloads, both
+        # infinities), the edge values above and hypothesis's own floats
+        rng = np.random.default_rng(seed)
+        width = sum(1 if w is None else w for w in widths)
+        values = rng.integers(0, 2 ** 64, (rows, width), dtype=np.uint64, endpoint=False).view(float)
+        mask = rng.random((rows, width)) < 0.3
+        values[mask] = rng.choice(np.array(EDGE_FLOATS + drawn), mask.sum())
+        columns, at = [], 0
+        for w in widths:  # None: a 1-D column, else a 2-D block of w columns
+            columns.append(values[:, at] if w is None else values[:, at:at + w])
+            at += 1 if w is None else w
+        words = ["stable", "neutral", "unstable", "", "a b", "x,y"]
+        labels = [[words[k] for k in rng.integers(0, len(words), rows)] for _ in range(n_labels)]
+        header = [f"c{j}" for j in range(width + n_labels)]
+        out = tmp_path_factory.mktemp("csv")
+        # a random bit pattern may be a signaling nan, which raises numpy's
+        # invalid flag in both writers' `+= 0.0`
+        with np.errstate(invalid="ignore"):
+            write_csv(out / "new.csv", header, columns, labels=labels)
+            row_at_a_time_csv(out / "ref.csv", header, columns, labels=labels)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()

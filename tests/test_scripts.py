@@ -65,6 +65,12 @@ def test_bench_layers(tmp_path):
         # 500 steps: one block of 159 steps, then one speculative span
         assert case["steps"] == 500 and case["wrench_calls_per_run"] == 2
         assert case["median_of_round_bests"] > 0.0
+    for name, case in workloads.items():
+        # the simulate trajectory in the 2D or 3D layout; demo3d records every 10th step
+        rows = 51 if name == "demo3d-3d" else 501
+        assert (case["csv_rows"], case["csv_columns"]) == (rows, 9 if name.endswith("2d") else 19)
+        assert case["write_trajectory_csv_us_per_row"] > 0.0
+        assert case["read_trajectory_csv_us_per_row"] > 0.0
     # one round of each side in its own process
     report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
