@@ -4,14 +4,16 @@ microseconds per step, contact-law (model ``wrench``) calls per run, and
 write_trajectory_csv / read_trajectory_csv microseconds per row on the
 bundled scenarios, table1 and fig7 in 2D and table1, fig7 and demo3d in 3D.
 
-integrate_dde is called as docksim.dynamics.simulate calls it: the model's
-scalar rhs, its unit slice, the divergence bound 1e3 * max(|y0|, 1) and
-the model itself, so the recorded wrench is included. Each case gets one
-untimed warm-up run, which also counts the wrench calls, then --repeat
-timed runs (time.perf_counter); a round keeps the best of them. The CSV
-timings write the case's simulate trajectory (rows and columns stated) to
-a temporary file and read it back, best of --repeat each after one untimed
-write. The JSON holds each round's best and the median of the round bests.
+integrate_dde is timed on the very call docksim.dynamics.simulate makes:
+one simulate run per case, with integrate_dde wrapped, captures the call's
+arguments (so the recorded wrench is included, and the script runs against
+any integrate_dde signature), and those arguments are replayed. The replay
+gets one untimed warm-up run, which also counts the model class's wrench
+calls, then --repeat timed runs (time.perf_counter); a round keeps the best
+of them. The CSV timings write that simulate run's trajectory (rows and
+columns stated) to a temporary file and read it back, best of --repeat each
+after one untimed write. The JSON holds each round's best and the median of
+the round bests.
 
 Without --side, every round runs in this process on the docksim it
 imports. With --side LABEL=SRC (repeatable), every round runs each side in
@@ -59,28 +61,38 @@ def measure(t_end, repeat) -> dict:
         body, contact, sim, _ = load_scenario(scenario_path(name))
         if t_end is not None:
             sim = dataclasses.replace(sim, t_end=t_end)
-        model = dynamics._MODELS[mode](body, contact)
-        y0 = model.initial_vector(sim.initial)
-        bound = 1e3 * max(float(np.abs(y0).max()), 1.0)  # simulate's default divergence_factor
+        integrate_dde = dynamics.integrate_dde
+        captured = []
+
+        def capture(*args, **kwargs):
+            captured.append((args, kwargs))
+            return integrate_dde(*args, **kwargs)
+
+        dynamics.integrate_dde = capture
+        try:
+            traj, _ = dynamics.simulate(sim, body, contact, mode=mode)
+        finally:
+            dynamics.integrate_dde = integrate_dde
+        (args, kwargs), = captured
 
         def run():
-            return dynamics.integrate_dde(model.rhs, y0, sim.dt, sim.t_end, sim.h,
-                                          unit_slice=model.unit_slice, divergence_bound=bound,
-                                          model=model)
+            return integrate_dde(*args, **kwargs)
 
+        cls = dynamics._MODELS[mode]
         calls = [0]
-        wrench = model.wrench
+        wrench = cls.wrench
 
-        def counted(xd):
+        def counted(self, xd):
             calls[0] += 1
-            return wrench(xd)
+            return wrench(self, xd)
 
-        model.wrench = counted
-        steps = len(run()[0]) - 1
-        model.wrench = wrench
+        cls.wrench = counted
+        try:
+            steps = len(run()[0]) - 1
+        finally:
+            cls.wrench = wrench
         best = best_of(repeat, run)
 
-        traj, _ = dynamics.simulate(sim, body, contact, mode=mode)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "bench.traj.csv")
             dynamics.write_trajectory_csv(traj, path)
@@ -147,7 +159,7 @@ def main() -> int:
         return 0
 
     report = {
-        "what": "integrate_dde microseconds per step (as simulate calls it), model wrench "
+        "what": "integrate_dde microseconds per step (simulate's own call, replayed), model wrench "
                 "calls per run, and write_trajectory_csv / read_trajectory_csv microseconds "
                 "per row of the simulate trajectory, per scenario and mode",
         "method": f"{args.rounds} rounds; per round and case one untimed warm-up run, then the best "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class PowerStreams:
         if len(lengths) != 1:
             raise ValueError(f"channel-length mismatch: got lengths {sorted(lengths)}")
 
-    def __len__(self) -> int:
-        return self.f_m.shape[0]
-
 
 @dataclass(frozen=True)
 class EnergyRecord:
@@ -140,13 +137,9 @@ def observed_energy(
     streams: PowerStreams,
     dt: float = DEFAULT_SAMPLE_TIME,
     tolerance: float = DEFAULT_LOSSLESS_TOL,
-    initial: Optional[np.ndarray] = None,
 ) -> EnergyRecord:
-    """Accumulate the observed energy over the sampled streams.
+    """Accumulate the observed energy over the sampled streams, from zero.
 
-    ``initial`` resumes accumulation from a previous record's last channel
-    values; the continuation is bitwise identical to having processed one
-    concatenated stream, so windowed energies are exactly additive.
     Classification per sample: lossless while |dE| < tolerance, otherwise
     passive (dE < 0) or active (dE > 0). dt must be finite and > 0, the
     tolerance finite and >= 0 (ValueError).
@@ -159,8 +152,8 @@ def observed_energy(
         streams.f_m * streams.v_m - streams.f_in * streams.v_r,
         streams.tau_m * streams.omega_m - streams.tau_in * streams.omega_r,
     ])
-    start = np.zeros((1, 6)) if initial is None else np.asarray(initial, dtype=float).reshape(1, 6)
-    channels = np.cumsum(np.vstack([start, inc]), axis=0)[1:]
+    # summed onto a zero row, so a first increment of -0.0 accumulates to 0.0
+    channels = np.cumsum(np.vstack([np.zeros((1, 6)), inc]), axis=0)[1:]
     total = channels.sum(axis=1)
     classification = tuple(
         "lossless" if abs(e) < tolerance else ("passive" if e < 0.0 else "active")

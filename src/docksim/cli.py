@@ -69,6 +69,22 @@ def _number(section: str, data: dict, key: str, default=None, kind=float):
     return kind(value)
 
 
+def _numbers(section: str, data: dict, key: str, default=None):
+    """data[key] (or a non-None default when absent), a vector or matrix
+    of numbers, unchanged. Any other leaf is rejected: JSON true/false, as
+    :func:`_number` rejects them for a scalar, and null, which numpy would
+    read as nan."""
+    value = data[key] if default is None else data.get(key, default)
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ScenarioError(f"{section}.{key} must hold numbers, got {json.dumps(item)}")
+    return value
+
+
 def _angle(section: str, data: dict, name: str, required: bool = True):
     """Read an angle given either in radians (name) or degrees (name_deg)."""
     deg = name + "_deg"
@@ -146,8 +162,14 @@ def _parse_scenario(doc, overrides: list[str]):
         raise ScenarioError("body: give exactly one of J (3x3) or J_x")
     if ("a" in body_doc) == ("a_B" in body_doc):
         raise ScenarioError("body: give exactly one of a (probe length) or a_B (probe vector)")
-    J = body_doc["J"] if "J" in body_doc else np.diag([_number("body", body_doc, "J_x")] * 3)
-    a_B = body_doc["a_B"] if "a_B" in body_doc else [0.0, 0.0, _number("body", body_doc, "a")]
+    if "J" in body_doc:
+        J = _numbers("body", body_doc, "J")
+    else:
+        J = np.diag([_number("body", body_doc, "J_x")] * 3)
+    if "a_B" in body_doc:
+        a_B = _numbers("body", body_doc, "a_B")
+    else:
+        a_B = [0.0, 0.0, _number("body", body_doc, "a")]
     body = BodyParams(m=_number("body", body_doc, "m"), J=J, a_B=a_B)
 
     contact_doc = doc["contact"]
@@ -157,13 +179,13 @@ def _parse_scenario(doc, overrides: list[str]):
     for i, spring in enumerate(contact_doc.get("springs", [])):
         section = f"contact.springs[{i}]"
         _check_keys(section, spring, {"k", "l_hat"}, ("k", "l_hat"))
-        springs.append((_number(section, spring, "k"), spring["l_hat"]))
+        springs.append((_number(section, spring, "k"), _numbers(section, spring, "l_hat")))
     contact = ContactParams(
         k_v=_number("contact", contact_doc, "k_v"),
         b_v=_number("contact", contact_doc, "b_v"),
         alpha=_angle("contact", contact_doc, "alpha"),
         springs=tuple(springs),
-        n_hat=contact_doc.get("n_hat", (0.0, 0.0, 1.0)),
+        n_hat=_numbers("contact", contact_doc, "n_hat", (0.0, 0.0, 1.0)),
         activation=contact_doc.get("activation", "unilateral"),
     )
 
@@ -185,9 +207,8 @@ def _parse_scenario(doc, overrides: list[str]):
     elif mode == "3d":
         _check_keys("sim.initial", init_doc, {"mode", "r", "v", "d_c3", "omega"},
                     ("r", "v", "d_c3", "omega"))
-        initial = ChaserState3D(
-            r=init_doc["r"], v=init_doc["v"], d_c3=init_doc["d_c3"], omega=init_doc["omega"],
-        )
+        initial = ChaserState3D(**{key: _numbers("sim.initial", init_doc, key)
+                                   for key in ("r", "v", "d_c3", "omega")})
     else:
         raise ScenarioError("sim.initial: mode must be '2d' or '3d'")
     sim = SimConfig(

@@ -292,13 +292,17 @@ def sample_count(span: float, dt: float) -> int:
 def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[Sequence[str]] = ()) -> None:
     """Header line, then one row per sample: the ``columns`` side by side
     (2-D blocks keep their columns) at 9 significant digits, negative zeros
-    as 0, followed by the text columns ``labels``. A header whose length is
+    as 0 and every nan, signaling ones included, as nan, followed by the
+    text columns ``labels``. A header whose length is
     not the column count, or a label column whose length is not the row
     count, raises ValueError. Rows are formatted ``_CSV_CHUNK_ROWS`` at a
     time with one ``%`` format per chunk, never as a Python copy of the
     whole table."""
     block = np.column_stack(columns)
-    block += 0.0  # squash negative zeros for stable formatting
+    # squash negative zeros for stable formatting; a signaling nan turns
+    # quiet here, which numpy flags as invalid
+    with np.errstate(invalid="ignore"):
+        block += 0.0
     rows, width = block.shape
     if len(header) != width + len(labels):
         raise ValueError(f"header has {len(header)} names for {width} value and "

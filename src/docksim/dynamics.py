@@ -12,7 +12,9 @@ pre-history is exact).
 h = 0 is special-cased: the delayed argument is the current stage state and
 the scheme is plain RK4 for the undelayed ODE. A delay that is negative,
 not finite or in (0, dt) is rejected (:func:`docksim.core.delay_problem`),
-since the explicit scheme can only look up completed steps.
+since the explicit scheme can only look up completed steps. The delayed
+samples of step k lie at the fractional rows k - h/dt, k + 1/2 - h/dt and
+k + 1 - h/dt; :func:`integrate_dde` builds that grid once for the run.
 
 Each contact mode is one class, :class:`PlanarModel` (2D) and
 :class:`SpatialModel` (3D). It unpacks the body and contact parameters once
@@ -20,31 +22,34 @@ and holds everything that depends on the mode: the scalar right-hand side
 ``model.rhs(y, y_delayed)``, its block form (``wrench`` and ``push``), the
 state vector of an initial state, the unit-norm columns the integrator
 renormalizes and the undelayed depth channels. :func:`simulate` looks the
-class up by mode and passes one model to :func:`integrate_dde`;
-:func:`make_rhs_2d` and :func:`make_rhs_3d` return a model's ``rhs``.
+class up by mode and hands the model to :func:`integrate_dde`, which takes
+a model or a caller's own right-hand side; :func:`make_rhs_2d` and
+:func:`make_rhs_3d` return a model's ``rhs``.
 
-Two paths run the scheme. The per-step loop calls a right-hand side
-``rhs(y, y_delayed)`` (a model's ``rhs`` or a caller's own) on Python
-floats, and reads the delayed rows with :func:`_lerp_history`. It serves
-h = 0, callers without a model, and delays shorter than
-``MIN_BLOCK_RATIO`` steps, where a block is too short to pay for its numpy
-calls (the measured crossover is at about 8 to 9 steps in 2D and in 3D).
+Two paths run the scheme. The per-step loop calls the right-hand side
+``rhs(y, y_delayed)`` (a model's ``rhs`` or a caller's own) four times per
+step on Python floats, and reads the delayed rows with
+:func:`_lerp_history`. It serves h = 0, callers without a model, and delays
+shorter than ``MIN_BLOCK_RATIO`` steps, where a block is too short to pay
+for its numpy calls (the measured crossover is at about 8 to 9 steps in 2D
+and in 3D).
 
-The block path serves :func:`simulate`, which passes the model, and runs
-the same protocol for both modes. The force applied over the next h was
-sensed h ago, so when the run reaches row i the delayed samples of steps
-i .. i + int(h/dt) - 2 lie in rows that are already final. For such a
-block, one vectorized lerp (:func:`_lerp_rows`) gives the three stage
-samples of every step, ``model.wrench`` gives their force and torque, and
-``model.push`` steps the block under them: each (position, rate) pair whose
-rate derivative is that delayed acceleration -- (z, v_z), (theta, omega)
-and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the RK4 increments
-on arrays and an in-place ``np.cumsum``. So a 2D block runs no Python loop
-per step; in 3D the attitude column and omega, whose rates depend on the
-current state, step in a loop over 6 floats driven by the block's torques.
-A zero force is just a value here, so free flight and contact take the
-same path. Each finished block is checked for divergence, which raises at
-its first offending row with the per-step message and t.
+The block path serves a model at longer delays, as :func:`simulate` runs
+the bundled scenarios, with the same protocol for both modes. The force
+applied over the next h was sensed h ago, so when the run reaches row i
+the delayed samples of steps i .. i + int(h/dt) - 2 lie in rows that are
+already final. For such a block, one vectorized lerp (:func:`_lerp_rows`)
+gives the three stage samples of every step, ``model.wrench`` gives their
+force and torque, and ``model.push`` steps the block under them: each
+(position, rate) pair whose rate derivative is that delayed acceleration
+-- (z, v_z), (theta, omega) and (y, v_y) in 2D, (r_j, v_j) in 3D --
+advances with the RK4 increments on arrays and an in-place ``np.cumsum``.
+So a 2D block runs no Python loop per step; in 3D the attitude column and
+omega, whose rates depend on the current state, step in a loop over 6
+floats driven by the block's torques. A zero force is just a value here,
+so free flight and contact take the same path. Each finished block is
+checked for divergence, which raises at its first offending row with the
+per-step message and t.
 
 In free flight the delayed wrench is exactly zero, so the run speculates
 there. After a block whose force and torque samples are all bitwise equal
@@ -85,9 +90,9 @@ integrator applied, which it leaves on the model as ``model.applied``, in
 the trajectory's row layout, so the contact law is evaluated once per run.
 The block path keeps the wrench at each block's even stage samples,
 k - h/dt for its rows k; after the per-step loop the model's ``wrench``
-runs once on the delayed rows of the whole grid (:func:`_delayed_rows`,
-the same lerp). The models evaluate the contact law through the functions
-of :mod:`docksim.contact`.
+runs once on the same samples of the whole grid, lerped by
+:func:`_lerp_rows` (at h = 0 they are the rows themselves). The models
+evaluate the contact law through the functions of :mod:`docksim.contact`.
 
 The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 :func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
@@ -130,13 +135,16 @@ from .core import (
 # rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
 # numpy rows from callers) in, a tuple of floats out
 Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
-# h/dt below which integrate_dde steps one row at a time even when given a
+# h/dt below which integrate_dde steps one row at a time even when handed a
 # model: a block of int(h/dt) - 1 steps then pays more for its numpy calls
 # than it saves (measured crossover, see the module docstring)
 MIN_BLOCK_RATIO = 9
 # length of a speculative span of free flight, in blocks of int(h/dt) - 1
 # steps (measured on planar runs: 4 to 16 all pay, 8 most)
 SPECULATIVE_BLOCKS = 8
+# simulate's divergence bound, in multiples of the initial state's largest
+# component (at least 1)
+DIVERGENCE_FACTOR = 1e3
 
 
 class DivergenceError(RuntimeError):
@@ -148,14 +156,13 @@ class DivergenceError(RuntimeError):
 
 
 def integrate_dde(
-    rhs: Rhs,
+    system: Rhs | PlanarModel | SpatialModel,
     initial: np.ndarray,
     dt: float,
     t_end: float,
     h: float,
     unit_slice: slice | None = None,
     divergence_bound: float | None = None,
-    model: PlanarModel | SpatialModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y'(t) = rhs(y(t), y(t-h)) on the fixed grid.
 
@@ -166,57 +173,69 @@ def integrate_dde(
     h must be 0 or a finite delay >= dt (:func:`docksim.core.delay_problem`),
     else ValueError.
 
-    ``model`` is the :class:`PlanarModel` or :class:`SpatialModel` whose
-    scalar form is ``rhs``. Given one and h/dt >= MIN_BLOCK_RATIO, the run
-    advances in blocks of int(h/dt) - 1 steps with the model's block form
-    (under a steady wrench, in checked spans of SPECULATIVE_BLOCKS blocks)
-    and never calls ``rhs``; the rows are the same bit for bit.
-    Given a model, the run also sets ``model.applied`` to (f, tau), the
-    force and torque applied at every row, one row per grid point: the
-    model's ``wrench`` at the rows sampled one delay back
-    (:func:`_delayed_rows`).
+    ``system`` is either a right-hand side ``rhs(y, y_delayed)``, with
+    ``unit_slice`` naming the columns to renormalize after every step, or a
+    :class:`PlanarModel` or :class:`SpatialModel`, which brings its own
+    ``rhs`` and ``unit_slice`` (a ``unit_slice`` given with a model is a
+    ValueError). A model with h/dt >= MIN_BLOCK_RATIO advances in blocks of
+    int(h/dt) - 1 steps with its block form (under a steady wrench, in
+    checked spans of SPECULATIVE_BLOCKS blocks) and never calls ``rhs``; the
+    rows are the same bit for bit. A model is also left with
+    ``model.applied``, the force and torque (f, tau) applied at every row:
+    its ``wrench`` at the rows sampled one delay back.
     """
+    if isinstance(system, (PlanarModel, SpatialModel)):
+        if unit_slice is not None:
+            raise ValueError("unit_slice comes with the model; give it only with a right-hand side")
+        model, rhs, unit_slice = system, system.rhs, system.unit_slice
+    else:
+        model, rhs = None, system
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
     problem = delay_problem(h, dt)
     if problem:
         raise ValueError(problem)
-    dim = y0.size
-    Y = np.empty((n + 1, dim))
+    Y = np.empty((n + 1, y0.size))
     Y[0] = y0
     times = np.arange(n + 1) * dt
     ratio = h / dt
+    # the delayed stage samples of step k, at rows k - ratio, k + 1/2 - ratio
+    # and k + 1 - ratio (the first of step k + 1), interleaved; the even ones
+    # are each row's own delayed sample
+    k = np.arange(n + 1, dtype=float)
+    grid = np.empty(2 * n + 1)
+    grid[0::2] = k - ratio
+    grid[1::2] = (k[:-1] + 0.5) - ratio
     # sum(|y|) of a step, or max |y| of a block, bounds every |y_j|, and a
     # NaN or inf component makes the comparison with the finite limit fail,
     # so one pass screens each step or block; _check_divergence then decides
     # exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
     if model is not None and ratio >= MIN_BLOCK_RATIO:
-        _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound)
+        model.applied = _integrate_blocks(model, Y, times, grid, int(ratio) - 1, dt, limit, divergence_bound)
         return times, Y
     half = 0.5 * dt
     sixth = dt / 6.0
     y = Y[0].tolist()
+    samples = grid.tolist()
+    # at h = 0 the delayed samples stay None, and each stage's delayed
+    # argument is the stage state itself
+    d0 = dh = d1 = None
     # a diverging run overflows in the renormalization before the screen
     # below sees it; it ends in DivergenceError, as in _integrate_blocks
     with np.errstate(all="ignore"):
         for i in range(n):
-            if h == 0.0:
-                k1 = rhs(y, y)
-                y2 = [a + half * b for a, b in zip(y, k1)]
-                k2 = rhs(y2, y2)
-                y3 = [a + half * b for a, b in zip(y, k2)]
-                k3 = rhs(y3, y3)
-                y4 = [a + dt * b for a, b in zip(y, k3)]
-                k4 = rhs(y4, y4)
-            else:
-                d0 = _lerp_history(Y, i - ratio)
-                dh = _lerp_history(Y, i + 0.5 - ratio)
-                d1 = _lerp_history(Y, i + 1.0 - ratio)
-                k1 = rhs(y, d0)
-                k2 = rhs([a + half * b for a, b in zip(y, k1)], dh)
-                k3 = rhs([a + half * b for a, b in zip(y, k2)], dh)
-                k4 = rhs([a + dt * b for a, b in zip(y, k3)], d1)
+            if h:
+                d0 = _lerp_history(Y, samples[2 * i])
+                dh = _lerp_history(Y, samples[2 * i + 1])
+                d1 = _lerp_history(Y, samples[2 * i + 2])
+            k1 = rhs(y, d0 or y)
+            y2 = [a + half * b for a, b in zip(y, k1)]
+            k2 = rhs(y2, dh or y2)
+            y3 = [a + half * b for a, b in zip(y, k2)]
+            k3 = rhs(y3, dh or y3)
+            y4 = [a + dt * b for a, b in zip(y, k3)]
+            k4 = rhs(y4, d1 or y4)
             y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
             row = Y[i + 1]
             row[:] = y
@@ -227,18 +246,20 @@ def integrate_dde(
             if not sum(map(abs, y)) <= limit:
                 _check_divergence(y, float(times[i + 1]), divergence_bound)
     if model is not None:
-        model.applied = model.wrench(_delayed_rows(Y[:, :model.columns], h, dt).T)
+        model.applied = model.wrench(_lerp_rows(Y[:, :model.columns], grid[0::2]).T)
     return times, Y
 
 
-def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> None:
-    """Fill Y block by block with the model's ``wrench`` and ``push``.
-    Steps i..j-1 with j - i <= int(h/dt) - 1 read delayed samples at
+def _integrate_blocks(model, Y, times, grid, span, dt, limit, divergence_bound) -> tuple:
+    """Fill Y block by block with the model's ``wrench`` and ``push``, and
+    return the wrench (f, tau) applied at every row. grid holds the delayed
+    stage samples of every step, interleaved (see :func:`integrate_dde`).
+    Steps i..j-1 with j - i <= span = int(h/dt) - 1 read delayed samples at
     fractional rows <= i - 1, so rows <= i, which are final: one lerp and
     one ``wrench`` call give the wrench at every stage sample of the block,
-    and ``push`` steps the block under it. The even samples, k - ratio for
-    k = i..j, are the delayed samples of rows i..j, so their wrench is
-    recorded as ``model.applied``.
+    and ``push`` steps the block under it. The even samples, grid[2k] for
+    k = i..j, are the delayed samples of rows i..j, so their wrench is the
+    one recorded.
 
     After a block whose wrench samples are all bitwise equal, a span of
     SPECULATIVE_BLOCKS blocks runs on a guess: ``push`` steps the span's
@@ -254,14 +275,7 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
     Each finished block, and each committed part of a span, is checked for
     divergence, which raises at its first offending row."""
     n = len(Y) - 1
-    span = int(ratio) - 1
     history = Y[:, :model.columns]
-    # stage samples of step k at rows k - ratio, k + 1/2 - ratio and
-    # k + 1 - ratio (the first of step k + 1), interleaved
-    k = np.arange(n + 1, dtype=float)
-    q = np.empty(2 * n + 1)
-    q[0::2] = k - ratio
-    q[1::2] = (k[:-1] + 0.5) - ratio
     f_rec = np.empty(n + 1)
     tau_rec = np.empty((n + 1,) + model.torque_shape)
     held = None  # the steady wrench of the last block, one sample each
@@ -270,14 +284,14 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
         while i < n:
             if held is None:
                 j = min(n, i + span)
-                f, tau = model.wrench(_lerp_rows(history, q[2 * i:2 * j + 1]).T)
+                f, tau = model.wrench(_lerp_rows(history, grid[2 * i:2 * j + 1]).T)
                 model.push(Y[i:j + 1], f, tau, dt)
                 if _first_change(f, tau, f[:1], tau[:1]) == len(f):
                     held = f[:1], tau[:1]
             else:
                 j = min(n, i + SPECULATIVE_BLOCKS * span)
                 model.push(Y[i:j + 1], *held, dt)
-                f, tau = model.wrench(_lerp_rows(history, q[2 * i:2 * j + 1]).T)
+                f, tau = model.wrench(_lerp_rows(history, grid[2 * i:2 * j + 1]).T)
                 m = _first_change(f, tau, *held)
                 if m < len(f):
                     held = None
@@ -292,7 +306,7 @@ def _integrate_blocks(model, Y, times, dt, ratio, limit, divergence_bound) -> No
                 row = i + 1 + int(bad[0])
                 _check_divergence(Y[row].tolist(), float(times[row]), divergence_bound)
             i = j
-    model.applied = f_rec, tau_rec
+    return f_rec, tau_rec
 
 
 def _first_change(f: np.ndarray, tau: np.ndarray, f0: np.ndarray, tau0: np.ndarray) -> int:
@@ -351,14 +365,6 @@ def _lerp_rows(Y: np.ndarray, q: np.ndarray) -> np.ndarray:
         w = w[mixed, None]
         rows[mixed] = (1.0 - w) * rows[mixed] + w * Y[i0[mixed] + 1]
     return rows
-
-
-def _delayed_rows(Y: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """All rows of Y sampled at their own time minus h, as the integrator
-    samples them (:func:`_lerp_rows`)."""
-    if h == 0.0:
-        return Y
-    return _lerp_rows(Y, np.arange(len(Y)) - h / dt)
 
 
 def _advance_pairs(seg: np.ndarray, pos: slice, rate: slice, acc: np.ndarray, dt: float) -> None:
@@ -739,16 +745,17 @@ def simulate(
     contact: ContactParams,
     mode: str = "2d",
     event_window: float = 0.02,
-    divergence_factor: float = 1e3,
 ) -> tuple[Trajectory, list[ContactEvent]]:
     """Run the delayed nonlinear model of ``mode`` (:class:`PlanarModel`
     for "2d", :class:`SpatialModel` for "3d") and return the recorded
     trajectory plus the detected contact events.
 
-    The divergence guard aborts (DivergenceError) when the state magnitude
-    exceeds divergence_factor times the initial magnitude, signaling
-    instability. Contact events are segmented on the full integration grid
-    regardless of the recording decimation.
+    The model goes to :func:`integrate_dde` once; its ``applied`` wrench
+    becomes the ``f`` and ``tau`` channels. The divergence guard aborts
+    (DivergenceError) when a state component exceeds DIVERGENCE_FACTOR
+    times the initial magnitude (at least 1), signaling instability.
+    Contact events are segmented on the full integration grid regardless
+    of the recording decimation.
     """
     problem = activation_problem(contact.activation)
     if problem:
@@ -758,11 +765,8 @@ def simulate(
     model = _MODELS[mode](params, contact)
     y0 = model.initial_vector(config.initial)
 
-    bound = divergence_factor * max(float(np.abs(y0).max()), 1.0)
-    times, Y = integrate_dde(
-        model.rhs, y0, config.dt, config.t_end, config.h,
-        unit_slice=model.unit_slice, divergence_bound=bound, model=model,
-    )
+    bound = DIVERGENCE_FACTOR * max(float(np.abs(y0).max()), 1.0)
+    times, Y = integrate_dde(model, y0, config.dt, config.t_end, config.h, divergence_bound=bound)
 
     # Contact channels on the whole grid: d and d_dot of the undelayed
     # state; f and tau as the integrator applied them.

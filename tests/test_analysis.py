@@ -117,16 +117,6 @@ class TestObservedEnergy:
         record = observed_energy(streams, dt=0.01)
         assert np.array_equal(record.total, record.channels.sum(axis=1))
 
-    def test_windowed_accumulation_is_exactly_additive(self):
-        rng = np.random.default_rng(6)
-        arrays = [rng.normal(size=(50, 3)) for _ in range(8)]
-        full = observed_energy(PowerStreams(*arrays), dt=0.004)
-        head = observed_energy(PowerStreams(*(a[:20] for a in arrays)), dt=0.004)
-        tail = observed_energy(PowerStreams(*(a[20:] for a in arrays)), dt=0.004,
-                               initial=head.channels[-1])
-        assert np.array_equal(tail.channels[-1], full.channels[-1])
-        assert tail.total[-1] == full.total[-1]
-
     def test_channel_length_mismatch_is_hard_error(self):
         good = np.zeros((10, 3))
         bad = np.zeros((9, 3))

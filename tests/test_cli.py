@@ -87,6 +87,28 @@ def test_boolean_for_a_number_exits_1(tmp_path, capsys, override, message):
     assert not (tmp_path / "bad.traj.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, override, message", [
+    ("fig7", "contact.n_hat=[0,0,true]", "contact.n_hat must hold numbers, got true"),
+    # null used to read as nan: "n_hat not unit (|n_hat| = nan)"
+    ("fig7", "contact.n_hat=[0,0,null]", "contact.n_hat must hold numbers, got null"),
+    ("demo3d", "body.J=[[500,0,0],[0,500,0],[0,0,true]]", "body.J must hold numbers, got true"),
+    ("demo3d", "body.a_B=[0,false,0.3]", "body.a_B must hold numbers, got false"),
+    ("demo3d", 'contact.springs=[{"k": 4000, "l_hat": [0, 0, true]}]',
+     "contact.springs[0].l_hat must hold numbers, got true"),
+    ("demo3d", "sim.initial.r=[0,0.01,true]", "sim.initial.r must hold numbers, got true"),
+    ("demo3d", "sim.initial.omega=[false,0,0]", "sim.initial.omega must hold numbers, got false"),
+])
+def test_non_number_in_a_vector_or_matrix_exits_1(tmp_path, capsys, scenario, override, message):
+    # np.array(..., dtype=float) reads true as 1: J = [[500,0,0],[0,500,0],[0,0,true]]
+    # used to run with J_zz = 1 kg*m^2
+    code = run("simulate", scenario, "--set", override, "--set", "sim.t_end=0.01",
+               "--out", str(tmp_path / "bad"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
 def test_boolean_window_and_damping_exit_1(tmp_path, capsys):
     # both used to be accepted: the run went ahead with b_v = 1 and a 1 s window
     code = run("simulate", "table1", "--set", "contact.b_v=true",

@@ -304,6 +304,16 @@ class TestWriteCsvChecks:
         assert not path.exists()
 
 
+def test_write_csv_quiets_a_signaling_nan(tmp_path):
+    # 0.0 added to a signaling nan raises numpy's invalid flag; the writer
+    # must write nan, not raise, even where that flag is an error
+    snan = np.array([0x7FF0000000000001, 0x7FF8000000000000], dtype=np.int64).view(np.float64)
+    path = tmp_path / "out.csv"
+    with np.errstate(invalid="raise"):
+        write_csv(path, ["x", "y"], [snan, [-0.0, 1.5]])
+    assert path.read_text() == "x,y\nnan,0\nnan,1.5\n"
+
+
 def row_at_a_time_csv(path, header, columns, labels=()):
     """Reference for write_csv: the writer it replaced, one str.format call
     and one write per row."""

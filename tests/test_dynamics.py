@@ -10,7 +10,6 @@ from docksim.core import delay_problem
 from docksim.dynamics import (
     PlanarModel,
     SpatialModel,
-    _delayed_rows,
     _lerp_history,
     _lerp_rows,
     extract_events,
@@ -306,13 +305,14 @@ class TestSimulate:
         assert traj.states[-1, 0] == pytest.approx(-0.14 - 0.02 * 0.4, abs=1e-12)
         assert traj.states[-1, 2] == pytest.approx(math.radians(60), abs=1e-15)
 
-    def test_divergence_guard_trips(self, body):
+    def test_divergence_guard_trips(self, body, monkeypatch):
         contact = table1_contact(b_v=0.0, activation="bilateral")
         cfg = approach_config(t_end=30.0)
+        monkeypatch.setattr(dynamics, "DIVERGENCE_FACTOR", 1.2)
         with pytest.raises(ds.DivergenceError, match="divergence bound"):
-            ds.simulate(cfg, body, contact, mode="2d", divergence_factor=1.2)
+            ds.simulate(cfg, body, contact, mode="2d")
 
-    def test_per_step_3d_divergence_ends_in_divergence_error(self):
+    def test_per_step_3d_divergence_ends_in_divergence_error(self, monkeypatch):
         # h = 0 runs the per-step loop; the attitude renormalization
         # overflows before the divergence screen sees the state, and that
         # must end the run in DivergenceError, not in a numpy overflow
@@ -321,8 +321,9 @@ class TestSimulate:
                            initial=ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0))
         body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
         contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
+        monkeypatch.setattr(dynamics, "DIVERGENCE_FACTOR", 1e300)
         with pytest.raises(ds.DivergenceError, match="non-finite"):
-            ds.simulate(cfg, body, contact, mode="3d", divergence_factor=1e300)
+            ds.simulate(cfg, body, contact, mode="3d")
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
@@ -330,18 +331,23 @@ class TestSimulate:
     def test_block_path_makes_no_scalar_rhs_call(self, body, monkeypatch, mode, activation, h):
         # simulate hands integrate_dde one model, which advances whole
         # blocks on arrays and never calls its scalar form; it records the
-        # applied wrench as it goes, so no whole-grid delayed lerp runs
-        # afterwards
+        # applied wrench as it goes, so no lerp over all the grid's rows
+        # runs afterwards
         models, calls = count_scalar_rhs_calls(monkeypatch, mode)
+        lerped = []
+        lerp_rows = dynamics._lerp_rows
 
-        def no_delayed_rows(*args):
-            raise AssertionError("_delayed_rows called on the block path")
+        def counted_lerp(Y, q):
+            lerped.append(len(q))
+            return lerp_rows(Y, q)
 
-        monkeypatch.setattr(dynamics, "_delayed_rows", no_delayed_rows)
-        traj, events = ds.simulate(approach_config(h=h), body,
-                                   table1_contact(b_v=50.0, activation=activation), mode=mode)
+        monkeypatch.setattr(dynamics, "_lerp_rows", counted_lerp)
+        cfg = approach_config(h=h)
+        traj, events = ds.simulate(cfg, body, table1_contact(b_v=50.0, activation=activation), mode=mode)
         assert len(models) == 1 and calls[0] == 0
         assert events and traj.f.max() > 0.0
+        rows = round(cfg.t_end / cfg.dt) + 1
+        assert len(traj.times) == rows and lerped and rows not in lerped
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_per_step_path_calls_the_scalar_rhs_of_the_model(self, body, monkeypatch, mode):
@@ -374,9 +380,33 @@ class TestSimulate:
         assert str(raised.value) == text
         model = dynamics._MODELS[mode](body, contact)
         with pytest.raises(ValueError) as raised:
-            integrate_dde(model.rhs, model.initial_vector(cfg.initial), cfg.dt, cfg.t_end, h,
-                          unit_slice=model.unit_slice, model=model)
+            integrate_dde(model, model.initial_vector(cfg.initial), cfg.dt, cfg.t_end, h)
         assert str(raised.value) == text
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
+    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0, h/dt = 5 (per-step loop), 160 (blocks)
+    def test_model_runs_as_its_rhs_and_unit_slice(self, body, mode, activation, h):
+        # handed the model, integrate_dde gives the rows of the model's
+        # scalar form and unit slice stepped one row at a time, bit for bit
+        model = dynamics._MODELS[mode](body, table1_contact(b_v=50.0, activation=activation))
+        cfg = approach_config(h=h, t_end=1.0)
+        y0 = model.initial_vector(cfg.initial)
+        times, Y = integrate_dde(model, y0, cfg.dt, cfg.t_end, h, divergence_bound=1e3)
+        ref_times, ref = integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h,
+                                       unit_slice=model.unit_slice, divergence_bound=1e3)
+        assert times.tobytes() == ref_times.tobytes()
+        assert Y.tobytes() == ref.tobytes()
+        assert model.applied[0].max() > 0.0
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_unit_slice_with_a_model_is_rejected(self, body, contact, mode):
+        # the model brings its own unit slice; a second one could disagree
+        model = dynamics._MODELS[mode](body, contact)
+        cfg = approach_config()
+        with pytest.raises(ValueError, match="unit_slice comes with the model"):
+            integrate_dde(model, model.initial_vector(cfg.initial), cfg.dt, cfg.t_end, cfg.h,
+                          unit_slice=slice(6, 9))
 
     def test_record_every_decimates_uniformly(self, body, contact):
         cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=approach_config().initial,
@@ -436,7 +466,7 @@ class TestSimulate:
         traj, _ = ds.simulate(cfg, body, contact, mode=mode)
         rhs = (make_rhs_2d if mode == "2d" else make_rhs_3d)(body, contact)
         Y = traj.states
-        Yd = _delayed_rows(Y, cfg.h, cfg.dt)
+        Yd = _lerp_rows(Y, np.arange(len(Y)) - cfg.h / cfg.dt)
         dY = np.array([rhs(y, yd) for y, yd in zip(Y, Yd)])
         assert np.any(traj.f != 0.0)
         if mode == "2d":
@@ -459,7 +489,8 @@ class TestSimulate:
         cfg = approach_config(h=h, t_end=1.0)
         traj, _ = ds.simulate(cfg, body, contact, mode=mode)
         model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
-        f, tau = model.wrench(_delayed_rows(traj.states, cfg.h, cfg.dt).T)
+        back = np.arange(len(traj.states)) - cfg.h / cfg.dt
+        f, tau = model.wrench(_lerp_rows(traj.states, back).T)
         assert np.any(f != 0.0)
         assert traj.f.tobytes() == f.tobytes()
         assert traj.tau.tobytes() == tau.tobytes()

@@ -89,23 +89,30 @@ def numpy_lerp_history(Y, latest, q):
 
 
 def run_both(rhs, y0, dt, t_end, h, unit_slice, bound, model=None):
-    """Run both integrators, ``integrate_dde`` with ``model``; each result is
-    (times, Y) or the DivergenceError. With a model and h/dt at or above
-    the crossover, the block path must not call the right-hand side."""
+    """Run both integrators; each result is (times, Y) or the
+    DivergenceError. ``integrate_dde`` is handed the model, its ``rhs``
+    swapped for a counting wrapper of ``rhs``, or without one ``rhs`` and
+    ``unit_slice``. With a model and h/dt at or above the crossover, the
+    block path must not call the right-hand side."""
     calls = [0]
 
     def counted(y, yd):
         calls[0] += 1
         return rhs(y, yd)
 
+    if model is None:
+        system, kwargs = counted, {"unit_slice": unit_slice}
+    else:
+        assert unit_slice == model.unit_slice
+        model.rhs = counted
+        system, kwargs = model, {}
     # the per-step loop lets numpy's overflow warnings through on a
     # diverging run, as it always has; the block path must not
     quiet = np.errstate(over="ignore", invalid="ignore") if model is None else contextlib.nullcontext()
     results = []
     try:
         with quiet:
-            results.append(integrate_dde(counted, y0, dt, t_end, h, unit_slice=unit_slice,
-                                         divergence_bound=bound, model=model))
+            results.append(integrate_dde(system, y0, dt, t_end, h, divergence_bound=bound, **kwargs))
     except DivergenceError as exc:
         results.append(exc)
     try:
