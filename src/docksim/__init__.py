@@ -49,12 +49,10 @@ from .linear import (
     reduced_mass,
 )
 from .stability import (
-    FourthOrderVerdict,
     StabilityResult,
     analyze,
     critical_damping,
     critical_delays,
-    crossing_frequency,
     stability_boundary,
     verdict_4th_order,
 )

@@ -6,6 +6,12 @@ be given in degrees via *_deg keys); bulk numeric outputs are CSV with fixed
 formatting so repeated runs are byte-identical. Run metadata goes to a
 separate .meta.json sidecar, never into the data files.
 
+stability judges one second-order delay system mu s^2 + e^(-s h)
+(beta s + kappa): given by --mu, --beta and --kappa, or defaulted with
+--from-scenario to the scenario's penetration mode (m_a, b_v, k), the one
+contact mode of its planar linearization. Both ways print the same text
+and JSON; --set paths may step into lists by index (contact.springs.0.k).
+
 Exit codes: 0 success, 1 invalid input, 2 numerical divergence.
 """
 
@@ -69,18 +75,27 @@ def _number(section: str, data: dict, key: str, default=None, kind=float):
     return kind(value)
 
 
-def _numbers(section: str, data: dict, key: str, default=None):
-    """data[key] (or a non-None default when absent), a vector or matrix
-    of numbers, unchanged. Any other leaf is rejected: JSON true/false, as
-    :func:`_number` rejects them for a scalar, and null, which numpy would
-    read as nan."""
+def _numbers(section: str, data: dict, key: str, default=None, matrix: bool = False):
+    """data[key] (or a non-None default when absent), unchanged: a length-3
+    vector, or with matrix a 3x3 matrix, of numbers. Any other nesting,
+    ragged or not, is rejected, and so is any other leaf: JSON true/false,
+    as :func:`_number` rejects them for a scalar, and null, which numpy
+    would read as nan."""
     value = data[key] if default is None else data.get(key, default)
-    stack = [value]
-    while stack:
-        item = stack.pop()
+
+    def wrong_shape():
+        shape = "3x3 matrix" if matrix else "length-3 vector"
+        return ScenarioError(f"{section}.{key} must be a {shape}, got {json.dumps(value)}")
+
+    items = [value]
+    for _ in range(1 + matrix):
+        if not all(isinstance(item, (list, tuple)) and len(item) == 3 for item in items):
+            raise wrong_shape()
+        items = [x for item in items for x in item]
+    for item in items:
         if isinstance(item, (list, tuple)):
-            stack.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise wrong_shape()
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ScenarioError(f"{section}.{key} must hold numbers, got {json.dumps(item)}")
     return value
 
@@ -141,17 +156,23 @@ def _parse_scenario(doc, overrides: list[str]):
         if "=" not in item:
             raise ScenarioError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        keys = dotted.strip().split(".")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        # a path steps into a dict by key and into a list by a non-negative
+        # index; its last key may name a new dict entry
         node = doc
-        for key in keys[:-1]:
-            if not isinstance(node.get(key), dict):
+        for key in dotted.strip().split("."):
+            parent = node
+            if isinstance(node, list) and key.isascii() and key.isdigit() and int(key) < len(node):
+                key = int(key)
+                node = node[key]
+            elif isinstance(node, dict):
+                node = node.get(key)
+            else:
                 raise ScenarioError(f"override path {dotted!r} does not lead into the document")
-            node = node[key]
-        node[keys[-1]] = value
+        parent[key] = value
 
     _check_keys("scenario", doc, {"description", "body", "contact", "sim", "analysis"},
                 ("body", "contact", "sim"))
@@ -163,7 +184,7 @@ def _parse_scenario(doc, overrides: list[str]):
     if ("a" in body_doc) == ("a_B" in body_doc):
         raise ScenarioError("body: give exactly one of a (probe length) or a_B (probe vector)")
     if "J" in body_doc:
-        J = _numbers("body", body_doc, "J")
+        J = _numbers("body", body_doc, "J", matrix=True)
     else:
         J = np.diag([_number("body", body_doc, "J_x")] * 3)
     if "a_B" in body_doc:
@@ -298,37 +319,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    band = args.band
+    """Pole-location summary of one delay system. --from-scenario only
+    supplies defaults: mu, beta and kappa of the scenario's penetration mode
+    (m_a, b_v, k), its delay sim.h and its analysis.neutrality_band; each of
+    --mu, --beta, --kappa, --h and --band given overrides its default."""
+    values = {"h": None, "band": _stability.DEFAULT_NEUTRAL_BAND}
     if args.from_scenario:
         path = scenario_path(args.from_scenario)
         body, contact, sim, options = load_scenario(path, args.set)
-        h = args.h if args.h is not None else sim.h
-        if band is None:
-            band = options["neutrality_band"]
-        verdict = _stability.verdict_4th_order(
-            body, contact, h, b=args.beta, band=band,
-        )
-        result = verdict.as_dict()
-        result["scenario"] = str(path)
-        if args.json:
-            _write_json(result, args.out)
-        else:
-            pen = verdict.penetration_mode
-            disp = verdict.displacement_mode
-            print(f"penetration mode   (mu={pen.mu:.6g}, beta={pen.beta:.6g}, kappa={pen.kappa:.6g}): "
-                  f"omega_c={pen.omega_c:.6g} rad/s, h_c={pen.h_c:.6g} s")
-            print(f"displacement mode  (mu={disp.mu:.6g}, beta={disp.beta:.6g}, kappa={disp.kappa:.6g}): "
-                  f"omega_c={disp.omega_c:.6g} rad/s, h_c={disp.h_c:.6g} s")
-            print(f"h_c = {verdict.h_c:.6g} s (smaller of the two); at h = {h:.6g} s: {verdict.verdict}")
-        return EXIT_OK
-    if args.mu is None or args.beta is None or args.kappa is None:
+        mu, beta, kappa = _linear.penetration_dde_coeffs(body, contact)
+        values = {"mu": mu, "beta": beta, "kappa": kappa, "h": sim.h, "band": options["neutrality_band"]}
+    for key in ("mu", "beta", "kappa", "h", "band"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    if not {"mu", "beta", "kappa"} <= set(values):
         raise ScenarioError("stability needs --mu, --beta and --kappa (or --from-scenario)")
-    result = _stability.analyze(
-        args.mu, args.beta, args.kappa, h=args.h,
-        n_delays=args.n_delays, band=band if band is not None else _stability.DEFAULT_NEUTRAL_BAND,
-    )
+    result = _stability.analyze(**values, n_delays=args.n_delays)
     if args.json:
-        _write_json(result.as_dict(), args.out)
+        payload = result.as_dict()
+        if args.from_scenario:
+            payload["scenario"] = str(path)
+        _write_json(payload, args.out)
     else:
         print(f"omega_c = {result.omega_c:.9g} rad/s")
         print(f"h_c     = {result.h_c:.9g} s")
@@ -409,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="pole-location analysis of the delay system")
     p.add_argument("--mu", type=float, help="mass coefficient [kg]")
-    p.add_argument("--beta", type=float, help="damping coefficient [N*s/m] "
-                   "(with --from-scenario: override the virtual damping)")
+    p.add_argument("--beta", type=float, help="damping coefficient [N*s/m]")
     p.add_argument("--kappa", type=float, help="stiffness coefficient [N/m]")
     p.add_argument("--h", type=float, default=None, help="delay to judge [s]")
     p.add_argument("--from-scenario", default=None,
-                   help="derive both subsystems from a scenario file")
+                   help="take the defaults of --mu, --beta, --kappa (the penetration mode), "
+                        "--h and --band from a scenario file")
     p.add_argument("--set", action="append", metavar="PATH=VALUE", help="scenario override")
     p.add_argument("--n-delays", type=int, default=5, help="number of crossing delays to list")
     p.add_argument("--band", type=float, default=None,

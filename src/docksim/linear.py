@@ -151,6 +151,7 @@ def penetration_dde_coeffs(
 
 def characteristic_value(mu: float, beta: float, kappa: float, h: float, s: complex) -> complex:
     """Contact-mode factor of the characteristic quasi-polynomial:
-    mu s^2 + e^(-s h) (beta s + kappa). The full 4th-order polynomial is
-    this factor times the rigid double integrator m s^2."""
+    mu s^2 + e^(-s h) (beta s + kappa). With (mu, beta, kappa) =
+    (m_a, b, k), the linearized 4-state model's det(sI - A0 - A1 e^(-s h))
+    is this factor times s^2 / m_a, the rigid double integrator."""
     return mu * s * s + cmath.exp(-s * h) * (beta * s + kappa)

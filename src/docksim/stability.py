@@ -17,6 +17,13 @@ first critical delay h_c = h_0. Without damping (beta = 0) the critical
 delay is 0. For omega_c*beta << kappa the approximation h_c = beta/kappa
 holds.
 
+Every h_c reported here is that h_0. :func:`analyze` and
+:func:`critical_delays` report it for the coefficients they are given.
+:func:`verdict_4th_order` reports it for the penetration mode (m_a, b_v, k)
+of a scenario's planar linearization, the one contact mode of the
+linearized 4-state model: that model's characteristic function factors
+into this mode and the rigid-body pair s^2.
+
 The closed form is written twice, with the same float operations in the
 same order: the scalar form :func:`_crossing`, which the single-point
 functions read through the checks of :func:`_closed_form` and the
@@ -38,6 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import delay_problem, nonnegative_problem, write_csv
+from .linear import penetration_dde_coeffs
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
 CRITICAL_DAMPING_HTOL = 1e-9  # [s]
@@ -66,10 +74,12 @@ def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float
 
 def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tuple[float, float, list[float]]:
     """(omega_c, sigma, h_n): the crossing frequency, the crossing indicator
-    and the first n_delays (at least one) crossing delays, after checking
-    the coefficients once. A closed form that overflows or is not finite
-    raises ValueError."""
+    and the first n_delays crossing delays, after checking the coefficients
+    once. n_delays below 1, and a closed form that overflows or is not
+    finite, raise ValueError."""
     _check_params(mu, beta, kappa)
+    if not n_delays >= 1:
+        raise ValueError(f"n_delays must be >= 1, got {n_delays!r}")
     try:
         omega, sigma, base = _crossing(mu, beta, kappa)
     except OverflowError:
@@ -77,7 +87,7 @@ def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tup
     if not 0.0 < omega < math.inf:
         raise ValueError(f"closed form out of floating-point range at "
                          f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
-    h_n = [(base + 2.0 * math.pi * n) / omega for n in range(max(1, int(n_delays)))]
+    h_n = [(base + 2.0 * math.pi * n) / omega for n in range(n_delays)]
     return omega, sigma, h_n
 
 
@@ -116,11 +126,6 @@ def _crossing_grid(mu, beta, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     suspect = ~((np.greater(mu, 0.0) & np.greater(kappa, 0.0) & np.greater_equal(beta, 0.0))
                 & (omega > 0.0) & (omega < math.inf))
     return omega, sigma, h_c, suspect
-
-
-def crossing_frequency(mu: float, beta: float, kappa: float) -> float:
-    """Imaginary-axis crossing frequency omega_c [rad/s]; independent of h."""
-    return _closed_form(mu, beta, kappa)[0]
 
 
 def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> tuple[float, list[float]]:
@@ -292,48 +297,11 @@ def write_boundary_csv(points: Sequence[BoundaryPoint], path) -> None:
               [[getattr(p, f) for p in points] for f in ("x", "h_critical", "omega_c", "sigma")])
 
 
-@dataclass(frozen=True)
-class FourthOrderVerdict:
-    """Stability of the full linearized 4-state contact model at delay h.
-
-    The two second-order subsystems are evaluated separately: the
-    penetration mode with (mu, beta, kappa) = (m_a, b, k) and the
-    center-displacement mode with (m, 2b, 2k). The overall critical delay is
-    the smaller of the two; in the omega_c*beta << kappa regime both equal
-    b/k.
-    """
-
-    verdict: str
-    h: float
-    h_c: float
-    penetration_mode: StabilityResult
-    displacement_mode: StabilityResult
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def verdict_4th_order(
-    params,
-    contact,
-    h: float,
-    k: Optional[float] = None,
-    b: Optional[float] = None,
-    band: float = DEFAULT_NEUTRAL_BAND,
-) -> FourthOrderVerdict:
-    """Verdict for the linearized planar model: compare h against the
-    smaller of the two subsystem critical delays with a relative neutrality
-    band (exact equality is numerically meaningless)."""
-    from .linear import penetration_dde_coeffs
-
-    mu_a, beta, kappa = penetration_dde_coeffs(params, contact, k=k, b=b)
-    pen = analyze(mu_a, beta, kappa, h=h, band=band)
-    disp = analyze(params.m, 2.0 * beta, 2.0 * kappa, h=h, band=band)
-    h_c = min(pen.h_c, disp.h_c)
-    return FourthOrderVerdict(
-        verdict=classify(h, h_c, band),
-        h=h,
-        h_c=h_c,
-        penetration_mode=pen,
-        displacement_mode=disp,
-    )
+def verdict_4th_order(params, contact, h: float, band: float = DEFAULT_NEUTRAL_BAND) -> StabilityResult:
+    """Verdict for the linearized 4-state planar model at delay h: the
+    :func:`analyze` result of its penetration mode (m_a, b_v, k), the
+    coefficients of :func:`docksim.linear.penetration_dde_coeffs`. The
+    model's characteristic function det(sI - A0 - A1 e^(-s h)) is
+    s^2 (m_a s^2 + e^(-s h)(b_v s + k)) / m_a, and the rigid-body pair s^2
+    never crosses, so h_c is the 4-state model's first critical delay."""
+    return analyze(*penetration_dde_coeffs(params, contact), h=h, band=band)

@@ -74,7 +74,7 @@ def test_criterion_02_linear_critical_values():
     t0 = time.perf_counter()
     n = 1000
     for _ in range(n):
-        omega_c = ds.crossing_frequency(M_A, 50.0, 3000.0)
+        omega_c = ds.analyze(M_A, 50.0, 3000.0).omega_c
         h_c, _ = ds.critical_delays(M_A, 50.0, 3000.0)
     per_call = (time.perf_counter() - t0) / n
     ok = 0.016 <= h_c <= 0.017 and per_call < 1e-3
@@ -93,7 +93,7 @@ def test_criterion_03_approximation_validity():
         kappa = 10 ** rng.uniform(1.0, 5.0)
         if beta == 0.0:
             continue
-        omega_c = ds.crossing_frequency(mu, beta, kappa)
+        omega_c = ds.analyze(mu, beta, kappa).omega_c
         if omega_c * beta / kappa >= 0.3:
             continue
         h_c, _ = ds.critical_delays(mu, beta, kappa)
@@ -196,7 +196,7 @@ def test_criterion_08_characteristic_residual():
         mu = 10 ** rng.uniform(-0.3, 2.7)
         beta = rng.uniform(0.0, 500.0)
         kappa = 10 ** rng.uniform(1.0, 5.0)
-        omega_c = ds.crossing_frequency(mu, beta, kappa)
+        omega_c = ds.analyze(mu, beta, kappa).omega_c
         _, h_n = ds.critical_delays(mu, beta, kappa, 3)
         for h in h_n:
             res = abs(ds.characteristic_value(mu, beta, kappa, h, 1j * omega_c)) / kappa

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from docksim.cli import _write_json, load_scenario, main, scenario_path
+from docksim.linear import penetration_dde_coeffs
 
 BUNDLED = ["table1.json", "fig7.json", "fig9.json", "demo3d.json"]
 
@@ -107,6 +108,46 @@ def test_non_number_in_a_vector_or_matrix_exits_1(tmp_path, capsys, scenario, ov
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "bad.traj.csv").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    # numpy's "inhomogeneous shape" text, naming neither the key nor 3x3
+    ("body.J=[[500,0],[0,500,0],[0,0,500]]",
+     "body.J must be a 3x3 matrix, got [[500, 0], [0, 500, 0], [0, 0, 500]]"),
+    # "expected length-3 vector, got shape (2,)", naming no key
+    ("body.a_B=[0,0.3]", "body.a_B must be a length-3 vector, got [0, 0.3]"),
+    # used to run with exit 0
+    ("sim.initial.r=[[0],[0],[1]]", "sim.initial.r must be a length-3 vector, got [[0], [0], [1]]"),
+    ("contact.n_hat=[0,0,1,0]", "contact.n_hat must be a length-3 vector, got [0, 0, 1, 0]"),
+    ("contact.springs.0.l_hat=1", "contact.springs[0].l_hat must be a length-3 vector, got 1"),
+])
+def test_wrong_shape_exits_1(tmp_path, capsys, override, message):
+    code = run("simulate", "demo3d", "--set", override, "--set", "sim.t_end=0.01",
+               "--out", str(tmp_path / "bad"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
+def test_override_steps_into_a_list(tmp_path):
+    springs = json.loads(scenario_path("demo3d").read_text())["contact"]["springs"]
+    springs[0]["k"] = 5000.0
+    springs[1]["l_hat"] = [0.0, 1.0, 0.0]
+    assert run("simulate", "demo3d", "--set", "contact.springs.0.k=5000",
+               "--set", "contact.springs.1.l_hat=[0,1,0]", "--out", str(tmp_path / "indexed")) == 0
+    assert run("simulate", "demo3d", "--set", f"contact.springs={json.dumps(springs)}",
+               "--out", str(tmp_path / "whole")) == 0
+    for suffix in (".traj.csv", ".events.json"):
+        assert (tmp_path / f"indexed{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
+    assert json.loads((tmp_path / "whole.events.json").read_text())["events"]
+
+
+@pytest.mark.parametrize("path", ["contact.springs.9.k", "contact.springs.x.k", "contact.springs.-1.k"])
+def test_override_path_outside_a_list_exits_1(tmp_path, capsys, path):
+    code = run("simulate", "demo3d", "--set", f"{path}=1", "--out", str(tmp_path / "bad"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: override path {path!r} does not lead into the document\n"
 
 
 def test_boolean_window_and_damping_exit_1(tmp_path, capsys):
@@ -214,13 +255,44 @@ class TestStability:
         assert run("stability", "--mu", "15.6", "--beta", "0", "--kappa", "3000", "--json") == 0
         assert json.loads(capsys.readouterr().out)["h_c"] == 0.0
 
-    def test_from_scenario_with_damping_override(self, capsys):
-        assert run("stability", "--from-scenario", "table1.json",
-                   "--h", "0.016", "--beta", "45", "--json") == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["verdict"] == "unstable"
-        assert result["penetration_mode"]["mu"] == pytest.approx(15.6, rel=1e-9)
-        assert result["displacement_mode"]["beta"] == 90.0
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["--mu", "1", "--kappa", "9000", "--n-delays", "2"],
+        ["--beta", "45", "--h", "0.02", "--band", "0.1"],
+    ])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_from_scenario_supplies_only_defaults(self, capsys, overrides, json_flag):
+        # table1: penetration mode (m_a, b_v, k) = (15.6, 0, 3000), h = 16 ms,
+        # band 0.02; each flag given overrides its default, and the run
+        # prints what the explicit coefficients print (JSON: plus the path)
+        body, contact, sim, options = load_scenario(scenario_path("table1.json"))
+        explicit = dict(zip(["--mu", "--beta", "--kappa", "--h", "--band"],
+                            map(repr, [*penetration_dde_coeffs(body, contact), sim.h,
+                                       options["neutrality_band"]])))
+        explicit.update(zip(overrides[::2], overrides[1::2]))
+        assert run("stability", "--from-scenario", "table1.json", *overrides, *json_flag) == 0
+        from_scenario = capsys.readouterr().out
+        assert run("stability", *(x for item in explicit.items() for x in item), *json_flag) == 0
+        expected = capsys.readouterr().out
+        if json_flag:
+            from_scenario = json.loads(from_scenario)
+            assert from_scenario.pop("scenario") == str(scenario_path("table1.json"))
+            expected = json.loads(expected)
+        assert from_scenario == expected
+
+    def test_from_scenario_judges_the_penetration_mode(self, capsys):
+        # fig7's (m, 2b, 2k) pair, no mode of the linearization, once gave
+        # h_c = 0.0486231 s here
+        assert run("stability", "--from-scenario", "fig7") == 0
+        assert "h_c     = 0.0493085046 s\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_delays", ["0", "-3"])
+    def test_fewer_than_one_delay_exits_1(self, capsys, n_delays):
+        # used to list one delay and exit 0
+        assert run("stability", "--mu", "15.6", "--beta", "50", "--kappa", "3000",
+                   "--n-delays", n_delays) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: n_delays must be >= 1, got {n_delays}\n"
 
     def test_missing_coefficients_exit_1(self):
         assert run("stability", "--mu", "15.6") == 1

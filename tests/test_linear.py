@@ -212,6 +212,6 @@ class TestCharacteristicValue:
 
     def test_vanishes_at_computed_crossing(self):
         mu, beta, kappa = M_A, 50.0, 3000.0
-        omega_c = ds.crossing_frequency(mu, beta, kappa)
+        omega_c = ds.analyze(mu, beta, kappa).omega_c
         h_c, _ = ds.critical_delays(mu, beta, kappa)
         assert abs(characteristic_value(mu, beta, kappa, h_c, 1j * omega_c)) < 1e-8 * kappa

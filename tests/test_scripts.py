@@ -76,3 +76,30 @@ def test_bench_layers(tmp_path):
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
     assert set(report["sides"]) == {"a", "b"}
     assert all(set(side) == cases for side in report["sides"].values())
+
+
+def test_code_lines(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "one.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import math  # a code line with a comment\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Method docstring\n"
+        "        over two lines.'''\n"
+        '        text = """a string,\n'
+        '        not a docstring"""\n'
+        "        return (text,\n"
+        "                math.pi)\n"
+    )
+    (tmp_path / "pkg" / "two.py").write_text("x = 1\n")
+    out = run_script("code_lines.py", str(tmp_path / "pkg"))
+    # one.py: import, class, def, both lines of the string, both of the return
+    assert out == "     7  one.py\n     1  two.py\n     8  total\n"

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import docksim as ds
+from docksim.cli import load_scenario, scenario_path
+from docksim.linear import linearize_2d, penetration_dde_coeffs
 from docksim.stability import (
     BoundaryPoint,
     _closed_form,
@@ -12,7 +14,6 @@ from docksim.stability import (
     classify,
     critical_damping,
     critical_delays,
-    crossing_frequency,
     stability_boundary,
     verdict_4th_order,
     write_boundary_csv,
@@ -29,21 +30,21 @@ coeff_draws = st.tuples(
 
 class TestCrossingFrequency:
     def test_undamped_closed_form(self):
-        assert crossing_frequency(M_A, 0.0, 3000.0) == pytest.approx(math.sqrt(3000.0 / M_A), rel=1e-14)
+        assert analyze(M_A, 0.0, 3000.0).omega_c == pytest.approx(math.sqrt(3000.0 / M_A), rel=1e-14)
 
     def test_reference_value(self):
-        assert crossing_frequency(M_A, 50.0, 3000.0) == pytest.approx(14.053921121235149, rel=1e-12)
+        assert analyze(M_A, 50.0, 3000.0).omega_c == pytest.approx(14.053921121235149, rel=1e-12)
 
     @given(coeff_draws, st.floats(0.1, 100.0))
     def test_scale_invariance(self, draw, c):
         mu, beta, kappa = draw
-        w1 = crossing_frequency(mu, beta, kappa)
-        w2 = crossing_frequency(c * mu, c * beta, c * kappa)
+        w1 = analyze(mu, beta, kappa).omega_c
+        w2 = analyze(c * mu, c * beta, c * kappa).omega_c
         assert w2 == pytest.approx(w1, rel=1e-9)
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
-            crossing_frequency(0.0, 1.0, 1.0)
+            analyze(0.0, 1.0, 1.0)
 
 
 class TestCriticalDelays:
@@ -71,7 +72,7 @@ class TestCriticalDelays:
     @given(coeff_draws)
     def test_characteristic_residual_at_crossings(self, draw):
         mu, beta, kappa = draw
-        w = crossing_frequency(mu, beta, kappa)
+        w = analyze(mu, beta, kappa).omega_c
         _, h_n = critical_delays(mu, beta, kappa, 3)
         for h in h_n:
             assert abs(ds.characteristic_value(mu, beta, kappa, h, 1j * w)) < 1e-8 * kappa
@@ -89,7 +90,7 @@ class TestApproximation:
     @given(coeff_draws)
     def test_agreement_in_validity_regime(self, draw):
         mu, beta, kappa = draw
-        w = crossing_frequency(mu, beta, kappa)
+        w = analyze(mu, beta, kappa).omega_c
         if w * beta / kappa >= 0.3 or beta == 0.0:
             return
         h_c = analyze(mu, beta, kappa).h_c
@@ -121,7 +122,7 @@ class TestCrossingDirection:
         # sigma is d/domega(|D|^2 - |N|^2) at omega_c up to the positive
         # factor 4 mu^2 omega_c, which does not affect the sign criterion
         mu, beta, kappa = draw
-        w = crossing_frequency(mu, beta, kappa)
+        w = analyze(mu, beta, kappa).omega_c
         gain = lambda om: (mu * om * om) ** 2 - ((beta * om) ** 2 + kappa * kappa)
         dw = 1e-6 * w
         fd = (gain(w + dw) - gain(w - dw)) / (2 * dw)
@@ -274,7 +275,7 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="floating-point range"):
             analyze(1.0, 1e200, 1.0)
         with pytest.raises(ValueError, match="floating-point range"):
-            crossing_frequency(1e-10, 1.0, 1e300)
+            analyze(1e-10, 1.0, 1e300)
 
     def test_critical_damping_raises_value_error(self):
         with pytest.raises(ValueError, match="floating-point range"):
@@ -295,21 +296,31 @@ class TestVerdict4thOrder:
         v = verdict_4th_order(table1_body(), table1_contact(b_v=0.0), 0.001)
         assert v.h_c == 0.0 and v.verdict == "unstable"
 
-    def test_both_subsystems_reported(self):
-        v = verdict_4th_order(table1_body(), table1_contact(b_v=50.0), 0.016)
-        assert v.penetration_mode.mu == pytest.approx(M_A, rel=1e-12)
-        assert v.displacement_mode.mu == 60.0
-        assert v.displacement_mode.beta == 100.0
-        assert v.displacement_mode.kappa == 6000.0
-        assert v.h_c == min(v.penetration_mode.h_c, v.displacement_mode.h_c)
+    @pytest.mark.parametrize("name", ["table1", "fig7", "fig9"])
+    def test_linearization_factors_into_penetration_mode_and_rigid_pair(self, name):
+        # x' = A0 x + A1 x(t-h): A0 holds the rate rows of F_x, A1 the
+        # delayed force rows, so det(sI - A0 - A1 e^(-sh)) is the 4-state
+        # model's characteristic function; it is s^2 times the penetration
+        # factor over m_a, so the model has no other contact mode
+        body, contact, sim, _ = load_scenario(scenario_path(name))
+        model = linearize_2d(body, contact)
+        A0 = np.zeros((4, 4))
+        A0[[0, 2]] = model.F_x[[0, 2]]
+        A1 = model.F_x - A0
+        rng = np.random.default_rng(17)
+        for s in rng.normal(0.0, 20.0, 16) + 1j * rng.normal(0.0, 20.0, 16):
+            det = np.linalg.det(s * np.eye(4) - A0 - A1 * np.exp(-s * sim.h))
+            factor = s * s * ds.characteristic_value(model.m_a, model.b, model.k, sim.h, s) / model.m_a
+            assert abs(det - factor) <= 1e-12 * abs(factor)
 
-    def test_slow_regime_subsystems_coincide_at_b_over_k(self):
-        # omega_c * beta << kappa: both critical delays collapse onto b/k
-        body = table1_body()
-        contact = ds.ContactParams(k_v=3000.0, b_v=5.0, alpha=math.radians(30))
-        v = verdict_4th_order(body, contact, 0.001)
-        assert v.penetration_mode.h_c == pytest.approx(5.0 / 3000.0, rel=0.01)
-        assert v.displacement_mode.h_c == pytest.approx(5.0 / 3000.0, rel=0.01)
+    def test_fig7_critical_delay_is_that_of_the_penetration_mode(self):
+        # the linearization's rightmost root crosses between h = 0.0492 and
+        # 0.0494 s at fig7; the (m, 2b, 2k) pair once judged here gave 0.04862
+        body, contact, sim, _ = load_scenario(scenario_path("fig7"))
+        v = verdict_4th_order(body, contact, sim.h)
+        assert v.h_c == analyze(*penetration_dde_coeffs(body, contact)).h_c
+        assert v.h_c == pytest.approx(0.0493085046, rel=1e-9)
+        assert v.verdict == "stable"
 
     def test_neutral_band_is_configurable(self):
         body, contact = table1_body(), table1_contact(b_v=50.0)
@@ -324,6 +335,15 @@ def test_analyze_bundles_everything():
     assert len(res.h_n) == 4
     d = res.as_dict()
     assert d["omega_c"] == res.omega_c and d["verdict"] == "stable"
+
+
+@pytest.mark.parametrize("n_delays", [0, -3])
+def test_fewer_than_one_delay_is_rejected(n_delays):
+    # used to be clamped to one delay without a word
+    with pytest.raises(ValueError, match=f"n_delays must be >= 1, got {n_delays}"):
+        analyze(M_A, 50.0, 3000.0, n_delays=n_delays)
+    with pytest.raises(ValueError, match=f"n_delays must be >= 1, got {n_delays}"):
+        critical_delays(M_A, 50.0, 3000.0, n_delays)
 
 
 class TestClassify:
@@ -360,6 +380,3 @@ def test_unusable_band_is_rejected(band):
 def test_as_dict_leaves_out_missing_delay():
     assert set(analyze(M_A, 50.0, 3000.0).as_dict()) == {
         "mu", "beta", "kappa", "omega_c", "h_c", "h_n", "sigma"}
-    v = verdict_4th_order(table1_body(), table1_contact(b_v=50.0), 0.016).as_dict()
-    assert set(v) == {"verdict", "h", "h_c", "penetration_mode", "displacement_mode"}
-    assert v["penetration_mode"]["verdict"] in ("stable", "neutral", "unstable")
