@@ -3,6 +3,10 @@
 microseconds per step, contact-law (model ``wrench``) calls per run, and
 write_trajectory_csv / read_trajectory_csv microseconds per row on the
 bundled scenarios, table1 and fig7 in 2D and table1, fig7 and demo3d in 3D.
+Short delays, which no bundled scenario runs, come as the cases
+"table1-2d-dt<step>" and "demo3d-3d-dt<step>": the scenario with dt = 1e-2,
+5e-3, 2.5e-3 and 1.25e-3 (h/dt = 1.6, 3.2, 6.4 and 12.8) and every step
+recorded.
 
 integrate_dde is timed on the very call docksim.dynamics.simulate makes:
 one simulate run per case, with integrate_dde wrapped, captures the call's
@@ -38,7 +42,11 @@ import time
 
 import numpy as np
 
-CASES = [("table1", "2d"), ("fig7", "2d"), ("table1", "3d"), ("fig7", "3d"), ("demo3d", "3d")]
+# (scenario, mode, dt or None for the scenario's own)
+CASES = [("table1", "2d", None), ("fig7", "2d", None), ("table1", "3d", None), ("fig7", "3d", None),
+         ("demo3d", "3d", None)]
+CASES += [(name, mode, dt) for name, mode in (("table1", "2d"), ("demo3d", "3d"))
+          for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
 
 
 def best_of(repeat, fn) -> float:
@@ -57,8 +65,11 @@ def measure(t_end, repeat) -> dict:
     from docksim.cli import load_scenario, scenario_path
 
     result = {}
-    for name, mode in CASES:
+    for name, mode, dt in CASES:
+        case = f"{name}-{mode}" + (f"-dt{dt:g}" if dt else "")
         body, contact, sim, _ = load_scenario(scenario_path(name))
+        if dt is not None:
+            sim = dataclasses.replace(sim, dt=dt, record_every=1)
         if t_end is not None:
             sim = dataclasses.replace(sim, t_end=t_end)
         integrate_dde = dynamics.integrate_dde
@@ -101,11 +112,11 @@ def measure(t_end, repeat) -> dict:
             write = best_of(repeat, lambda: dynamics.write_trajectory_csv(traj, path))
             read = best_of(repeat, lambda: dynamics.read_trajectory_csv(path))
         rows = len(traj.times)
-        result[f"{name}-{mode}"] = {"steps": steps, "wrench_calls": calls[0],
-                                    "us_per_step": round(best / steps * 1e6, 4),
-                                    "csv_rows": rows, "csv_columns": columns,
-                                    "write_us_per_row": round(write / rows * 1e6, 4),
-                                    "read_us_per_row": round(read / rows * 1e6, 4)}
+        result[case] = {"steps": steps, "wrench_calls": calls[0],
+                        "us_per_step": round(best / steps * 1e6, 4),
+                        "csv_rows": rows, "csv_columns": columns,
+                        "write_us_per_row": round(write / rows * 1e6, 4),
+                        "read_us_per_row": round(read / rows * 1e6, 4)}
     return result
 
 

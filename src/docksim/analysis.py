@@ -14,13 +14,12 @@ bracketing and works while the contact is still in progress.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import nonnegative_problem, sample_count, write_csv
+from .core import nonnegative_problem, positive_problem, sample_count, write_csv
 from .dynamics import ContactEvent, Trajectory
 from .stability import classify
 
@@ -144,7 +143,9 @@ def observed_energy(
     passive (dE < 0) or active (dE > 0). dt must be finite and > 0, the
     tolerance finite and >= 0 (ValueError).
     """
-    _check_sample_time(dt)
+    problem = positive_problem("dt", dt)
+    if problem:
+        raise ValueError(problem)
     problem = nonnegative_problem("tolerance", tolerance)
     if problem:
         raise ValueError(problem)
@@ -168,11 +169,6 @@ def observed_energy(
         dt=float(dt),
         tolerance=float(tolerance),
     )
-
-
-def _check_sample_time(dt: float) -> None:
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
 
 def resample(t_src: np.ndarray, values: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
@@ -200,7 +196,9 @@ def streams_from_trajectories(
     """
     if measured.mode != commanded.mode:
         raise ValueError("measured and commanded trajectories must share a mode")
-    _check_sample_time(dt)
+    problem = positive_problem("dt", dt)
+    if problem:
+        raise ValueError(problem)
     t_end = min(float(measured.times[-1]), float(commanded.times[-1]))
     samples = sample_count(t_end, dt)
     if samples < 1:

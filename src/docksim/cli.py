@@ -10,9 +10,12 @@ stability judges one second-order delay system mu s^2 + e^(-s h)
 (beta s + kappa): given by --mu, --beta and --kappa, or defaulted with
 --from-scenario to the scenario's penetration mode (m_a, b_v, k), the one
 contact mode of its planar linearization. Both ways print the same text
-and JSON; --set paths may step into lists by index (contact.springs.0.k).
+and JSON; --set paths may step into lists by index (contact.springs.0.k),
+and --set without --from-scenario is an input error.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical divergence.
+Exit codes: 0 success, 1 invalid input, 2 numerical divergence. A reader
+that closes stdout early (docksim ... | head) is not bad input: the run
+ends with 0 and no error line.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -324,6 +328,8 @@ def cmd_stability(args) -> int:
     (m_a, b_v, k), its delay sim.h and its analysis.neutrality_band; each of
     --mu, --beta, --kappa, --h and --band given overrides its default."""
     values = {"h": None, "band": _stability.DEFAULT_NEUTRAL_BAND}
+    if args.set and not args.from_scenario:
+        raise ScenarioError("--set overrides a scenario entry; give it with --from-scenario")
     if args.from_scenario:
         path = scenario_path(args.from_scenario)
         body, contact, sim, options = load_scenario(path, args.set)
@@ -476,7 +482,14 @@ def main(argv=None) -> int:
             return code
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush finds no broken pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ScenarioError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,8 +11,10 @@ All types here are plain value carriers. They do not self-validate;
 all violations at once. :func:`step_count` is the one rule for how many
 fixed steps a run takes, :func:`delay_problem` the one rule for which
 delays a run accepts, :func:`nonnegative_problem` the one rule for a value
-that must be finite and >= 0 (a delay, an averaging window, a neutrality
-band, a tolerance), and :func:`write_csv` the one writer of the
+that must be finite and >= 0 (a delay, a stiffness, a damping, an averaging
+window, a neutrality band, a tolerance), :func:`positive_problem` the one
+rule for a value that must be finite and > 0 (a mass, a step, a sample
+time), and :func:`write_csv` the one writer of the
 9-significant-digit CSV data files, which formats bounded chunks of rows
 with one ``%.9g`` format each and checks the header and label columns
 against the values.
@@ -256,6 +258,11 @@ def nonnegative_problem(name: str, x: float) -> str | None:
     return None if 0.0 <= x < math.inf else f"{name} must be finite and >= 0, got {x!r}"
 
 
+def positive_problem(name: str, x: float) -> str | None:
+    """The diagnostic for a value x that is not finite and > 0, else None."""
+    return None if 0.0 < x < math.inf else f"{name} must be finite and > 0, got {x!r}"
+
+
 def delay_problem(h: float, dt: float = 0.0) -> str | None:
     """The diagnostic for a delay h that a run with steps dt cannot use,
     else None. h must be finite and >= 0, and 0 or >= dt: the explicit
@@ -343,8 +350,9 @@ def validate(
     """
     diags: list[str] = []
 
-    if not math.isfinite(params.m) or params.m <= 0.0:
-        diags.append(f"m must be positive, got {params.m!r}")
+    problem = positive_problem("m", params.m)
+    if problem:
+        diags.append(problem)
     if not np.all(np.isfinite(params.J)):
         diags.append("J has non-finite entries")
     else:
@@ -357,14 +365,14 @@ def validate(
     elif params.a <= 0.0:
         diags.append("probe vector a_B must have positive length")
 
-    if not math.isfinite(contact.k_v) or contact.k_v < 0.0:
-        diags.append(f"k_v must be >= 0, got {contact.k_v!r}")
-    if not math.isfinite(contact.b_v) or contact.b_v < 0.0:
-        diags.append(f"b_v must be >= 0, got {contact.b_v!r}")
+    for problem in (nonnegative_problem("k_v", contact.k_v), nonnegative_problem("b_v", contact.b_v)):
+        if problem:
+            diags.append(problem)
     new_springs = []
     for i, (k_i, l_hat) in enumerate(contact.springs):
-        if not math.isfinite(k_i) or k_i < 0.0:
-            diags.append(f"spring k_{i + 1} must be >= 0, got {k_i!r}")
+        problem = nonnegative_problem(f"spring k_{i + 1}", k_i)
+        if problem:
+            diags.append(problem)
         new_springs.append((k_i, _check_unit(f"l_hat_{i + 1}", l_hat, diags)))
     n_hat = _check_unit("n_hat", contact.n_hat, diags)
     if not 0.0 < contact.alpha < math.pi / 2:
@@ -373,12 +381,12 @@ def validate(
     if problem:
         diags.append(problem)
 
-    dt_ok = math.isfinite(sim.dt) and sim.dt > 0.0
-    problem = delay_problem(sim.h, sim.dt if dt_ok else 0.0)
+    dt_problem = positive_problem("dt", sim.dt)
+    problem = delay_problem(sim.h, 0.0 if dt_problem else sim.dt)
     if problem:
         diags.append(problem)
-    if not dt_ok:
-        diags.append(f"dt must be positive, got {sim.dt!r}")
+    if dt_problem:
+        diags.append(dt_problem)
     if not math.isfinite(sim.t_end) or not sim.t_end > sim.dt:
         diags.append(f"t_end = {sim.t_end!r} must be finite and exceed dt = {sim.dt!r}")
     elif sim.dt > 0.0:

@@ -2,12 +2,20 @@
 
 The equations of motion form a functional ODE: the contact force at time t
 is computed from the state sampled at t - h. :func:`integrate_dde` is the
-one integration scheme: classical explicit RK4 on a fixed grid, with the
+one integration scheme: explicit RK4 stages on a fixed grid, with the
 delayed arguments at the stage times resolved by linear interpolation of the
 stored state history, which keeps runs reproducible bit-for-bit for a given
 (dt, h). Before t = 0 the history is the constant initial state (runs start
 out of contact, where the right-hand side is force-free, so the constant
 pre-history is exact).
+
+The scheme is not of order 4 at h > 0. The linear interpolation of the
+history is second-order accurate, so a smooth (bilateral) run converges at
+order 2: the error shrinks by 4 per halving of dt. A unilateral run with
+b_v > 0 converges at order 1 (a factor of 2 per halving), because its force
+jumps by b_v times the depth rate where the delayed depth crosses zero,
+inside a step. ``tests/test_dynamics.py`` measures both orders on
+``table1``.
 
 h = 0 is special-cased: the delayed argument is the current stage state and
 the scheme is plain RK4 for the undelayed ODE. A delay that is negative,
@@ -26,30 +34,27 @@ class up by mode and hands the model to :func:`integrate_dde`, which takes
 a model or a caller's own right-hand side; :func:`make_rhs_2d` and
 :func:`make_rhs_3d` return a model's ``rhs``.
 
-Two paths run the scheme. The per-step loop calls the right-hand side
-``rhs(y, y_delayed)`` (a model's ``rhs`` or a caller's own) four times per
-step on Python floats, and reads the delayed rows with
-:func:`_lerp_history`. It serves h = 0, callers without a model, and delays
-shorter than ``MIN_BLOCK_RATIO`` steps, where a block is too short to pay
-for its numpy calls (the measured crossover is at about 8 to 9 steps in 2D
-and in 3D).
+A model has one path at h > 0, the block path, with the same protocol
+for both modes. The force applied over the next h was sensed h ago, so when
+the run reaches row i the delayed samples of steps i .. i + int(h/dt) - 1
+lie at fractional rows <= i, in rows that are already final. For such a
+block, one vectorized lerp (:func:`_lerp_rows`) gives the three stage
+samples of every step, ``model.wrench`` gives their force and torque, and
+``model.push`` steps the block under them: each (position, rate) pair whose
+rate derivative is that delayed acceleration -- (z, v_z), (theta, omega)
+and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the RK4 increments on
+arrays and an in-place ``np.cumsum``. So a 2D block runs no Python loop per
+step; in 3D the attitude column and omega, whose rates depend on the
+current state, step in a loop over 6 floats driven by the block's torques.
+A zero force is just a value here, so free flight and contact take the same
+path. Each finished block is checked for divergence, which raises at its
+first offending row with the per-step message and t.
 
-The block path serves a model at longer delays, as :func:`simulate` runs
-the bundled scenarios, with the same protocol for both modes. The force
-applied over the next h was sensed h ago, so when the run reaches row i
-the delayed samples of steps i .. i + int(h/dt) - 2 lie in rows that are
-already final. For such a block, one vectorized lerp (:func:`_lerp_rows`)
-gives the three stage samples of every step, ``model.wrench`` gives their
-force and torque, and ``model.push`` steps the block under them: each
-(position, rate) pair whose rate derivative is that delayed acceleration
--- (z, v_z), (theta, omega) and (y, v_y) in 2D, (r_j, v_j) in 3D --
-advances with the RK4 increments on arrays and an in-place ``np.cumsum``.
-So a 2D block runs no Python loop per step; in 3D the attitude column and
-omega, whose rates depend on the current state, step in a loop over 6
-floats driven by the block's torques. A zero force is just a value here,
-so free flight and contact take the same path. Each finished block is
-checked for divergence, which raises at its first offending row with the
-per-step message and t.
+The per-step loop does only what a block cannot: it calls the right-hand
+side ``rhs(y, y_delayed)`` four times per step on Python floats, for a
+caller's own right-hand side at any delay and for a model at h = 0, where
+every stage's delayed argument is the stage itself. At h > 0 it reads a
+step's three delayed samples with one :func:`_lerp_rows` call.
 
 In free flight the delayed wrench is exactly zero, so the run speculates
 there. After a block whose force and torque samples are all bitwise equal
@@ -77,22 +82,21 @@ does, not pairwise), and the 3D attitude column is renormalized with
 numpy's dot product, which rounds differently from a plain sum of squares.
 
 Contact-law (``wrench``) calls per run on the bundled scenarios:
-``table1`` 25 and ``fig7`` 50 in either mode, ``demo3d`` 211.
+``table1`` 25 and ``fig7`` 50 in either mode, ``demo3d`` 210.
 ``integrate_dde`` as :func:`simulate` calls it, recording included, best
 of 5 runs (median of 8 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
 2.4.6): about 0.8 µs/step in 2D and 8 to 10 µs/step in 3D, where the
 attitude loop takes most of the time (``BENCH_spatial_spans.json``, from
-``scripts/bench_layers.py``). The per-step loop took 8.4, 8.8 and 19.9
-µs/step on ``table1``, ``fig7`` and ``demo3d`` in an earlier measurement.
+``scripts/bench_layers.py``).
 
 The contact channels :func:`simulate` records are the force and torque the
 integrator applied, which it leaves on the model as ``model.applied``, in
 the trajectory's row layout, so the contact law is evaluated once per run.
 The block path keeps the wrench at each block's even stage samples,
-k - h/dt for its rows k; after the per-step loop the model's ``wrench``
-runs once on the same samples of the whole grid, lerped by
-:func:`_lerp_rows` (at h = 0 they are the rows themselves). The models
-evaluate the contact law through the functions of :mod:`docksim.contact`.
+k - h/dt for its rows k; at h = 0 the model's ``wrench`` runs once, after
+the per-step loop, on the rows themselves, which are their own delayed
+samples there. The models evaluate the contact law through the functions
+of :mod:`docksim.contact`.
 
 The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 :func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
@@ -135,11 +139,7 @@ from .core import (
 # rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
 # numpy rows from callers) in, a tuple of floats out
 Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
-# h/dt below which integrate_dde steps one row at a time even when handed a
-# model: a block of int(h/dt) - 1 steps then pays more for its numpy calls
-# than it saves (measured crossover, see the module docstring)
-MIN_BLOCK_RATIO = 9
-# length of a speculative span of free flight, in blocks of int(h/dt) - 1
+# length of a speculative span of free flight, in blocks of int(h/dt)
 # steps (measured on planar runs: 4 to 16 all pay, 8 most)
 SPECULATIVE_BLOCKS = 8
 # simulate's divergence bound, in multiples of the initial state's largest
@@ -161,7 +161,6 @@ def integrate_dde(
     dt: float,
     t_end: float,
     h: float,
-    unit_slice: slice | None = None,
     divergence_bound: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y'(t) = rhs(y(t), y(t-h)) on the fixed grid.
@@ -173,23 +172,20 @@ def integrate_dde(
     h must be 0 or a finite delay >= dt (:func:`docksim.core.delay_problem`),
     else ValueError.
 
-    ``system`` is either a right-hand side ``rhs(y, y_delayed)``, with
-    ``unit_slice`` naming the columns to renormalize after every step, or a
-    :class:`PlanarModel` or :class:`SpatialModel`, which brings its own
-    ``rhs`` and ``unit_slice`` (a ``unit_slice`` given with a model is a
-    ValueError). A model with h/dt >= MIN_BLOCK_RATIO advances in blocks of
-    int(h/dt) - 1 steps with its block form (under a steady wrench, in
-    checked spans of SPECULATIVE_BLOCKS blocks) and never calls ``rhs``; the
-    rows are the same bit for bit. A model is also left with
-    ``model.applied``, the force and torque (f, tau) applied at every row:
-    its ``wrench`` at the rows sampled one delay back.
+    ``system`` is either a right-hand side ``rhs(y, y_delayed)``, stepped
+    by plain RK4, or a :class:`PlanarModel` or :class:`SpatialModel`, which
+    brings its own ``rhs`` and the ``unit_slice`` of columns renormalized
+    after every step. At h > 0 a model advances in blocks of int(h/dt)
+    steps with its block form (under a steady wrench, in checked spans of
+    SPECULATIVE_BLOCKS blocks) and never calls ``rhs``; the rows are those
+    of ``rhs`` stepped one row at a time, bit for bit. A model is also left
+    with ``model.applied``, the force and torque (f, tau) applied at every
+    row: its ``wrench`` at the rows sampled one delay back.
     """
     if isinstance(system, (PlanarModel, SpatialModel)):
-        if unit_slice is not None:
-            raise ValueError("unit_slice comes with the model; give it only with a right-hand side")
         model, rhs, unit_slice = system, system.rhs, system.unit_slice
     else:
-        model, rhs = None, system
+        model, rhs, unit_slice = None, system, None
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
     problem = delay_problem(h, dt)
@@ -211,13 +207,12 @@ def integrate_dde(
     # so one pass screens each step or block; _check_divergence then decides
     # exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
-    if model is not None and ratio >= MIN_BLOCK_RATIO:
-        model.applied = _integrate_blocks(model, Y, times, grid, int(ratio) - 1, dt, limit, divergence_bound)
+    if model is not None and h:
+        model.applied = _integrate_blocks(model, Y, times, grid, int(ratio), dt, limit, divergence_bound)
         return times, Y
     half = 0.5 * dt
     sixth = dt / 6.0
     y = Y[0].tolist()
-    samples = grid.tolist()
     # at h = 0 the delayed samples stay None, and each stage's delayed
     # argument is the stage state itself
     d0 = dh = d1 = None
@@ -226,9 +221,7 @@ def integrate_dde(
     with np.errstate(all="ignore"):
         for i in range(n):
             if h:
-                d0 = _lerp_history(Y, samples[2 * i])
-                dh = _lerp_history(Y, samples[2 * i + 1])
-                d1 = _lerp_history(Y, samples[2 * i + 2])
+                d0, dh, d1 = _lerp_rows(Y, grid[2 * i:2 * i + 3]).tolist()
             k1 = rhs(y, d0 or y)
             y2 = [a + half * b for a, b in zip(y, k1)]
             k2 = rhs(y2, dh or y2)
@@ -246,7 +239,8 @@ def integrate_dde(
             if not sum(map(abs, y)) <= limit:
                 _check_divergence(y, float(times[i + 1]), divergence_bound)
     if model is not None:
-        model.applied = model.wrench(_lerp_rows(Y[:, :model.columns], grid[0::2]).T)
+        # h = 0: each row is its own delayed sample
+        model.applied = model.wrench(Y[:, :model.columns].T)
     return times, Y
 
 
@@ -254,12 +248,12 @@ def _integrate_blocks(model, Y, times, grid, span, dt, limit, divergence_bound) 
     """Fill Y block by block with the model's ``wrench`` and ``push``, and
     return the wrench (f, tau) applied at every row. grid holds the delayed
     stage samples of every step, interleaved (see :func:`integrate_dde`).
-    Steps i..j-1 with j - i <= span = int(h/dt) - 1 read delayed samples at
-    fractional rows <= i - 1, so rows <= i, which are final: one lerp and
-    one ``wrench`` call give the wrench at every stage sample of the block,
-    and ``push`` steps the block under it. The even samples, grid[2k] for
-    k = i..j, are the delayed samples of rows i..j, so their wrench is the
-    one recorded.
+    Steps i..j-1 with j - i <= span = int(h/dt) read delayed samples at
+    fractional rows <= j - h/dt <= i, so rows <= i, which are final: one
+    lerp and one ``wrench`` call give the wrench at every stage sample of
+    the block, and ``push`` steps the block under it. The even samples,
+    grid[2k] for k = i..j, are the delayed samples of rows i..j, so their
+    wrench is the one recorded.
 
     After a block whose wrench samples are all bitwise equal, a span of
     SPECULATIVE_BLOCKS blocks runs on a guess: ``push`` steps the span's
@@ -337,25 +331,11 @@ def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None
         )
 
 
-def _lerp_history(Y: np.ndarray, q: float) -> list:
-    """Row of Y at fractional index q, as a list of floats; constant before
-    row 0. Reads no row past ceil(q), so q may be the latest final row."""
-    if q <= 0.0:
-        return Y[0].tolist()
-    i0 = int(q)
-    w = q - i0
-    if w == 0.0:
-        return Y[i0].tolist()
-    v = 1.0 - w
-    a, b = Y[i0:i0 + 2].tolist()
-    return [v * x0 + w * x1 for x0, x1 in zip(a, b)]
-
-
 def _lerp_rows(Y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows of Y at the fractional indices q, with the float operations of
-    :func:`_lerp_history` for each: row 0 for q <= 0, the exact row when
-    q is whole, else (1 - w) x0 + w x1 with its own w. Reads no row past
-    ceil(q)."""
+    """Rows of Y at the fractional indices q: row 0 for q <= 0 (the
+    constant pre-history), the exact row when q is whole, else
+    (1 - w) x0 + w x1 with its own w. Reads no row past ceil(q), so q may
+    be the latest final row."""
     q = np.maximum(q, 0.0)
     i0 = q.astype(np.intp)
     w = q - i0

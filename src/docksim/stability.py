@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import delay_problem, nonnegative_problem, write_csv
+from .core import delay_problem, nonnegative_problem, positive_problem, write_csv
 from .linear import penetration_dde_coeffs
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
@@ -53,12 +53,9 @@ DEFAULT_NEUTRAL_BAND = 0.01
 
 
 def _check_params(mu: float, beta: float, kappa: float) -> None:
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    problem = positive_problem("mu", mu) or positive_problem("kappa", kappa) or nonnegative_problem("beta", beta)
+    if problem:
+        raise ValueError(problem)
 
 
 def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float]:
@@ -149,8 +146,9 @@ def critical_damping(mu: float, kappa: float, h: float) -> float:
     bound.
     """
     _check_params(mu, 0.0, kappa)
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h!r}")
+    problem = positive_problem("h", h)
+    if problem:
+        raise ValueError(problem)
 
     def h_c(beta: float) -> float:
         # h_0 with the operations of _closed_form: (base + 2 pi * 0) / omega

@@ -40,6 +40,13 @@ def test_unusable_delay_exits_1(tmp_path, capsys, h):
     assert not (tmp_path / "bad.traj.csv").exists()
 
 
+def test_infinite_stiffness_exits_1_with_its_own_diagnostic(tmp_path, capsys):
+    code = run("simulate", "table1", "--set", "contact.k_v=Infinity", "--out", str(tmp_path / "bad"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: k_v must be finite and >= 0, got inf\n"
+
+
 @pytest.mark.parametrize("override", [
     "body.m=null",
     "body=5",
@@ -297,6 +304,22 @@ class TestStability:
     def test_missing_coefficients_exit_1(self):
         assert run("stability", "--mu", "15.6") == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "Infinity", "mu must be finite and > 0, got inf"),
+        ("--beta", "inf", "beta must be finite and >= 0, got inf"),
+    ])
+    def test_non_finite_coefficient_exits_1(self, capsys, flag, value, message):
+        coefficients = {"--mu": "15.6", "--beta": "50", "--kappa": "3000", flag: value}
+        assert run("stability", *(x for item in coefficients.items() for x in item)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_set_without_a_scenario_exits_1(self, capsys):
+        assert run("stability", "--mu", "15.6", "--beta", "50", "--kappa", "3000",
+                   "--set", "contact.b_v=5", "--set", "nonsense") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --set") and err.count("\n") == 1
+
     def test_overflowing_closed_form_exits_1(self, capsys):
         assert run("stability", "--mu", "1", "--beta", "1e200", "--kappa", "1") == 1
         err = capsys.readouterr().err
@@ -446,6 +469,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "h_c" in proc.stdout
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # the reader closes its end of the pipe before docksim writes (as
+    # `docksim ... | head` may): no error line, no "Exception ignored" from
+    # the interpreter's last flush, exit status 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "docksim", "stability", "--from-scenario", "demo3d", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
 
 
 def test_help_exits_zero():

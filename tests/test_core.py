@@ -77,7 +77,7 @@ class TestValidate:
     def test_rejects_negative_mass(self):
         body, contact, sim = _valid_bundle()
         bad = BodyParams(m=-1.0, J=body.J, a_B=body.a_B)
-        with pytest.raises(ValidationError, match="m must be positive"):
+        with pytest.raises(ValidationError, match="m must be finite and > 0"):
             validate(bad, contact, sim)
 
     def test_rejects_non_unit_normal(self):
@@ -164,12 +164,12 @@ _STATE_3D = dict(r=[0.0, 0.0, -0.14], v=[0.0, 0.0, -0.02], d_c3=[0.0, 0.6, 0.8],
     (_bundle(body=dict(J=[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]])), "J must be symmetric"),
     (_bundle(body=dict(a_B=[0.0, 0.0, np.inf])), "a_B has non-finite entries"),
     (_bundle(contact=dict(springs=((-5.0, [0.0, 0.6, 0.8]),))),
-     "spring k_1 must be >= 0, got -5.0"),
+     "spring k_1 must be finite and >= 0, got -5.0"),
     (_bundle(sim=dict(h=-0.016)), "h must be finite and >= 0, got -0.016"),
     (_bundle(sim=dict(h=np.nan)), "h must be finite and >= 0, got nan"),
     (_bundle(sim=dict(h=np.inf)), "h must be finite and >= 0, got inf"),
-    (_bundle(sim=dict(dt=0.0)), "dt must be positive, got 0.0"),
-    (_bundle(sim=dict(dt=-1e-4)), "dt must be positive, got -0.0001"),
+    (_bundle(sim=dict(dt=0.0)), "dt must be finite and > 0, got 0.0"),
+    (_bundle(sim=dict(dt=-1e-4)), "dt must be finite and > 0, got -0.0001"),
     (_bundle(sim=dict(record_every=0)), "record_every must be >= 1, got 0"),
     (_bundle(sim=dict(initial=ChaserState2D(z=np.nan, v_z=0.0, theta=1.0, omega=0.0))),
      "initial 2D state has non-finite entries"),
@@ -195,7 +195,7 @@ def test_validate_reports_every_violation_in_order():
         validate(*bundle)
     assert err.value.diagnostics == [
         "J must be symmetric",
-        "spring k_1 must be >= 0, got -5.0",
+        "spring k_1 must be finite and >= 0, got -5.0",
         "h must be finite and >= 0, got inf",
         "record_every must be >= 1, got 0",
         "theta must lie in [0, pi] for valid contact geometry, got 4.0",

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import docksim as ds
 from docksim import dynamics
+from docksim.cli import load_scenario, scenario_path
 from docksim.core import delay_problem
 from docksim.dynamics import (
     PlanarModel,
     SpatialModel,
-    _lerp_history,
     _lerp_rows,
     extract_events,
     integrate_dde,
@@ -21,35 +21,36 @@ from docksim.dynamics import (
 )
 
 from conftest import JX_RECOVERED, approach_config, table1_body, table1_contact
+from test_integrator_oracle import numpy_integrate_dde, numpy_lerp_history
 
 
 class TestDelayLine:
-    """The delayed-history lookup of the integrator, _lerp_history."""
+    """The delayed-history lookup of the integrator, _lerp_rows."""
 
     def test_constant_prehistory(self):
         Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(_lerp_history(Y, -5.0), [1.0, 2.0])
-        assert np.array_equal(_lerp_history(Y, 0.0), [1.0, 2.0])
+        assert np.array_equal(_lerp_rows(Y, np.array([-5.0, 0.0])), [[1.0, 2.0], [1.0, 2.0]])
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])] * 3),
                          min_size=2, max_size=8),
            q=st.lists(st.floats(-3.0, 8.0) | st.integers(-3, 8).map(float), min_size=1, max_size=20))
-    def test_block_lerp_matches_lerp_history_bitwise(self, rows, q):
-        # the integrator's block lerp and the per-step lookup give the same
-        # floats for every index, before row 0, on whole and fractional rows
+    def test_block_lerp_matches_scalar_lerp_bitwise(self, rows, q):
+        # the integrator's block lerp and the oracle's one-sample lerp give
+        # the same floats for every index, before row 0, on whole and
+        # fractional rows
         Y = np.array(rows)
         latest = len(Y) - 1
         q = np.minimum(q, latest)
         block = _lerp_rows(Y, q)
         for qi, row in zip(q, block):
-            assert row.tobytes() == np.array(_lerp_history(Y, float(qi))).tobytes()
+            assert row.tobytes() == numpy_lerp_history(Y, latest, float(qi)).tobytes()
 
     def test_linear_ramp_interpolates_exactly(self):
         Y = np.array([[2.0 * i * 0.1] for i in range(8)])
         # a linear signal is reproduced exactly by linear interpolation
-        for t in (0.05, 0.12, 0.33, 0.61):
-            assert _lerp_history(Y, t / 0.1)[0] == pytest.approx(2.0 * t, abs=1e-15)
+        t = np.array([0.05, 0.12, 0.33, 0.61])
+        assert _lerp_rows(Y, t / 0.1)[:, 0] == pytest.approx(2.0 * t, abs=1e-15)
 
 
 class TestRhs2D:
@@ -231,17 +232,45 @@ class TestStep:
         phase = (phase + math.pi) % (2 * math.pi) - math.pi
         assert abs(phase) < 1e-6
 
-    def test_attitude_stays_unit_over_many_steps(self):
-        # pure rotation, renormalized every step; the norm is pinned to one
-        # ulp of 1 after every single step, so the bound cannot drift no
-        # matter how long the run is
-        rhs = lambda y, yd: np.array([y[1] * 0.7 - y[2] * 0.3,
-                                      y[2] * 0.5 - y[0] * 0.7,
-                                      y[0] * 0.3 - y[1] * 0.5])
-        _, Y = integrate_dde(rhs, np.array([0.0, 0.0, 1.0]), 1e-3, 100_000 * 1e-3, 0.0,
-                             unit_slice=slice(0, 3))
-        norms = np.linalg.norm(Y, axis=1)
+    @pytest.mark.parametrize("h", [0.0, 0.016])  # per-step loop, block path
+    def test_attitude_stays_unit_over_many_steps(self, h):
+        # a free tumble far from the wall, the attitude column renormalized
+        # every step; the norm is pinned to one ulp of 1 after every single
+        # step, so the bound cannot drift no matter how long the run is
+        body = ds.BodyParams(m=60.0, J=[[1.5, 0.1, -0.05], [0.1, 2.0, 0.08], [-0.05, 0.08, 2.5]],
+                             a_B=[0.0, 0.0, 0.3])
+        model = SpatialModel(body, table1_contact())
+        state = ds.ChaserState3D(r=[0.0, 0.0, 10.0], v=[0.0, 0.0, 0.0], d_c3=[0.0, 0.0, 1.0],
+                                 omega=[0.5, -0.3, 0.7])
+        _, Y = integrate_dde(model, state.as_vector(), 1e-3, 100_000 * 1e-3, h)
+        assert model.applied[0].max() == 0.0
+        norms = np.linalg.norm(Y[:, 6:9], axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-9)
+
+    @pytest.mark.parametrize("activation, low, high", [
+        # the linear interpolation of the history: order 2
+        ("bilateral", 3.8, 4.2),
+        # the force jumps by b_v d_dot where the delayed depth crosses zero
+        # inside a step: order 1
+        ("unilateral", 1.8, 2.4),
+    ])
+    def test_convergence_order(self, activation, low, high):
+        # table1 with b_v = 50 through its first contact: the max-norm
+        # error of the state at t = 0.6 s against dt = 5e-6 shrinks by a
+        # factor of 2**order per halving of dt (measured 4.000, 4.002,
+        # 4.008 and 2.179, 2.003, 2.041)
+        body, contact, sim, _ = load_scenario(scenario_path("table1.json"), [
+            "contact.b_v=50", f'contact.activation="{activation}"'])
+        model = PlanarModel(body, contact)
+        y0 = model.initial_vector(sim.initial)
+
+        def final_state(dt):
+            return integrate_dde(model, y0, dt, 0.6, sim.h)[1][-1]
+
+        ref = final_state(5e-6)
+        errors = [np.abs(final_state(dt) - ref).max() for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(low <= r <= high for r in ratios), ratios
 
     def test_divergence_bound_applies_per_component(self):
         # |y| sums past the bound while every component stays inside it
@@ -327,12 +356,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
-    @pytest.mark.parametrize("h", [0.016, 0.02])  # the bundled h/dt of 160 and 200
+    # h/dt of 1, 1.5, 2 and 5, and the bundled 160 and 200
+    @pytest.mark.parametrize("h", [1e-4, 1.5e-4, 2e-4, 5e-4, 0.016, 0.02])
     def test_block_path_makes_no_scalar_rhs_call(self, body, monkeypatch, mode, activation, h):
-        # simulate hands integrate_dde one model, which advances whole
-        # blocks on arrays and never calls its scalar form; it records the
-        # applied wrench as it goes, so no lerp over all the grid's rows
-        # runs afterwards
+        # simulate hands integrate_dde one model, which at every delay
+        # advances whole blocks on arrays, even blocks of one step, and
+        # never calls its scalar form; it records the applied wrench as it
+        # goes, so no lerp over all the grid's rows runs afterwards
         models, calls = count_scalar_rhs_calls(monkeypatch, mode)
         lerped = []
         lerp_rows = dynamics._lerp_rows
@@ -351,10 +381,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_per_step_path_calls_the_scalar_rhs_of_the_model(self, body, monkeypatch, mode):
-        # the counter of the test above sees the calls of the per-step loop
-        # (5 steps of delay, under MIN_BLOCK_RATIO): four per step
+        # the counter of the test above sees the calls of the per-step loop,
+        # which runs a model only at h = 0: four per step
         models, calls = count_scalar_rhs_calls(monkeypatch, mode)
-        cfg = approach_config(h=5e-4, t_end=0.1)
+        cfg = approach_config(h=0.0, t_end=0.1)
         ds.simulate(cfg, body, table1_contact(b_v=50.0), mode=mode)
         assert len(models) == 1 and calls[0] == 4 * 1000
 
@@ -363,10 +393,10 @@ class TestSimulate:
         # table1 spends about 81% of its 12 000 steps in free flight, where
         # the delayed wrench is steady: in either mode, speculative spans of
         # SPECULATIVE_BLOCKS blocks cover it, so the contact law runs 25
-        # times instead of once per block of 159 steps (76 blocks)
+        # times instead of once per block of 160 steps (75 blocks)
         calls = count_wrench_calls(monkeypatch, dynamics._MODELS[mode])
         _, events = ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode=mode)
-        assert events and calls[0] == 25 < math.ceil(12000 / 159)
+        assert events and calls[0] == 25 < math.ceil(12000 / 160)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("h", [-0.016, math.nan, math.inf, 5e-5])  # 5e-5 is dt/2
@@ -385,28 +415,25 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
-    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0, h/dt = 5 (per-step loop), 160 (blocks)
+    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0 (per-step loop), h/dt = 5 and 160 (blocks)
     def test_model_runs_as_its_rhs_and_unit_slice(self, body, mode, activation, h):
         # handed the model, integrate_dde gives the rows of the model's
-        # scalar form and unit slice stepped one row at a time, bit for bit
+        # scalar form and unit slice stepped one row at a time, bit for bit:
+        # in 2D that is integrate_dde on the bare ``rhs``, in 3D the oracle's
+        # numpy scheme, which renormalizes the attitude column as the model
+        # does
         model = dynamics._MODELS[mode](body, table1_contact(b_v=50.0, activation=activation))
         cfg = approach_config(h=h, t_end=1.0)
         y0 = model.initial_vector(cfg.initial)
         times, Y = integrate_dde(model, y0, cfg.dt, cfg.t_end, h, divergence_bound=1e3)
-        ref_times, ref = integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h,
-                                       unit_slice=model.unit_slice, divergence_bound=1e3)
+        if model.unit_slice is None:
+            ref_times, ref = integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h, divergence_bound=1e3)
+        else:
+            ref_times, ref = numpy_integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h,
+                                                 unit_slice=model.unit_slice, divergence_bound=1e3)
         assert times.tobytes() == ref_times.tobytes()
         assert Y.tobytes() == ref.tobytes()
         assert model.applied[0].max() > 0.0
-
-    @pytest.mark.parametrize("mode", ["2d", "3d"])
-    def test_unit_slice_with_a_model_is_rejected(self, body, contact, mode):
-        # the model brings its own unit slice; a second one could disagree
-        model = dynamics._MODELS[mode](body, contact)
-        cfg = approach_config()
-        with pytest.raises(ValueError, match="unit_slice comes with the model"):
-            integrate_dde(model, model.initial_vector(cfg.initial), cfg.dt, cfg.t_end, cfg.h,
-                          unit_slice=slice(6, 9))
 
     def test_record_every_decimates_uniformly(self, body, contact):
         cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=approach_config().initial,
@@ -481,7 +508,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
-    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0, per-step loop (5 dt), block path
+    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0 (per-step loop), 5 dt and 160 dt (blocks)
     def test_recorded_channels_are_the_wrench_of_the_delayed_rows(self, body, mode, activation, h):
         # whichever path ran, f and tau are the model's wrench on the grid
         # sampled one delay back, as a whole-grid lerp gives it, bit for bit

@@ -52,12 +52,14 @@ GOLDEN_STABILITY = {
 
 # (axis, linspace(start, stop, count), fixed coefficients): SHA-256 of the
 # curve's points, one "x,h_critical,omega_c,sigma,error" line each with the
-# numbers as float.hex; the mu curve starts at -50, so 51 points fail
+# numbers as float.hex; the mu curve starts at -50, so 51 points fail with
+# "mu must be finite and > 0, got ..." (recorded anew when that text
+# replaced "mu must be positive, got ..."; every number is unchanged)
 GOLDEN_CURVES = {
     ("kappa", (100.0, 8000.0, 500), (("mu", 60.0), ("beta", 50.0))):
         "cd476aeb4233e20befa8f8c4c05b7071b3746ebd4fcd7f3cffeb6a27fd0dee89",
     ("mu", (-50.0, 400.0, 451), (("beta", 50.0), ("kappa", 1000.0))):
-        "6cb2e803e22f4aa5d504f6a025253bbca73fc704a2d9a1b88eb4dc82d5d83ea0",
+        "188f398891e64843f6be677c608ee3105427fa15eaeb0ad4a471c6385ba9da5d",
 }
 # (mu, kappa, h) -> critical_damping(mu, kappa, h).hex()
 GOLDEN_CRITICAL_DAMPING = {

@@ -4,9 +4,10 @@
 delayed RK4 scheme, kept here only as a reference: every stage is a numpy
 expression on the whole state vector, one step at a time. ``integrate_dde``
 performs the same floating-point operations in the same order, on Python
-floats in its per-step loop and on arrays in its block path (given a
-``PlanarModel`` or ``SpatialModel``), so each must agree with the reference
-bit for bit, and must diverge at the same step with the same message.
+floats in its per-step loop (a caller's right-hand side, or a model at
+h = 0) and on arrays in its block path (a ``PlanarModel`` or
+``SpatialModel`` at h > 0), so each must agree with the reference bit for
+bit, and must diverge at the same step with the same message.
 """
 
 import contextlib
@@ -19,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 import docksim as ds
 from docksim.contact import depth_2d
 from docksim.dynamics import (
-    MIN_BLOCK_RATIO,
     SPECULATIVE_BLOCKS,
     DivergenceError,
     PlanarModel,
@@ -88,12 +88,12 @@ def numpy_lerp_history(Y, latest, q):
     return (1.0 - w) * Y[i0] + w * Y[i0 + 1]
 
 
-def run_both(rhs, y0, dt, t_end, h, unit_slice, bound, model=None):
+def run_both(rhs, y0, dt, t_end, h, bound, model=None):
     """Run both integrators; each result is (times, Y) or the
     DivergenceError. ``integrate_dde`` is handed the model, its ``rhs``
-    swapped for a counting wrapper of ``rhs``, or without one ``rhs`` and
-    ``unit_slice``. With a model and h/dt at or above the crossover, the
-    block path must not call the right-hand side."""
+    swapped for a counting wrapper of ``rhs``, or without one ``rhs``, which
+    neither side renormalizes. With a model and h > 0, the block path must
+    not call the right-hand side."""
     calls = [0]
 
     def counted(y, yd):
@@ -101,18 +101,17 @@ def run_both(rhs, y0, dt, t_end, h, unit_slice, bound, model=None):
         return rhs(y, yd)
 
     if model is None:
-        system, kwargs = counted, {"unit_slice": unit_slice}
+        system, unit_slice = counted, None
     else:
-        assert unit_slice == model.unit_slice
         model.rhs = counted
-        system, kwargs = model, {}
+        system, unit_slice = model, model.unit_slice
     # the per-step loop lets numpy's overflow warnings through on a
     # diverging run, as it always has; the block path must not
     quiet = np.errstate(over="ignore", invalid="ignore") if model is None else contextlib.nullcontext()
     results = []
     try:
         with quiet:
-            results.append(integrate_dde(system, y0, dt, t_end, h, divergence_bound=bound, **kwargs))
+            results.append(integrate_dde(system, y0, dt, t_end, h, divergence_bound=bound))
     except DivergenceError as exc:
         results.append(exc)
     try:
@@ -121,7 +120,7 @@ def run_both(rhs, y0, dt, t_end, h, unit_slice, bound, model=None):
                                                divergence_bound=bound))
     except DivergenceError as exc:
         results.append(exc)
-    if model is not None and h / dt >= MIN_BLOCK_RATIO:
+    if model is not None and h:
         assert calls[0] == 0, "the block path called the right-hand side"
     return results
 
@@ -156,8 +155,8 @@ def delays(draw, dt):
 
 @st.composite
 def cases(draw, blocks=False):
-    """A random 2D or 3D run near the wall; with ``blocks``, the model of
-    the block path comes last."""
+    """A random 2D or 3D run near the wall; with ``blocks``, the model
+    comes last (the block path at h > 0, the per-step loop at h = 0)."""
     mode = draw(st.sampled_from(["2d", "3d"]))
     dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3]))
     h = draw(delays(dt))
@@ -190,17 +189,17 @@ def cases(draw, blocks=False):
         v_y=draw(signed_zero | st.floats(-0.05, 0.05)),
     )
     if mode == "2d":
-        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
+        rhs, y0 = make_rhs_2d(body, contact), state.as_vector()
     else:
         s3 = state.embed_3d()
         tilt = draw(st.floats(-0.05, 0.05))
         d_c3 = np.array([tilt, s3.d_c3[1], s3.d_c3[2]])
         s3 = ds.ChaserState3D(r=s3.r, v=s3.v, d_c3=d_c3 / np.linalg.norm(d_c3),
                               omega=[draw(signed_zero | st.floats(-0.5, 0.5)) for _ in range(3)])
-        rhs, y0, unit_slice = make_rhs_3d(body, contact), s3.as_vector(), slice(6, 9)
+        rhs, y0 = make_rhs_3d(body, contact), s3.as_vector()
     steps = draw(st.integers(1, 300))
     bound = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
-    case = rhs, y0, dt, steps * dt, h, unit_slice, bound
+    case = rhs, y0, dt, steps * dt, h, bound
     if blocks:
         case += ((PlanarModel if mode == "2d" else SpatialModel)(body, contact),)
     return case
@@ -215,8 +214,8 @@ def test_float_loop_matches_numpy_scheme_bitwise(case):
 @settings(max_examples=150, deadline=None)
 @given(case=cases(blocks=True))
 def test_block_path_matches_numpy_scheme_bitwise(case):
-    # h/dt from 1 to 40 puts the run on either side of MIN_BLOCK_RATIO;
-    # below it integrate_dde keeps the per-step loop
+    # h = 0 runs the model in the per-step loop; h/dt from 1 to 40 runs
+    # the block path, with blocks of every length from 1 to 40 steps
     assert_bitwise_equal(*run_both(*case))
 
 
@@ -229,10 +228,11 @@ def test_divergence_is_reported_identically(mode, bound, message):
     contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
     state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
     if mode == "2d":
-        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
+        new, ref = run_both(make_rhs_2d(body, contact), state.as_vector(), 1e-3, 2.0, 5e-3, bound)
     else:
-        rhs, y0, unit_slice = make_rhs_3d(body, contact), state.embed_3d().as_vector(), slice(6, 9)
-    new, ref = run_both(rhs, y0, 1e-3, 2.0, 5e-3, unit_slice, bound)
+        # the model renormalizes its attitude column
+        model = SpatialModel(body, contact)
+        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 5e-3, bound, model)
     assert isinstance(ref, DivergenceError) and message in str(ref)
     assert_bitwise_equal(new, ref)
 
@@ -245,10 +245,12 @@ def test_long_contact_run_matches_numpy_scheme_bitwise(mode, h):
                                springs=((800.0, [0.0, 0.6, 0.8]),))
     state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=0.0)
     if mode == "2d":
-        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
+        new, ref = run_both(make_rhs_2d(body, contact), state.as_vector(), 1e-4, 1.2, h, 1e3)
     else:
-        rhs, y0, unit_slice = make_rhs_3d(body, contact), state.embed_3d().as_vector(), slice(6, 9)
-    new, ref = run_both(rhs, y0, 1e-4, 1.2, h, unit_slice, 1e3)
+        # the model renormalizes its attitude column: in the per-step loop
+        # at h = 0, in the block path at h > 0
+        model = SpatialModel(body, contact)
+        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-4, 1.2, h, 1e3, model)
     assert_bitwise_equal(new, ref)
 
 
@@ -284,7 +286,6 @@ def spinning_3d_run(activation):
 def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h):
     if omega is None:
         rhs, y0, model = spinning_3d_run(activation)
-        unit_slice = slice(6, 9)
     else:
         body = ds.BodyParams(m=60.0, J=np.diag([1.43, 1.43, 1.43]), a_B=[0.0, 0.0, 0.3])
         contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
@@ -292,8 +293,8 @@ def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h)
         state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=omega, v_y=0.01)
         model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
         y0 = model.initial_vector(state)
-        rhs, unit_slice = model.rhs, model.unit_slice
-    new, ref = run_both(rhs, y0, 1e-4, 1.2, h, unit_slice, 1e3, model)
+        rhs = model.rhs
+    new, ref = run_both(rhs, y0, 1e-4, 1.2, h, 1e3, model)
     assert_bitwise_equal(new, ref)
     v_z = ref[1][:, 5 if mode == "3d" else 1]
     if omega == 0.0 and activation == "unilateral":
@@ -309,22 +310,17 @@ def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h)
 @pytest.mark.parametrize("mode", ["2d", "3d"])
 @pytest.mark.parametrize("bound, message", [(2.0, "divergence bound"), (None, "non-finite")])
 def test_divergence_inside_a_block_is_reported_identically(mode, bound, message):
-    # as test_divergence_is_reported_identically, with h/dt = 16: the state
+    # as test_divergence_is_reported_identically, with h/dt = 17: the state
     # leaves the bound, or overflows, in the middle of a block
     body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
     contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
     state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
-    if mode == "2d":
-        rhs, y0, unit_slice = make_rhs_2d(body, contact), state.as_vector(), None
-        model = PlanarModel(body, contact)
-    else:
-        rhs, y0, unit_slice = make_rhs_3d(body, contact), state.embed_3d().as_vector(), slice(6, 9)
-        model = SpatialModel(body, contact)
-    new, ref = run_both(rhs, y0, 1e-3, 2.0, 0.016, unit_slice, bound, model)
+    model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
+    new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 0.017, bound, model)
     assert isinstance(ref, DivergenceError) and message in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)
-    assert steps % 15 != 0  # not at the end of a block of 15 steps
+    assert steps % 17 != 0  # not at the end of a block of 17 steps
 
 
 # --- cases first written for the free-flight fast-forward ---
@@ -340,7 +336,7 @@ SPIN_CONTACT = ds.ContactParams(k_v=3000.0, b_v=2.0, alpha=0.5)
 
 def run_planar(body, contact, state, dt, t_end, h, bound):
     """run_both for a 2D run given the planar model."""
-    return run_both(make_rhs_2d(body, contact), state.as_vector(), dt, t_end, h, None, bound,
+    return run_both(make_rhs_2d(body, contact), state.as_vector(), dt, t_end, h, bound,
                     PlanarModel(body, contact))
 
 
@@ -427,20 +423,19 @@ def test_fast_forward_signed_zeros_match_numpy_scheme_bitwise(theta, omega, v_y)
 def test_fast_forward_reports_divergence_identically(mode, bound):
     # a free drift away from the wall crosses the bound inside a committed
     # speculative span: the delayed force is zero and the torque steady
-    # from the first block of 15 steps on, so spans of SPECULATIVE_BLOCKS
-    # blocks start at step 15 and commit whole
+    # from the first block of 16 steps on, so spans of SPECULATIVE_BLOCKS
+    # blocks start at step 16 and commit whole
     state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
     if mode == "2d":
         new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
     else:
         model = SpatialModel(SPIN_BODY, SPIN_CONTACT)
-        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 0.0163,
-                            model.unit_slice, bound, model)
+        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 0.0163, bound, model)
     assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)
-    # past the first block of 15 steps a span started at
-    assert steps > 15 and (steps - 15) % (SPECULATIVE_BLOCKS * 15) > 15
+    # past the first block of 16 steps a span started at
+    assert steps > 16 and (steps - 16) % (SPECULATIVE_BLOCKS * 16) > 16
 
 
 def test_fast_forward_keeps_a_negative_zero_in_the_loop():

@@ -56,26 +56,32 @@ def test_run_demo3d(tmp_path):
 
 
 def test_bench_layers(tmp_path):
-    cases = {"table1-2d", "fig7-2d", "table1-3d", "fig7-3d", "demo3d-3d"}
+    # the bundled scenarios at their own dt, and table1 and demo3d at
+    # steps that make h/dt = 1.6, 3.2, 6.4 and 12.8
+    short = {"dt0.01": 5, "dt0.005": 10, "dt0.0025": 20, "dt0.00125": 40}
+    steps = {"table1-2d": 500, "fig7-2d": 500, "table1-3d": 500, "fig7-3d": 500, "demo3d-3d": 500}
+    steps.update({f"{case}-{dt}": n for case in ("table1-2d", "demo3d-3d") for dt, n in short.items()})
     out = tmp_path / "bench.json"
     run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1", "--repeat", "1", "--out", str(out))
     workloads = json.loads(out.read_text())["workloads"]
-    assert set(workloads) == cases
-    for case in workloads.values():
-        # 500 steps: one block of 159 steps, then one speculative span
-        assert case["steps"] == 500 and case["wrench_calls_per_run"] == 2
+    assert set(workloads) == set(steps)
+    for name, case in workloads.items():
+        # one block of int(h/dt) steps (160 at the own dt), then one
+        # speculative span
+        assert case["steps"] == steps[name] and case["wrench_calls_per_run"] == 2
         assert case["median_of_round_bests"] > 0.0
     for name, case in workloads.items():
-        # the simulate trajectory in the 2D or 3D layout; demo3d records every 10th step
-        rows = 51 if name == "demo3d-3d" else 501
-        assert (case["csv_rows"], case["csv_columns"]) == (rows, 9 if name.endswith("2d") else 19)
+        # the simulate trajectory in the 2D or 3D layout; demo3d records
+        # every 10th step at its own dt, the short-delay cases every step
+        rows = 51 if name == "demo3d-3d" else steps[name] + 1
+        assert (case["csv_rows"], case["csv_columns"]) == (rows, 9 if "-2d" in name else 19)
         assert case["write_trajectory_csv_us_per_row"] > 0.0
         assert case["read_trajectory_csv_us_per_row"] > 0.0
     # one round of each side in its own process
     report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
     assert set(report["sides"]) == {"a", "b"}
-    assert all(set(side) == cases for side in report["sides"].values())
+    assert all(set(side) == set(steps) for side in report["sides"].values())
 
 
 def test_code_lines(tmp_path):

@@ -214,7 +214,7 @@ class TestBoundary:
         points = stability_boundary("beta", grid, mu=60.0, kappa=1000.0)
         assert [p.x for p in points[::3]] == [20.0, 40.0]
         assert [p.error is None for p in points] == [True, False, False, True, False, True]
-        assert points[2].error == "beta must be >= 0, got -1.0"
+        assert points[2].error == "beta must be finite and >= 0, got -1.0"
         for p in (points[0], points[3], points[5]):
             assert p == stability_boundary("beta", [p.x], mu=60.0, kappa=1000.0)[0]
 
