@@ -71,11 +71,15 @@ def _check_keys(section: str, data: dict, allowed: set[str], required: tuple[str
 
 
 def _number(section: str, data: dict, key: str, default=None, kind=float):
-    """data[key] (or a non-None default when absent) as kind. JSON
-    true/false are not numbers, though float(True) would read them as 1."""
+    """data[key] (or a non-None default when absent) as kind, from a JSON
+    number only: not true/false (float() reads them as 1 and 0), a string
+    such as "50" or null. An int key takes a whole number only, not 2.9,
+    NaN or Infinity."""
     value = data[key] if default is None else data.get(key, default)
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{section}.{key} must be a number, got {json.dumps(value)}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{section}.{key} must be a whole number, got {json.dumps(value)}")
     return kind(value)
 
 

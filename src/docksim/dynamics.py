@@ -69,24 +69,25 @@ the row the sequential scheme gives, and one long in-place cumsum (and, in
 mismatch at sample m the first (m - 1) // 2 steps are committed, their
 wrench recorded and their rows screened for divergence; normal blocks
 resume at the first uncommitted step, and a span that commits nothing
-falls through to a normal block. ``PlanarModel.wrench`` also calls
-``math.sin`` and ``math.cos`` once per run of bitwise-equal theta, which
-holds still before the first contact.
+falls through to a normal block.
 
 Both paths give the rows of the earlier numpy-array form of the scheme bit
 for bit, because each float operation is the elementwise one of that form,
-in the same order: numpy's + - * / on float64 round as Python floats do, the
-2D sin and cos come from ``math`` on both paths, numpy's accumulate is a
-sequential scan (cumsum adds the increments row after row, as the loop
-does, not pairwise), and the 3D attitude column is renormalized with
-numpy's dot product, which rounds differently from a plain sum of squares.
+in the same order: numpy's + - * / on float64 round as Python floats do;
+numpy's float64 sin and cos, which ``PlanarModel.wrench`` and ``depth``
+call, return the bits of ``math.sin`` and ``math.cos``, which ``rhs``
+calls (``tests/test_dynamics.py::TestNumpyTrig`` checks this on the
+platform at hand); numpy's accumulate is a sequential scan (cumsum adds the
+increments row after row, as the loop does, not pairwise); and the 3D
+attitude column is renormalized with numpy's dot product, which rounds
+differently from a plain sum of squares.
 
 Contact-law (``wrench``) calls per run on the bundled scenarios:
 ``table1`` 25 and ``fig7`` 50 in either mode, ``demo3d`` 210.
 ``integrate_dde`` as :func:`simulate` calls it, recording included, best
-of 5 runs (median of 8 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
-2.4.6): about 0.8 µs/step in 2D and 8 to 10 µs/step in 3D, where the
-attitude loop takes most of the time (``BENCH_spatial_spans.json``, from
+of 5 runs (median of 15 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
+2.4.6): about 0.4 µs/step in 2D and 6 µs/step in 3D, where the attitude
+loop takes most of the time (``BENCH_planar_trig.json``, from
 ``scripts/bench_layers.py``).
 
 The contact channels :func:`simulate` records are the force and torque the
@@ -106,6 +107,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -442,20 +444,10 @@ class PlanarModel:
 
     def wrench(self, xd):
         """Applied force f and x-torque tau at the delayed samples xd
-        (columns first), as ``rhs`` computes them, sin and cos from math
-        included."""
-        th = xd[2]
-        # one math.sin and math.cos per run of bitwise-equal theta, which is
-        # constant through free flight without spin
-        bits = th.view(np.int64)
-        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-        runs = th[first].tolist()
-        s = np.fromiter(map(math.sin, runs), float, len(runs))
-        c = np.fromiter(map(math.cos, runs), float, len(runs))
-        if len(runs) < len(th):
-            counts = np.diff(first, append=len(th))
-            s = np.repeat(s, counts)
-            c = np.repeat(c, counts)
+        (columns first), as ``rhs`` computes them: numpy's float64 sin and
+        cos give math's bits (see the module docstring)."""
+        s = np.sin(xd[2])
+        c = np.cos(xd[2])
         d = depth_2d(xd, self.a, c)
         k = contact_stiffness(self.k_v, self.springs, 0.0, s, c)
         f = contact_force(k, self.b_v, d, depth_rate_2d(xd, self.a, s))
@@ -788,7 +780,8 @@ def read_trajectory_csv(path) -> Trajectory:
     """Read a file written by :func:`write_trajectory_csv`; the header
     decides the mode. A 2D file has no (y, v_y) columns, so they read as
     zero, and ``in_contact`` is recomputed as d < 0, as :func:`simulate`
-    records it. Raises ValueError on any other header."""
+    records it. Raises ValueError on any other header and on a file with
+    no data rows."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         for mode, (columns, n) in _TRAJ_LAYOUT.items():
@@ -796,7 +789,12 @@ def read_trajectory_csv(path) -> Trajectory:
                 break
         else:
             raise ValueError(f"{path}: unrecognized trajectory header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # numpy's warning for a file with no rows; the error below says it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not len(data):
+        raise ValueError(f"{path}: no data rows")
     states = data[:, 1:n + 1]
     if mode == "2d":
         states = np.column_stack([states, np.zeros((len(data), 2))])

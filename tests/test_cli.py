@@ -48,7 +48,6 @@ def test_infinite_stiffness_exits_1_with_its_own_diagnostic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [
-    "body.m=null",
     "body=5",
     "contact.springs=5",
     "contact.springs=[[1,2]]",
@@ -85,9 +84,18 @@ def test_unusable_analysis_option_exits_1(tmp_path, capsys, key, value):
     ("sim.record_every=true", "sim.record_every must be a number, got true"),
     ("sim.dt=true", "sim.dt must be a number, got true"),
     ("analysis.neutrality_band=false", "analysis.neutrality_band must be a number, got false"),
+    ("body.m=null", "body.m must be a number, got null"),
+    ('contact.b_v="50"', 'contact.b_v must be a number, got "50"'),
+    ('contact.b_v="abc"', 'contact.b_v must be a number, got "abc"'),
+    ("contact.b_v=abc", 'contact.b_v must be a number, got "abc"'),
+    ("sim.record_every=2.9", "sim.record_every must be a whole number, got 2.9"),
+    ("sim.record_every=NaN", "sim.record_every must be a whole number, got NaN"),
+    ("sim.record_every=Infinity", "sim.record_every must be a whole number, got Infinity"),
 ])
-def test_boolean_for_a_number_exits_1(tmp_path, capsys, override, message):
-    # float(True) is 1.0: b_v = true used to run with b_v = 1 N*s/m
+def test_scalar_that_is_not_a_json_number_exits_1(tmp_path, capsys, override, message):
+    # float(True) is 1.0: b_v = true used to run with b_v = 1 N*s/m; b_v =
+    # "50" ran with 50, record_every = 2.9 kept every 2nd row, and NaN and
+    # Infinity ended in int()'s own error or an OverflowError traceback
     code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "bad"))
     assert code == 1
     out, err = capsys.readouterr()
@@ -423,13 +431,19 @@ class TestEnergy:
         classes = {line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]}
         assert classes == {"lossless"}
 
-    def test_unknown_trajectory_header_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("t,q\n0,1\n", "unrecognized trajectory header"),
+        # a header and no rows used to end in an IndexError traceback
+        ("t,z,v_z,theta,omega,d,d_dot,f,tau\n", "no data rows"),
+    ], ids=["unknown-header", "header-only"])
+    def test_unreadable_trajectory_exits_1(self, tmp_path, capsys, text, message):
         traj = self._write_run(tmp_path, "run")
         bogus = tmp_path / "bogus.traj.csv"
-        bogus.write_text("t,q\n0,1\n")
+        bogus.write_text(text)
+        capsys.readouterr()
         assert run("energy", "--measured", str(traj), "--commanded", str(bogus),
                    "--out", str(tmp_path / "e.csv")) == 1
-        assert "unrecognized trajectory header" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {bogus}: {message}\n")
 
     @pytest.mark.parametrize("option, value", [
         ("--dt", "0"),

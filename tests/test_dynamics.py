@@ -214,6 +214,50 @@ class TestRhsContract:
             assert np.array(spun[-1]).tobytes() == tau[0].tobytes()
 
 
+class TestNumpyTrig:
+    """The premise of ``PlanarModel.wrench``: numpy's float64 sin and cos
+    return the bits of math.sin and math.cos, which the scalar ``rhs``
+    calls. Where a platform's numpy computes them otherwise, the 2D golden
+    hashes and the block-against-rhs checks fail too; these tests name the
+    cause."""
+
+    @staticmethod
+    def assert_math_bits(th):
+        for vectorized, scalar in ((np.sin, math.sin), (np.cos, math.cos)):
+            got = vectorized(th).view(np.int64)
+            want = np.array([scalar(x) for x in th.tolist()]).view(np.int64)
+            wrong = np.flatnonzero(got != want)
+            assert not len(wrong), (f"np.{scalar.__name__} differs from math.{scalar.__name__} "
+                                    f"at theta = {th[wrong[:3]].tolist()} ({len(wrong)} of {len(th)})")
+
+    @pytest.mark.parametrize("name", ["table1.json", "fig7.json"])
+    def test_thetas_of_the_bundled_planar_runs(self, monkeypatch, name):
+        thetas = []
+        wrench = PlanarModel.wrench
+
+        def recorded(self, xd):
+            thetas.append(xd[2])
+            return wrench(self, xd)
+
+        monkeypatch.setattr(PlanarModel, "wrench", recorded)
+        body, contact, sim, _ = load_scenario(scenario_path(name))
+        ds.simulate(sim, body, contact, mode="2d")
+        assert len(thetas) >= 25
+        for th in thetas:
+            # strided, as wrench reads a row of its delayed samples, and
+            # contiguous
+            assert not th.flags.c_contiguous
+            self.assert_math_bits(th)
+            self.assert_math_bits(np.ascontiguousarray(th))
+
+    @settings(max_examples=300, deadline=None)
+    @given(th=st.lists(st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=64))
+    def test_floats_up_to_1e4(self, th):
+        th = np.array(th)
+        self.assert_math_bits(th)
+        self.assert_math_bits(np.column_stack([th, th])[:, 0])
+
+
 class TestStep:
     def test_drift_is_exact(self):
         _, Y = integrate_dde(lambda y, yd: np.array([y[1], 0.0]), np.array([0.0, 0.5]), 0.1, 0.1, 0.0)
@@ -645,8 +689,13 @@ def test_trajectory_csv_write_read_write_is_byte_identical(tmp_path, body, mode)
         assert not back.states[:, 4:].any()  # (y, v_y) are not in the 2D file
 
 
-def test_trajectory_csv_unknown_header_is_rejected(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("t,x,y\n0,1,2\n", "unrecognized trajectory header"),
+    (",".join(dynamics.TRAJ_COLUMNS_2D) + "\n", "no data rows"),
+    (",".join(dynamics.TRAJ_COLUMNS_3D) + "\n\n\n", "no data rows"),
+], ids=["unknown-header", "2d-header-only", "3d-header-blank-lines"])
+def test_trajectory_csv_unreadable_file_is_rejected(tmp_path, text, message):
     path = tmp_path / "bad.traj.csv"
-    path.write_text("t,x,y\n0,1,2\n")
-    with pytest.raises(ValueError, match="unrecognized trajectory header"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.traj.csv: {message}"):
         read_trajectory_csv(path)
