@@ -13,7 +13,8 @@ contact mode of its planar linearization. Both ways print the same text
 and JSON; --set paths may step into lists by index (contact.springs.0.k),
 and --set without --from-scenario is an input error.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical divergence. A reader
+Exit codes: 0 success, 1 invalid input, 2 numerical divergence, 3 an
+internal fault (any other exception, reported on one line). A reader
 that closes stdout early (docksim ... | head) is not bad input: the run
 ends with 0 and no error line.
 """
@@ -50,6 +51,7 @@ from .core import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DIVERGED = 2
+EXIT_INTERNAL = 3
 
 ANALYSIS_DEFAULTS = {
     "neutrality_band": _stability.DEFAULT_NEUTRAL_BAND,
@@ -57,43 +59,54 @@ ANALYSIS_DEFAULTS = {
 }
 
 
-class ScenarioError(ValueError):
-    pass
-
-
 def _check_keys(section: str, data: dict, allowed: set[str], required: tuple[str, ...] = ()) -> None:
+    """Reject a section that is not a JSON object (a TypeError, which
+    load_scenario reports as a malformed value), an unknown key, named with
+    JSON's escapes so that the message stays on one line, and a missing
+    required key."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{section} must be an object, got {json.dumps(data)}")
     unknown = sorted(set(data) - allowed)
     if unknown:
-        raise ScenarioError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+        names = ", ".join(json.dumps(key, ensure_ascii=False)[1:-1] for key in unknown)
+        raise ValidationError(f"unknown key(s) in {section}: {names}")
     for key in required:
         if key not in data:
-            raise ScenarioError(f"{section}: missing {key}")
+            raise ValidationError(f"{section}: missing {key}")
+
+
+def _leaf(where: str, x, expected: str):
+    """x if it is a JSON number that fits a float, the one rule of every
+    scenario number, else ValidationError naming where: not true/false
+    (float() reads them as 1 and 0), a string such as "50", null (numpy
+    reads it as nan) or an integer beyond the float range (JSON integers
+    are unbounded; float() and numpy overflow on them)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"{where} must {expected}, got {json.dumps(x)}")
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        raise ValidationError(f"{where} must fit a float, got an integer of {len(str(abs(x)))} digits")
+    return x
 
 
 def _number(section: str, data: dict, key: str, default=None, kind=float):
-    """data[key] (or a non-None default when absent) as kind, from a JSON
-    number only: not true/false (float() reads them as 1 and 0), a string
-    such as "50" or null. An int key takes a whole number only, not 2.9,
+    """data[key] (or a non-None default when absent) as kind, from a
+    :func:`_leaf` number. An int key takes a whole number only, not 2.9,
     NaN or Infinity."""
-    value = data[key] if default is None else data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{section}.{key} must be a number, got {json.dumps(value)}")
+    value = _leaf(f"{section}.{key}", data[key] if default is None else data.get(key, default), "be a number")
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ScenarioError(f"{section}.{key} must be a whole number, got {json.dumps(value)}")
+        raise ValidationError(f"{section}.{key} must be a whole number, got {json.dumps(value)}")
     return kind(value)
 
 
 def _numbers(section: str, data: dict, key: str, default=None, matrix: bool = False):
     """data[key] (or a non-None default when absent), unchanged: a length-3
-    vector, or with matrix a 3x3 matrix, of numbers. Any other nesting,
-    ragged or not, is rejected, and so is any other leaf: JSON true/false,
-    as :func:`_number` rejects them for a scalar, and null, which numpy
-    would read as nan."""
+    vector, or with matrix a 3x3 matrix, of :func:`_leaf` numbers. Any
+    other nesting, ragged or not, is rejected, and so is any other leaf."""
     value = data[key] if default is None else data.get(key, default)
 
     def wrong_shape():
         shape = "3x3 matrix" if matrix else "length-3 vector"
-        return ScenarioError(f"{section}.{key} must be a {shape}, got {json.dumps(value)}")
+        return ValidationError(f"{section}.{key} must be a {shape}, got {json.dumps(value)}")
 
     items = [value]
     for _ in range(1 + matrix):
@@ -103,8 +116,7 @@ def _numbers(section: str, data: dict, key: str, default=None, matrix: bool = Fa
     for item in items:
         if isinstance(item, (list, tuple)):
             raise wrong_shape()
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ScenarioError(f"{section}.{key} must hold numbers, got {json.dumps(item)}")
+        _leaf(f"{section}.{key}", item, "hold numbers")
     return value
 
 
@@ -112,13 +124,13 @@ def _angle(section: str, data: dict, name: str, required: bool = True):
     """Read an angle given either in radians (name) or degrees (name_deg)."""
     deg = name + "_deg"
     if name in data and deg in data:
-        raise ScenarioError(f"{section}: give either {name} or {deg}, not both")
+        raise ValidationError(f"{section}: give either {name} or {deg}, not both")
     if name in data:
         return _number(section, data, name)
     if deg in data:
         return math.radians(_number(section, data, deg))
     if required:
-        raise ScenarioError(f"{section}: missing {name} (or {deg})")
+        raise ValidationError(f"{section}: missing {name} (or {deg})")
     return None
 
 
@@ -133,7 +145,7 @@ def scenario_path(name: str) -> Path:
         bundled = base / candidate
         if bundled.is_file():
             return Path(str(bundled))
-    raise ScenarioError(f"scenario not found: {name}")
+    raise ValidationError(f"scenario not found: {name}")
 
 
 def load_scenario(path: Path, overrides: list[str] | None = None):
@@ -142,17 +154,17 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
     Returns (body, contact, sim, analysis_options). Overrides are
     dotted-path assignments like contact.b_v=60 applied to the raw document
     before parsing; values are parsed as JSON. Values of the wrong kind
-    (null for a number, a number for a section) raise ScenarioError.
+    (null for a number, a number for a section) raise ValidationError.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         body, contact, sim, options = _parse_scenario(doc, overrides or [])
     except (TypeError, AttributeError) as exc:
-        raise ScenarioError(f"{path}: malformed scenario value ({exc})") from exc
+        raise ValidationError(f"{path}: malformed scenario value ({exc})") from exc
     body, contact, sim = validate(body, contact, sim)
     return body, contact, sim, options
 
@@ -162,7 +174,7 @@ def _parse_scenario(doc, overrides: list[str]):
     (body, contact, sim, analysis_options)."""
     for item in overrides:
         if "=" not in item:
-            raise ScenarioError(f"override must look like section.key=value, got {item!r}")
+            raise ValidationError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
@@ -179,7 +191,7 @@ def _parse_scenario(doc, overrides: list[str]):
             elif isinstance(node, dict):
                 node = node.get(key)
             else:
-                raise ScenarioError(f"override path {dotted!r} does not lead into the document")
+                raise ValidationError(f"override path {dotted!r} does not lead into the document")
         parent[key] = value
 
     _check_keys("scenario", doc, {"description", "body", "contact", "sim", "analysis"},
@@ -188,9 +200,9 @@ def _parse_scenario(doc, overrides: list[str]):
     body_doc = doc["body"]
     _check_keys("body", body_doc, {"m", "J", "J_x", "a", "a_B"}, ("m",))
     if ("J" in body_doc) == ("J_x" in body_doc):
-        raise ScenarioError("body: give exactly one of J (3x3) or J_x")
+        raise ValidationError("body: give exactly one of J (3x3) or J_x")
     if ("a" in body_doc) == ("a_B" in body_doc):
-        raise ScenarioError("body: give exactly one of a (probe length) or a_B (probe vector)")
+        raise ValidationError("body: give exactly one of a (probe length) or a_B (probe vector)")
     if "J" in body_doc:
         J = _numbers("body", body_doc, "J", matrix=True)
     else:
@@ -239,7 +251,7 @@ def _parse_scenario(doc, overrides: list[str]):
         initial = ChaserState3D(**{key: _numbers("sim.initial", init_doc, key)
                                    for key in ("r", "v", "d_c3", "omega")})
     else:
-        raise ScenarioError("sim.initial: mode must be '2d' or '3d'")
+        raise ValidationError("sim.initial: mode must be '2d' or '3d'")
     sim = SimConfig(
         h=_number("sim", sim_doc, "h"),
         dt=_number("sim", sim_doc, "dt", 1e-4),
@@ -254,7 +266,7 @@ def _parse_scenario(doc, overrides: list[str]):
     for key, value in options.items():
         problem = nonnegative_problem(f"analysis.{key}", value)
         if problem:
-            raise ScenarioError(problem)
+            raise ValidationError(problem)
     return body, contact, sim, options
 
 
@@ -264,7 +276,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit((EXIT_INPUT, f"{self.prog}: error: {message}"))
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _grid(text: str) -> list[float]:
@@ -273,10 +285,10 @@ def _grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ScenarioError(f"grid must be start:stop:count, got {text!r}")
+            raise ValidationError(f"grid must be start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ScenarioError("grid count must be >= 1")
+            raise ValidationError("grid count must be >= 1")
         return [float(x) for x in np.linspace(start, stop, count)]
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -296,14 +308,10 @@ def cmd_simulate(args) -> int:
     mode = args.mode
     if mode is None:
         mode = "3d" if isinstance(sim.initial, ChaserState3D) else "2d"
-    try:
-        traj, events = _dynamics.simulate(
-            sim, body, contact, mode=mode,
-            event_window=options["averaging_window"],
-        )
-    except _dynamics.DivergenceError as exc:
-        print(f"divergence guard: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    traj, events = _dynamics.simulate(
+        sim, body, contact, mode=mode,
+        event_window=options["averaging_window"],
+    )
     prefix = args.out
     _dynamics.write_trajectory_csv(traj, f"{prefix}.traj.csv")
     _write_json(
@@ -333,7 +341,7 @@ def cmd_stability(args) -> int:
     --mu, --beta, --kappa, --h and --band given overrides its default."""
     values = {"h": None, "band": _stability.DEFAULT_NEUTRAL_BAND}
     if args.set and not args.from_scenario:
-        raise ScenarioError("--set overrides a scenario entry; give it with --from-scenario")
+        raise ValidationError("--set overrides a scenario entry; give it with --from-scenario")
     if args.from_scenario:
         path = scenario_path(args.from_scenario)
         body, contact, sim, options = load_scenario(path, args.set)
@@ -343,7 +351,7 @@ def cmd_stability(args) -> int:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
     if not {"mu", "beta", "kappa"} <= set(values):
-        raise ScenarioError("stability needs --mu, --beta and --kappa (or --from-scenario)")
+        raise ValidationError("stability needs --mu, --beta and --kappa (or --from-scenario)")
     result = _stability.analyze(**values, n_delays=args.n_delays)
     if args.json:
         payload = result.as_dict()
@@ -399,7 +407,7 @@ def cmd_energy(args) -> int:
     measured = _dynamics.read_trajectory_csv(args.measured)
     commanded = _dynamics.read_trajectory_csv(args.commanded)
     if len(measured.times) != len(commanded.times):
-        raise ScenarioError(
+        raise ValidationError(
             f"row count mismatch: {args.measured} has {len(measured.times)} rows, "
             f"{args.commanded} has {len(commanded.times)}"
         )
@@ -476,28 +484,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and map its outcome to the exit code: the one place
+    that turns an exception into a status and a stderr line."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:
+        # argparse's own exit: --help (0) or a usage error (_Parser.error)
+        return exc.code
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the
         # interpreter's final flush finds no broken pipe either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ScenarioError, ValidationError, ValueError, OSError) as exc:
+    except _dynamics.DivergenceError as exc:
+        print(f"divergence guard: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

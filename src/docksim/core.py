@@ -45,11 +45,20 @@ _CSV_CHUNK_ROWS = 512
 
 
 class ValidationError(ValueError):
-    """Raised by validate(); carries one diagnostic per violated invariant."""
+    """An input error: raised by validate(), which passes one diagnostic
+    per violated invariant, and by the scenario reader, which passes a
+    single message."""
 
-    def __init__(self, diagnostics: list[str]):
-        self.diagnostics = list(diagnostics)
+    def __init__(self, diagnostics: list[str] | str):
+        self.diagnostics = [diagnostics] if isinstance(diagnostics, str) else list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
+
+
+def _norm(vec: np.ndarray) -> float:
+    """|vec|; inf, without numpy's overflow warning, where its square
+    overflows (validate rejects such a vector)."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(vec))
 
 
 def _vec(x, n: int) -> np.ndarray:
@@ -91,7 +100,7 @@ class BodyParams:
     @property
     def a(self) -> float:
         """Probe length |a_B| used by the planar model [m]."""
-        return float(np.linalg.norm(self.a_B))
+        return _norm(self.a_B)
 
 
 @dataclass(frozen=True)
@@ -211,7 +220,8 @@ class SimConfig:
     dt           : integration step [s]
     t_end        : run duration [s]
     initial      : ChaserState2D or ChaserState3D
-    record_every : output decimation factor (1 = keep every step)
+    record_every : output decimation factor (1 = keep every step); a whole
+                   number (2.0 reads as 2, 2.9 raises ValueError)
     """
 
     h: float
@@ -224,6 +234,8 @@ class SimConfig:
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_end", float(self.t_end))
+        if not float(self.record_every).is_integer():
+            raise ValueError(f"record_every must be a whole number, got {self.record_every!r}")
         object.__setattr__(self, "record_every", int(self.record_every))
 
 
@@ -267,9 +279,12 @@ def delay_problem(h: float, dt: float = 0.0) -> str | None:
     """The diagnostic for a delay h that a run with steps dt cannot use,
     else None. h must be finite and >= 0, and 0 or >= dt: the explicit
     fixed-step scheme resolves delayed arguments from completed steps only.
-    The default dt = 0 checks the first part alone."""
+    h/dt, the delay in steps, must be finite too. The default dt = 0 checks
+    the first part alone."""
     if 0.0 < h < dt:
         return f"delay h = {h!r} must be 0 or >= dt = {dt!r}"
+    if dt and math.isfinite(h) and h / dt == math.inf:
+        return f"delay h = {h!r} is beyond the float range in steps dt = {dt!r}"
     return nonnegative_problem("h", h)
 
 
@@ -329,7 +344,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[S
 
 def _check_unit(name: str, vec: np.ndarray, diags: list[str]) -> np.ndarray:
     """Renormalize a nearly-unit vector; reject anything further off."""
-    norm = float(np.linalg.norm(vec))
+    norm = _norm(vec)
     if abs(norm - 1.0) <= UNIT_EXACT_TOL:
         return vec
     if abs(norm - 1.0) <= UNIT_RENORM_TOL:
@@ -364,6 +379,8 @@ def validate(
         diags.append("a_B has non-finite entries")
     elif params.a <= 0.0:
         diags.append("probe vector a_B must have positive length")
+    elif params.a == math.inf:
+        diags.append("probe vector a_B is too long: |a_B| overflows a float")
 
     for problem in (nonnegative_problem("k_v", contact.k_v), nonnegative_problem("b_v", contact.b_v)):
         if problem:

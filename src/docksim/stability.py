@@ -60,11 +60,14 @@ def _check_params(mu: float, beta: float, kappa: float) -> None:
 
 def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float]:
     """(omega_c, sigma, arctan(omega_c beta / kappa)) of one point, without
-    checks: the scalar form of the closed form. May raise OverflowError or
-    leave omega_c outside (0, inf) where the coefficients leave the
+    checks: the scalar form of the closed form. Squares with x * x, which
+    rounds correctly (libm's x ** 2 need not) and reads inf where the square
+    overflows; omega_c leaves (0, inf) where the coefficients leave the
     floating-point range."""
-    b2 = (beta / mu) ** 2
-    sigma = math.sqrt(0.25 * b2 * b2 + (kappa / mu) ** 2)
+    r = beta / mu
+    q = kappa / mu
+    b2 = r * r
+    sigma = math.sqrt(0.25 * b2 * b2 + q * q)
     omega = math.sqrt(0.5 * b2 + sigma)
     return omega, sigma, math.atan(omega * beta / kappa)
 
@@ -77,32 +80,12 @@ def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tup
     _check_params(mu, beta, kappa)
     if not n_delays >= 1:
         raise ValueError(f"n_delays must be >= 1, got {n_delays!r}")
-    try:
-        omega, sigma, base = _crossing(mu, beta, kappa)
-    except OverflowError:
-        omega = math.nan
+    omega, sigma, base = _crossing(mu, beta, kappa)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"closed form out of floating-point range at "
                          f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
     h_n = [(base + 2.0 * math.pi * n) / omega for n in range(n_delays)]
     return omega, sigma, h_n
-
-
-def _square(x: float) -> float:
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _squares(values: list) -> np.ndarray:
-    """x ** 2 of each value with Python's float power, the square of the
-    scalar form (numpy's x * x differs from it in the last bit for some
-    x); inf where it overflows."""
-    try:
-        return np.array([x ** 2 for x in values])
-    except OverflowError:
-        return np.array(list(map(_square, values)))
 
 
 def _crossing_grid(mu, beta, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -115,8 +98,10 @@ def _crossing_grid(mu, beta, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     or nan) or omega_c outside (0, inf); the numbers of flagged points are
     meaningless."""
     with np.errstate(all="ignore"):
-        b2 = _squares(np.atleast_1d(np.divide(beta, mu)).tolist())
-        sigma = np.sqrt(0.25 * b2 * b2 + _squares(np.atleast_1d(np.divide(kappa, mu)).tolist()))
+        r = np.atleast_1d(np.divide(beta, mu))
+        q = np.atleast_1d(np.divide(kappa, mu))
+        b2 = r * r
+        sigma = np.sqrt(0.25 * b2 * b2 + q * q)
         omega = np.sqrt(0.5 * b2 + sigma)
         base = np.array(list(map(math.atan, (omega * beta / kappa).tolist())))
         h_c = (base + 0.0) / omega
@@ -153,31 +138,30 @@ def critical_damping(mu: float, kappa: float, h: float) -> float:
     def h_c(beta: float) -> float:
         # h_0 with the operations of _closed_form: (base + 2 pi * 0) / omega
         omega, _, base = _crossing(mu, beta, kappa)
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"critical damping at h = {h!r} leaves the floating-point range "
+                             f"of the closed form (mu={mu!r}, kappa={kappa!r})")
         return (base + 0.0) / omega
 
-    try:
-        hi = max(kappa * h, 1e-9)
-        while h_c(hi) <= h:
-            hi *= 2.0
-            if hi > CRITICAL_DAMPING_BRACKET_MAX:
-                raise ValueError(
-                    f"no critical damping below bound {CRITICAL_DAMPING_BRACKET_MAX:.0e}: "
-                    f"delay h = {h!r} exceeds the maximum stabilizable delay"
-                )
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if h_c(mid) < h:
-                lo = mid
-            else:
-                hi = mid
-        beta_c = 0.5 * (lo + hi)
-        h_back = h_c(beta_c)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"critical damping at h = {h!r} leaves the floating-point range "
-                         f"of the closed form (mu={mu!r}, kappa={kappa!r})") from None
+    hi = max(kappa * h, 1e-9)
+    while h_c(hi) <= h:
+        hi *= 2.0
+        if hi > CRITICAL_DAMPING_BRACKET_MAX:
+            raise ValueError(
+                f"no critical damping below bound {CRITICAL_DAMPING_BRACKET_MAX:.0e}: "
+                f"delay h = {h!r} exceeds the maximum stabilizable delay"
+            )
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if h_c(mid) < h:
+            lo = mid
+        else:
+            hi = mid
+    beta_c = 0.5 * (lo + hi)
+    h_back = h_c(beta_c)
     if abs(h_back - h) > CRITICAL_DAMPING_HTOL:
         raise ArithmeticError(f"critical damping bisection did not converge at h = {h!r}")
     return beta_c

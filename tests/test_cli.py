@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docksim.cli import _write_json, load_scenario, main, scenario_path
 from docksim.linear import penetration_dde_coeffs
@@ -51,6 +55,10 @@ def test_infinite_stiffness_exits_1_with_its_own_diagnostic(tmp_path, capsys):
     "body=5",
     "contact.springs=5",
     "contact.springs=[[1,2]]",
+    # a string used to be read as a set of keys, one per character: "body:
+    # give exactly one of J (3x3) or J_x", and a newline split the error line
+    'body="m"',
+    'contact.springs=["ab\\ncd"]',
 ])
 def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
     code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "x"))
@@ -145,6 +153,97 @@ def test_wrong_shape_exits_1(tmp_path, capsys, override, message):
     assert not (tmp_path / "bad.traj.csv").exists()
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "table1", "--set", f"contact.b_v={HUGE}"],
+     "contact.b_v must fit a float, got an integer of 401 digits"),
+    (["stability", "--from-scenario", "table1", "--set", f"contact.k_v={HUGE}"],
+     "contact.k_v must fit a float, got an integer of 401 digits"),
+    (["simulate", "table1", "--set", f"sim.record_every=-{HUGE}"],
+     "sim.record_every must fit a float, got an integer of 401 digits"),
+    (["simulate", "demo3d", "--set", f"body.a_B=[0,0,{HUGE}]"],
+     "body.a_B must fit a float, got an integer of 401 digits"),
+    (["simulate", "demo3d", "--set", f'contact.springs.0={{"k": 1, "l_hat": [0, 0, {HUGE}]}}'],
+     "contact.springs[0].l_hat must fit a float, got an integer of 401 digits"),
+])
+def test_integer_too_large_for_a_float_exits_1(tmp_path, capsys, argv, message):
+    # float() and numpy used to overflow on it: an OverflowError traceback
+    out_args = ["--out", str(tmp_path / "bad")] if argv[0] == "simulate" else []
+    assert run(*argv, "--set", "sim.t_end=0.01", *out_args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    # |a_B| overflowed to inf with numpy's warning, and the run went ahead
+    ("body.a_B=[0,0,1e200]", "probe vector a_B is too long: |a_B| overflows a float"),
+    # h/dt overflowed in the integrator: an OverflowError traceback
+    ("sim.h=1e305", "delay h = 1e+305 is beyond the float range in steps dt = 0.0001"),
+])
+def test_value_whose_size_overflows_a_derived_quantity_exits_1(tmp_path, capsys, override, message):
+    assert run("simulate", "demo3d", "--set", override, "--set", "sim.t_end=0.01",
+               "--out", str(tmp_path / "bad")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def _leaf_paths(node, prefix=()):
+    """Every dotted --set path to a scalar of a scenario document."""
+    if not isinstance(node, (dict, list)):
+        yield ".".join(prefix)
+        return
+    items = node.items() if isinstance(node, dict) else ((str(i), x) for i, x in enumerate(node))
+    for key, value in items:
+        yield from _leaf_paths(value, prefix + (key,))
+
+
+# sim.dt and sim.t_end are never drawn: nothing caps the step count
+# t_end/dt, and the integrator allocates all of its rows up front
+FUZZ_PATHS = sorted(
+    (name, path)
+    for name in ("table1", "demo3d")
+    for path in {*_leaf_paths(json.loads(scenario_path(name).read_text())),
+                 *(f"contact.springs.{i}" for i in range(6)),
+                 "nosuch", "body.nosuch", "sim.initial.nosuch", "contact.springs.0.nosuch"}
+    if path not in ("sim.dt", "sim.t_end")
+)
+_JSON_SCALARS = st.one_of(
+    st.integers(-10 ** 400, 10 ** 400).map(json.dumps),
+    st.floats().map(json.dumps),  # NaN, Infinity and -Infinity among them
+    st.sampled_from(["true", "false", "null"]),
+    st.text(max_size=5).map(json.dumps),
+)
+FUZZ_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.text(max_size=5),  # not JSON: --set reads it as a string
+    st.lists(_JSON_SCALARS, max_size=4).map(lambda items: f"[{','.join(items)}]"),
+    st.dictionaries(st.sampled_from(["k", "l_hat"]) | st.text(max_size=3), _JSON_SCALARS, max_size=3).map(
+        lambda entries: "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in entries.items()) + "}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(where=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
+def test_any_override_ends_in_a_documented_exit(where, value):
+    # 0 success, 1 one error line, 2 one divergence line; never a traceback
+    # or an internal fault (3)
+    name, path = where
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["simulate", name, "--out", f"{tmp}/run"], ["stability", "--from-scenario", name]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--set", f"{path}={value}", "--set", "sim.t_end=0.01"])
+            lines = err.getvalue().splitlines(keepends=True)
+            assert code in (0, 1, 2), err.getvalue()
+            if code:
+                assert len(lines) == 1 and lines[0].startswith(("error: ", "divergence guard: ")[code - 1])
+            else:
+                assert lines == []
+
+
 def test_override_steps_into_a_list(tmp_path):
     springs = json.loads(scenario_path("demo3d").read_text())["contact"]["springs"]
     springs[0]["k"] = 5000.0
@@ -172,6 +271,12 @@ def test_boolean_window_and_damping_exit_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: contact.b_v must be a number, got true\n"
     assert not (tmp_path / "bad.traj.csv").exists()
+
+
+def test_unknown_key_is_named_on_one_line(tmp_path, capsys):
+    code = run("simulate", "table1", "--set", 'analysis={"a\\nb": 1}', "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown key(s) in analysis: a\\nb\n"
 
 
 def test_energy_tolerance_is_not_a_scenario_key(tmp_path, capsys):
@@ -349,6 +454,18 @@ class TestStability:
         assert run("stability", *source, "--h", "0.5", "--band", band) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: band must be finite and >= 0, got {float(band)!r}\n"
+
+
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    # any exception but an input error, a divergence or a closed pipe: one
+    # line, no traceback, and never 1, which would read as bad input
+    def fault(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr("docksim.stability.analyze", fault)
+    assert run("stability", "--mu", "1", "--beta", "1", "--kappa", "1") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: ZeroDivisionError: float division by zero\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -163,6 +163,8 @@ _STATE_3D = dict(r=[0.0, 0.0, -0.14], v=[0.0, 0.0, -0.02], d_c3=[0.0, 0.6, 0.8],
     (_bundle(body=dict(J=[[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]])), "J has non-finite entries"),
     (_bundle(body=dict(J=[[1, 0.5, 0], [0, 1, 0], [0, 0, 1]])), "J must be symmetric"),
     (_bundle(body=dict(a_B=[0.0, 0.0, np.inf])), "a_B has non-finite entries"),
+    # |a_B| = inf used to pass, after numpy's overflow warning
+    (_bundle(body=dict(a_B=[0.0, 0.0, 1e200])), "probe vector a_B is too long: |a_B| overflows a float"),
     (_bundle(contact=dict(springs=((-5.0, [0.0, 0.6, 0.8]),))),
      "spring k_1 must be finite and >= 0, got -5.0"),
     (_bundle(sim=dict(h=-0.016)), "h must be finite and >= 0, got -0.016"),
@@ -184,6 +186,15 @@ def test_validate_reports_each_violation(bundle, message):
     with pytest.raises(ValidationError) as err:
         validate(*bundle)
     assert err.value.diagnostics == [message]
+
+
+def test_validation_error_takes_one_message_or_a_list():
+    # the scenario reader raises it with one message, validate() with a list
+    err = ValidationError("contact.b_v must be a number, got true")
+    assert err.diagnostics == ["contact.b_v must be a number, got true"]
+    assert str(err) == "contact.b_v must be a number, got true"
+    assert ValidationError(["m bad", "J bad"]).diagnostics == ["m bad", "J bad"]
+    assert isinstance(err, ValueError)
 
 
 def test_validate_reports_every_violation_in_order():
@@ -223,6 +234,10 @@ def test_validate_renormalizes_a_near_unit_attitude_column():
     (math.nan, 1e-4, "h must be finite and >= 0, got nan"),
     (math.inf, 1e-4, "h must be finite and >= 0, got inf"),
     (5e-5, 0.0, None),  # the default dt = 0 checks sign and finiteness only
+    # 1e305 / 1e-4 overflows: the integrator's int(h/dt) used to end in an
+    # OverflowError traceback
+    (1e305, 1e-4, "delay h = 1e+305 is beyond the float range in steps dt = 0.0001"),
+    (1e305, 0.0, None),
 ])
 def test_delay_problem(h, dt, message):
     assert delay_problem(h, dt) == message

@@ -486,6 +486,18 @@ class TestSimulate:
         assert len(traj.times) == 201
         assert np.allclose(np.diff(traj.times), 1e-3)
 
+    def test_record_every_takes_a_whole_number_only(self, body, contact):
+        # 2.9 used to be truncated to 2 for a direct caller, while the CLI
+        # rejects it
+        initial = approach_config().initial
+        cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=initial, record_every=2.0)
+        assert cfg.record_every == 2 and isinstance(cfg.record_every, int)
+        traj, _ = ds.simulate(cfg, body, contact, mode="2d")
+        assert len(traj.times) == 1001
+        for value in (2.9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^record_every must be a whole number, got {value!r}$"):
+                ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=initial, record_every=value)
+
     def test_t_end_off_the_step_grid_is_rejected(self, body, contact):
         # the step-count rule of validate() holds for direct calls as well:
         # 0.30004 s is 3000.4 steps, which used to end silently at 0.3 s

@@ -263,8 +263,9 @@ class TestGridMatchesScalarForm:
         ("mu", {"beta": 50.0, "kappa": 1000.0}),
     ])
     def test_bitwise_on_a_dense_grid(self, axis, fixed):
-        # Python's x ** 2 and numpy's x * x disagree in the last bit for a
-        # share of inputs, so a long grid shows a wrong square
+        # both forms square with x * x; a long grid shows any square (or
+        # other operation) that the grid form rounds differently, as
+        # Python's x ** 2 against numpy's x * x did for a share of inputs
         grid = np.linspace(1.0, 8000.0, 4001).tolist()
         points = stability_boundary(axis, grid, **fixed)
         assert list(map(point_bits, points)) == [scalar_point(x, **fixed, **{axis: x}) for x in grid]
