@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import nonnegative_problem, positive_problem, sample_count, write_csv
+from .core import ValidationError, nonnegative_problem, positive_problem, require, sample_count, write_csv
 from .dynamics import ContactEvent, Trajectory
 from .stability import classify
 
@@ -43,12 +43,11 @@ def restitution(event: ContactEvent, band: float = DEFAULT_RESTITUTION_BAND) -> 
 
     epsilon < 1 reads stable (energy lost), epsilon > 1 unstable (energy
     injected); a band around 1 reads neutral (:func:`docksim.stability.classify`
-    with limit 1). Raises when the band is not finite and >= 0, or when the
-    event has no impact velocity (v_minus = 0).
+    with limit 1). Raises ValidationError when the band is not finite and
+    >= 0, or when the event has no impact velocity (v_minus = 0).
     """
-    _check_band(band)
-    if event.v_minus == 0.0:
-        raise ValueError("no impact velocity: v_minus is zero")
+    require(nonnegative_problem("band", band),
+            "no impact velocity: v_minus is zero" if event.v_minus == 0.0 else None)
     eps = abs(event.v_plus) / abs(event.v_minus)
     return RestitutionResult(epsilon=eps, classification=classify(eps, 1.0, band))
 
@@ -56,9 +55,9 @@ def restitution(event: ContactEvent, band: float = DEFAULT_RESTITUTION_BAND) -> 
 def events_payload(events: Sequence[ContactEvent], band: float) -> list[dict]:
     """JSON-ready list of contact events, each with its restitution reading;
     an event without impact velocity gets epsilon None and the
-    classification "no impact velocity". Raises when the band is not
-    finite and >= 0, with or without events."""
-    _check_band(band)
+    classification "no impact velocity". Raises ValidationError when the
+    band is not finite and >= 0, with or without events."""
+    require(nonnegative_problem("band", band))
     payload = []
     for ev in events:
         entry = {"t_in": ev.t_in, "t_out": ev.t_out, "v_minus": ev.v_minus,
@@ -72,16 +71,10 @@ def events_payload(events: Sequence[ContactEvent], band: float) -> list[dict]:
     return payload
 
 
-def _check_band(band: float) -> None:
-    problem = nonnegative_problem("band", band)
-    if problem:
-        raise ValueError(problem)
-
-
 def _channels(name: str, arr) -> np.ndarray:
     a = np.asarray(arr, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (N, 3), got {a.shape}")
+        raise ValidationError(f"{name} must have shape (N, 3), got {a.shape}")
     return a
 
 
@@ -112,7 +105,7 @@ class PowerStreams:
             object.__setattr__(self, name, a)
             lengths.add(a.shape[0])
         if len(lengths) != 1:
-            raise ValueError(f"channel-length mismatch: got lengths {sorted(lengths)}")
+            raise ValidationError(f"channel-length mismatch: got lengths {sorted(lengths)}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +134,9 @@ def observed_energy(
 
     Classification per sample: lossless while |dE| < tolerance, otherwise
     passive (dE < 0) or active (dE > 0). dt must be finite and > 0, the
-    tolerance finite and >= 0 (ValueError).
+    tolerance finite and >= 0 (ValidationError).
     """
-    problem = positive_problem("dt", dt)
-    if problem:
-        raise ValueError(problem)
-    problem = nonnegative_problem("tolerance", tolerance)
-    if problem:
-        raise ValueError(problem)
+    require(positive_problem("dt", dt), nonnegative_problem("tolerance", tolerance))
     inc = dt * np.hstack([
         streams.f_m * streams.v_m - streams.f_in * streams.v_r,
         streams.tau_m * streams.omega_m - streams.tau_in * streams.omega_r,
@@ -192,17 +180,14 @@ def streams_from_trajectories(
     (:func:`docksim.core.sample_count`). In 2D the force acts along z and
     the torque about x; in 3D the recorded intensity is expanded along
     n_hat and the recorded torque used as-is. dt must be finite, > 0 and
-    no longer than that run (ValueError).
+    no longer than that run (ValidationError).
     """
-    if measured.mode != commanded.mode:
-        raise ValueError("measured and commanded trajectories must share a mode")
-    problem = positive_problem("dt", dt)
-    if problem:
-        raise ValueError(problem)
+    require("measured and commanded trajectories must share a mode" if measured.mode != commanded.mode else None,
+            positive_problem("dt", dt))
     t_end = min(float(measured.times[-1]), float(commanded.times[-1]))
     samples = sample_count(t_end, dt)
     if samples < 1:
-        raise ValueError(f"dt = {dt!r} s gives no sample in a run of {t_end!r} s")
+        raise ValidationError(f"dt = {dt!r} s gives no sample in a run of {t_end!r} s")
     t = np.arange(1, samples + 1) * dt
 
     def expand(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -13,10 +13,12 @@ contact mode of its planar linearization. Both ways print the same text
 and JSON; --set paths may step into lists by index (contact.springs.0.k),
 and --set without --from-scenario is an input error.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical divergence, 3 an
-internal fault (any other exception, reported on one line). A reader
-that closes stdout early (docksim ... | head) is not bad input: the run
-ends with 0 and no error line.
+Exit codes: 0 success, 1 invalid input (a ValidationError, or an OSError
+for a file that cannot be read or written), 2 numerical divergence, 3 an
+internal fault (any other exception, an internal ValueError included,
+reported on one line). A reader that closes stdout early
+(docksim ... | head) is not bad input: the run ends with 0 and no error
+line.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .core import (
     SimConfig,
     ValidationError,
     nonnegative_problem,
+    require,
     validate,
 )
 
@@ -159,7 +162,7 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, text that is not UTF-8, an integer too long to read
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         body, contact, sim, options = _parse_scenario(doc, overrides or [])
@@ -180,6 +183,8 @@ def _parse_scenario(doc, overrides: list[str]):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # an integer of more digits than Python converts
+            raise ValidationError(f"override {dotted!r}: {exc}") from None
         # a path steps into a dict by key and into a list by a non-negative
         # index; its last key may name a new dict entry
         node = doc
@@ -263,10 +268,7 @@ def _parse_scenario(doc, overrides: list[str]):
     analysis_doc = dict(doc.get("analysis", {}))
     _check_keys("analysis", analysis_doc, set(ANALYSIS_DEFAULTS))
     options = {**ANALYSIS_DEFAULTS, **{k: _number("analysis", analysis_doc, k) for k in analysis_doc}}
-    for key, value in options.items():
-        problem = nonnegative_problem(f"analysis.{key}", value)
-        if problem:
-            raise ValidationError(problem)
+    require(*(nonnegative_problem(f"analysis.{key}", value) for key, value in options.items()))
     return body, contact, sim, options
 
 
@@ -281,16 +283,24 @@ class _Parser(argparse.ArgumentParser):
 
 def _grid(text: str) -> list[float]:
     """Parse a grid argument: 'start:stop:count' (inclusive linspace) or a
-    comma-separated value list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"grid must be start:stop:count, got {text!r}")
+    comma-separated value list; any other text is a ValidationError that
+    quotes it."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ValidationError(f"grid must be start:stop:count, got {text!r}")
+    try:
+        if len(parts) == 1:
+            return [float(x) for x in text.split(",") if x.strip()]
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValidationError("grid count must be >= 1")
+    except ValueError:
+        raise ValidationError(f"grid must be start:stop:count (a whole count) or a comma list "
+                              f"of numbers, got {text!r}") from None
+    if count < 1:
+        raise ValidationError("grid count must be >= 1")
+    try:
         return [float(x) for x in np.linspace(start, stop, count)]
-    return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:  # a count beyond numpy's array size
+        raise ValidationError(f"grid count {count} is too large: {exc}") from None
 
 
 def _write_json(obj, out: str | None) -> None:
@@ -502,7 +512,7 @@ def main(argv=None) -> int:
     except _dynamics.DivergenceError as exc:
         print(f"divergence guard: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

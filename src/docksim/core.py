@@ -8,7 +8,9 @@ internally; degree-valued keys are converted at the scenario-file boundary
 
 All types here are plain value carriers. They do not self-validate;
 :func:`validate` is the single gate that checks every invariant and reports
-all violations at once. :func:`step_count` is the one rule for how many
+all violations at once. :func:`require` is the one way an input check
+raises: it turns the diagnostics of the ``*_problem`` rules into one
+:class:`ValidationError`. :func:`step_count` is the one rule for how many
 fixed steps a run takes, :func:`delay_problem` the one rule for which
 delays a run accepts, :func:`nonnegative_problem` the one rule for a value
 that must be finite and >= 0 (a delay, a stiffness, a damping, an averaging
@@ -45,13 +47,21 @@ _CSV_CHUNK_ROWS = 512
 
 
 class ValidationError(ValueError):
-    """An input error: raised by validate(), which passes one diagnostic
-    per violated invariant, and by the scenario reader, which passes a
-    single message."""
+    """An input error, with one diagnostic per violation: raised by
+    :func:`require` with every diagnostic of a check, and with a single
+    message by the readers and the type constructors."""
 
     def __init__(self, diagnostics: list[str] | str):
         self.diagnostics = [diagnostics] if isinstance(diagnostics, str) else list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
+
+
+def require(*problems: str | None) -> None:
+    """Raise one ValidationError carrying every diagnostic among problems
+    that is not None, in order; return when all are None."""
+    diags = [p for p in problems if p is not None]
+    if diags:
+        raise ValidationError(diags)
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -64,7 +74,7 @@ def _norm(vec: np.ndarray) -> float:
 def _vec(x, n: int) -> np.ndarray:
     a = np.array(x, dtype=float, copy=True).reshape(-1)
     if a.size != n:
-        raise ValueError(f"expected length-{n} vector, got shape {np.shape(x)}")
+        raise ValidationError(f"expected length-{n} vector, got shape {np.shape(x)}")
     return a
 
 
@@ -86,7 +96,7 @@ class BodyParams:
         object.__setattr__(self, "m", float(self.m))
         J = np.array(self.J, dtype=float, copy=True)
         if J.shape != (3, 3):
-            raise ValueError(f"J must be 3x3, got shape {J.shape}")
+            raise ValidationError(f"J must be 3x3, got shape {J.shape}")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "a_B", _vec(self.a_B, 3))
         self.J.flags.writeable = False
@@ -221,7 +231,7 @@ class SimConfig:
     t_end        : run duration [s]
     initial      : ChaserState2D or ChaserState3D
     record_every : output decimation factor (1 = keep every step); a whole
-                   number (2.0 reads as 2, 2.9 raises ValueError)
+                   number (2.0 reads as 2, 2.9 raises ValidationError)
     """
 
     h: float
@@ -235,7 +245,7 @@ class SimConfig:
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_end", float(self.t_end))
         if not float(self.record_every).is_integer():
-            raise ValueError(f"record_every must be a whole number, got {self.record_every!r}")
+            raise ValidationError(f"record_every must be a whole number, got {self.record_every!r}")
         object.__setattr__(self, "record_every", int(self.record_every))
 
 
@@ -290,14 +300,15 @@ def delay_problem(h: float, dt: float = 0.0) -> str | None:
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of fixed steps dt in t_end: a whole number >= 1 up to a
-    relative STEP_COUNT_RTOL, else ValueError (never silently rounded)."""
+    relative STEP_COUNT_RTOL, else ValidationError (never silently
+    rounded)."""
     steps = t_end / dt if dt > 0.0 else math.nan
     if not (math.isfinite(steps) and abs(steps - round(steps)) <= STEP_COUNT_RTOL * abs(steps)):
-        raise ValueError(f"t_end = {t_end!r} is not a whole number of steps "
-                         f"dt = {dt!r} (t_end/dt = {steps:.9g})")
+        raise ValidationError(f"t_end = {t_end!r} is not a whole number of steps "
+                              f"dt = {dt!r} (t_end/dt = {steps:.9g})")
     n = round(steps)
     if n < 1:
-        raise ValueError(f"t_end = {t_end!r} must cover at least one step dt = {dt!r}")
+        raise ValidationError(f"t_end = {t_end!r} must cover at least one step dt = {dt!r}")
     return n
 
 
@@ -342,7 +353,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[S
             fh.write((line * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
 
 
-def _check_unit(name: str, vec: np.ndarray, diags: list[str]) -> np.ndarray:
+def _check_unit(name: str, vec: np.ndarray, diags: list[str | None]) -> np.ndarray:
     """Renormalize a nearly-unit vector; reject anything further off."""
     norm = _norm(vec)
     if abs(norm - 1.0) <= UNIT_EXACT_TOL:
@@ -363,11 +374,7 @@ def validate(
     nothing is ever silently clamped. Idempotent: a bundle that already
     passed comes back unchanged.
     """
-    diags: list[str] = []
-
-    problem = positive_problem("m", params.m)
-    if problem:
-        diags.append(problem)
+    diags = [positive_problem("m", params.m)]
     if not np.all(np.isfinite(params.J)):
         diags.append("J has non-finite entries")
     else:
@@ -382,35 +389,25 @@ def validate(
     elif params.a == math.inf:
         diags.append("probe vector a_B is too long: |a_B| overflows a float")
 
-    for problem in (nonnegative_problem("k_v", contact.k_v), nonnegative_problem("b_v", contact.b_v)):
-        if problem:
-            diags.append(problem)
+    diags += [nonnegative_problem("k_v", contact.k_v), nonnegative_problem("b_v", contact.b_v)]
     new_springs = []
     for i, (k_i, l_hat) in enumerate(contact.springs):
-        problem = nonnegative_problem(f"spring k_{i + 1}", k_i)
-        if problem:
-            diags.append(problem)
+        diags.append(nonnegative_problem(f"spring k_{i + 1}", k_i))
         new_springs.append((k_i, _check_unit(f"l_hat_{i + 1}", l_hat, diags)))
     n_hat = _check_unit("n_hat", contact.n_hat, diags)
     if not 0.0 < contact.alpha < math.pi / 2:
         diags.append(f"alpha must be in (0, pi/2) rad, got {contact.alpha!r}")
-    problem = activation_problem(contact.activation)
-    if problem:
-        diags.append(problem)
+    diags.append(activation_problem(contact.activation))
 
     dt_problem = positive_problem("dt", sim.dt)
-    problem = delay_problem(sim.h, 0.0 if dt_problem else sim.dt)
-    if problem:
-        diags.append(problem)
-    if dt_problem:
-        diags.append(dt_problem)
+    diags += [delay_problem(sim.h, 0.0 if dt_problem else sim.dt), dt_problem]
     if not math.isfinite(sim.t_end) or not sim.t_end > sim.dt:
         diags.append(f"t_end = {sim.t_end!r} must be finite and exceed dt = {sim.dt!r}")
     elif sim.dt > 0.0:
         try:
             step_count(sim.t_end, sim.dt)
-        except ValueError as exc:
-            diags.append(str(exc))
+        except ValidationError as exc:
+            diags += exc.diagnostics
     if sim.record_every < 1:
         diags.append(f"record_every must be >= 1, got {sim.record_every!r}")
 
@@ -431,8 +428,7 @@ def validate(
     else:
         diags.append(f"initial must be ChaserState2D or ChaserState3D, got {type(initial).__name__}")
 
-    if diags:
-        raise ValidationError(diags)
+    require(*diags)
 
     if any(l1 is not l2 for (_, l1), (_, l2) in zip(contact.springs, new_springs)) or n_hat is not contact.n_hat:
         contact = replace(contact, springs=tuple(new_springs), n_hat=n_hat)

@@ -134,6 +134,7 @@ from .core import (
     activation_problem,
     delay_problem,
     nonnegative_problem,
+    require,
     step_count,
     write_csv,
 )
@@ -172,7 +173,7 @@ def integrate_dde(
     t_end must be a whole number of steps (:func:`docksim.core.step_count`).
 
     h must be 0 or a finite delay >= dt (:func:`docksim.core.delay_problem`),
-    else ValueError.
+    else ValidationError.
 
     ``system`` is either a right-hand side ``rhs(y, y_delayed)``, stepped
     by plain RK4, or a :class:`PlanarModel` or :class:`SpatialModel`, which
@@ -190,9 +191,7 @@ def integrate_dde(
         model, rhs, unit_slice = None, system, None
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
-    problem = delay_problem(h, dt)
-    if problem:
-        raise ValueError(problem)
+    require(delay_problem(h, dt))
     Y = np.empty((n + 1, y0.size))
     Y[0] = y0
     times = np.arange(n + 1) * dt
@@ -429,12 +428,12 @@ class PlanarModel:
 
     def initial_vector(self, initial: AnyState) -> np.ndarray:
         """State vector of a planar state, or of a 3D state that lies in the
-        plane (ValueError for any other)."""
+        plane (ValidationError for any other)."""
         if not isinstance(initial, ChaserState3D):
             return initial.as_vector()
         v = initial.as_vector().tolist()
         if max(abs(v[j]) for j in (0, 3, 6, 10, 11)) > 1e-12:
-            raise ValueError("initial 3D state is not planar; cannot run in 2D mode")
+            raise ValidationError("initial 3D state is not planar; cannot run in 2D mode")
         return np.array([v[2], v[5], math.atan2(v[7], v[8]), v[9], v[1], v[4]])
 
     def depth(self, x):
@@ -662,11 +661,9 @@ def extract_events(
     mean of d_dot over that span just before entry / after exit, clipped to
     samples outside contact and to the neighbouring events; window = 0 takes
     the single bracketing sample. Events still open at the end of the run
-    are dropped. window must be finite and >= 0 (ValueError).
+    are dropped. window must be finite and >= 0 (ValidationError).
     """
-    problem = nonnegative_problem("window", window)
-    if problem:
-        raise ValueError(problem)
+    require(nonnegative_problem("window", window))
     d = np.asarray(d)
     d_dot = np.asarray(d_dot)
     times = np.asarray(times)
@@ -729,11 +726,8 @@ def simulate(
     Contact events are segmented on the full integration grid regardless
     of the recording decimation.
     """
-    problem = activation_problem(contact.activation)
-    if problem:
-        raise ValidationError([problem])
-    if mode not in _MODELS:
-        raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
+    require(activation_problem(contact.activation),
+            None if mode in _MODELS else f"mode must be '2d' or '3d', got {mode!r}")
     model = _MODELS[mode](params, contact)
     y0 = model.initial_vector(config.initial)
 
@@ -780,21 +774,28 @@ def read_trajectory_csv(path) -> Trajectory:
     """Read a file written by :func:`write_trajectory_csv`; the header
     decides the mode. A 2D file has no (y, v_y) columns, so they read as
     zero, and ``in_contact`` is recomputed as d < 0, as :func:`simulate`
-    records it. Raises ValueError on any other header and on a file with
-    no data rows."""
-    with open(path) as fh:
+    records it. Raises ValidationError on any other header, on a row that
+    is not numbers and on a file with no data rows or with rows of another
+    width than the header's."""
+    # undecodable bytes read as U+FFFD, which no header or number contains
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip().split(",")
         for mode, (columns, n) in _TRAJ_LAYOUT.items():
             if header == columns:
                 break
         else:
-            raise ValueError(f"{path}: unrecognized trajectory header")
+            raise ValidationError(f"{path}: unrecognized trajectory header")
         with warnings.catch_warnings():
             # numpy's warning for a file with no rows; the error below says it
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: {exc}") from exc
     if not len(data):
-        raise ValueError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
+    if data.shape[1] != len(columns):
+        raise ValidationError(f"{path}: rows hold {data.shape[1]} values, the header names {len(columns)}")
     states = data[:, 1:n + 1]
     if mode == "2d":
         states = np.column_stack([states, np.zeros((len(data), 2))])

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import stiffness_tensor
-from .core import BodyParams, ChaserState2D, ContactParams, nominal_state_2d
+from .core import (
+    BodyParams,
+    ChaserState2D,
+    ContactParams,
+    ValidationError,
+    nominal_state_2d,
+    nonnegative_problem,
+    positive_problem,
+    require,
+)
 
 
 def reduced_mass(m: float, J_x: float, a: float, alpha: float) -> float:
@@ -110,24 +119,29 @@ def linearize_2d(
 ) -> LinearModel2D:
     """Build the linear model at the nominal contact state.
 
-    k and b default as in :func:`penetration_dde_coeffs`. Rejects
-    alpha = pi/2, where the transformation degenerates (a cos alpha = 0),
-    and, through :func:`docksim.core.nominal_state_2d`, any alpha outside
-    [0, pi/2).
+    k and b default as in :func:`penetration_dde_coeffs`. Raises
+    ValidationError when k or b is not finite and >= 0, when m_a underflows
+    to 0 or a matrix entry overflows, at alpha = pi/2, where the
+    transformation degenerates (a cos alpha = 0), and, through
+    :func:`docksim.core.nominal_state_2d`, at any alpha outside [0, pi/2).
     F_y is the closed form; tests check it against the similarity
     transform T F_x T^-1.
     """
     alpha = contact.alpha
     a = params.a
     if abs(a * math.cos(alpha)) < 1e-12:
-        raise ValueError("alpha = pi/2 (frontal contact): transformation degenerates, "
-                         "the system is the plain 1D oscillator in (z, v_z)")
+        raise ValidationError("alpha = pi/2 (frontal contact): transformation degenerates, "
+                              "the system is the plain 1D oscillator in (z, v_z)")
     m_a, b, k = penetration_dde_coeffs(params, contact, k=k, b=b)
+    require(nonnegative_problem("k", k), nonnegative_problem("b", b), positive_problem("m_a", m_a))
     m = params.m
     J_x = params.J_x
     F_x = gradient_matrix(m, J_x, a, alpha, k, b)
     T = transform_matrix(a, alpha)
     F_y = transformed_matrix(m, m_a, k, b)
+    if not (np.isfinite(F_x).all() and np.isfinite(F_y).all()):
+        raise ValidationError(f"linearization out of floating-point range at m={m!r}, "
+                              f"J_x={J_x!r}, k={k!r}, b={b!r}")
     nominal = nominal_state_2d(params, contact)
     return LinearModel2D(F_x=F_x, T=T, F_y=F_y, m_a=m_a, k=k, b=b, nominal=nominal)
 

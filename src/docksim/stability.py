@@ -44,18 +44,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import delay_problem, nonnegative_problem, positive_problem, write_csv
+from .core import ValidationError, delay_problem, nonnegative_problem, positive_problem, require, write_csv
 from .linear import penetration_dde_coeffs
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
 CRITICAL_DAMPING_HTOL = 1e-9  # [s]
 DEFAULT_NEUTRAL_BAND = 0.01
-
-
-def _check_params(mu: float, beta: float, kappa: float) -> None:
-    problem = positive_problem("mu", mu) or positive_problem("kappa", kappa) or nonnegative_problem("beta", beta)
-    if problem:
-        raise ValueError(problem)
 
 
 def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float]:
@@ -75,15 +69,14 @@ def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float
 def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tuple[float, float, list[float]]:
     """(omega_c, sigma, h_n): the crossing frequency, the crossing indicator
     and the first n_delays crossing delays, after checking the coefficients
-    once. n_delays below 1, and a closed form that overflows or is not
-    finite, raise ValueError."""
-    _check_params(mu, beta, kappa)
-    if not n_delays >= 1:
-        raise ValueError(f"n_delays must be >= 1, got {n_delays!r}")
+    once. A coefficient out of its domain, n_delays below 1, and a closed
+    form that overflows or is not finite raise ValidationError."""
+    require(positive_problem("mu", mu), positive_problem("kappa", kappa), nonnegative_problem("beta", beta),
+            None if n_delays >= 1 else f"n_delays must be >= 1, got {n_delays!r}")
     omega, sigma, base = _crossing(mu, beta, kappa)
     if not 0.0 < omega < math.inf:
-        raise ValueError(f"closed form out of floating-point range at "
-                         f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
+        raise ValidationError(f"closed form out of floating-point range at "
+                              f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
     h_n = [(base + 2.0 * math.pi * n) / omega for n in range(n_delays)]
     return omega, sigma, h_n
 
@@ -128,26 +121,24 @@ def critical_damping(mu: float, kappa: float, h: float) -> float:
     The bracket starts near the approximation kappa*h and doubles until
     h_c(beta_max) > h; if beta_max reaches 1e6 first, the delay exceeds the
     maximum stabilizable delay and there is no critical damping below the
-    bound.
+    bound. Bad coefficients, and a delay out of the closed form's reach,
+    raise ValidationError.
     """
-    _check_params(mu, 0.0, kappa)
-    problem = positive_problem("h", h)
-    if problem:
-        raise ValueError(problem)
+    require(positive_problem("mu", mu), positive_problem("kappa", kappa), positive_problem("h", h))
 
     def h_c(beta: float) -> float:
         # h_0 with the operations of _closed_form: (base + 2 pi * 0) / omega
         omega, _, base = _crossing(mu, beta, kappa)
         if not 0.0 < omega < math.inf:
-            raise ValueError(f"critical damping at h = {h!r} leaves the floating-point range "
-                             f"of the closed form (mu={mu!r}, kappa={kappa!r})")
+            raise ValidationError(f"critical damping at h = {h!r} leaves the floating-point range "
+                                  f"of the closed form (mu={mu!r}, kappa={kappa!r})")
         return (base + 0.0) / omega
 
     hi = max(kappa * h, 1e-9)
     while h_c(hi) <= h:
         hi *= 2.0
         if hi > CRITICAL_DAMPING_BRACKET_MAX:
-            raise ValueError(
+            raise ValidationError(
                 f"no critical damping below bound {CRITICAL_DAMPING_BRACKET_MAX:.0e}: "
                 f"delay h = {h!r} exceeds the maximum stabilizable delay"
             )
@@ -210,11 +201,10 @@ def analyze(
     band: float = DEFAULT_NEUTRAL_BAND,
 ) -> StabilityResult:
     """Full pole-location summary; verdict included when h is given. h
-    and band must be finite and >= 0 (ValueError), band also without h."""
+    and band must be finite and >= 0 (ValidationError), band also without
+    h."""
     omega_c, sigma, h_n = _closed_form(mu, beta, kappa, n_delays)
-    problem = nonnegative_problem("band", band) or (None if h is None else delay_problem(h))
-    if problem:
-        raise ValueError(problem)
+    require(nonnegative_problem("band", band), None if h is None else delay_problem(h))
     verdict = None if h is None else classify(h, h_n[0], band)
     return StabilityResult(
         mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_n[0],
@@ -251,13 +241,13 @@ def stability_boundary(
     its diagnostic and the sweep continues.
     """
     if axis not in ("beta", "kappa", "mu"):
-        raise ValueError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
+        raise ValidationError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
     fixed = {name: v for name, v in (("mu", mu), ("beta", beta), ("kappa", kappa)) if name != axis}
     if any(v is None for v in fixed.values()):
-        raise ValueError(f"sweep along {axis!r} needs the other two coefficients fixed")
+        raise ValidationError(f"sweep along {axis!r} needs the other two coefficients fixed")
     grid = [float(x) for x in grid]
     if not grid:
-        raise ValueError("grid must hold at least one point")
+        raise ValidationError("grid must hold at least one point")
     omega, sigma, h_c, suspect = _crossing_grid(**fixed, **{axis: np.array(grid)})
     # tuple.__new__ is what BoundaryPoint._make calls, without its length check
     points = list(map(tuple.__new__, repeat(BoundaryPoint),
@@ -266,7 +256,7 @@ def stability_boundary(
         x = grid[i]
         try:
             omega_i, sigma_i, h_n = _closed_form(**fixed, **{axis: x})
-        except ValueError as exc:
+        except ValidationError as exc:
             points[i] = BoundaryPoint(x, math.nan, math.nan, math.nan, str(exc))
         else:
             points[i] = BoundaryPoint(x, h_n[0], omega_i, sigma_i)

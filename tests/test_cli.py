@@ -177,6 +177,19 @@ def test_integer_too_large_for_a_float_exits_1(tmp_path, capsys, argv, message):
     assert not (tmp_path / "bad.traj.csv").exists()
 
 
+def test_integer_beyond_pythons_digit_limit_exits_1(tmp_path, capsys):
+    # json refuses an integer of more than 4300 digits (where Python caps
+    # them) with a plain ValueError, which is not an input error: one error
+    # line that names the override, or the file, and exit 1
+    digits = "1" + "0" * 5000
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(f'{{"body": {{"m": {digits}}}}}')
+    for argv, where in ((["table1", "--set", f"body.m={digits}"], "body.m"), ([str(scenario)], str(scenario))):
+        assert run("simulate", *argv, "--out", str(tmp_path / "bad")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and where in err
+
+
 @pytest.mark.parametrize("override, message", [
     # |a_B| overflowed to inf with numpy's warning, and the run went ahead
     ("body.a_B=[0,0,1e200]", "probe vector a_B is too long: |a_B| overflows a float"),
@@ -232,7 +245,8 @@ def test_any_override_ends_in_a_documented_exit(where, value):
     # or an internal fault (3)
     name, path = where
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in (["simulate", name, "--out", f"{tmp}/run"], ["stability", "--from-scenario", name]):
+        for argv in (["simulate", name, "--out", f"{tmp}/run"], ["stability", "--from-scenario", name],
+                     ["linearize", name]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([*argv, "--set", f"{path}={value}", "--set", "sim.t_end=0.01"])
@@ -467,6 +481,16 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == "internal error: ZeroDivisionError: float division by zero\n"
 
+    # a plain ValueError is a fault too: only a ValidationError (or an
+    # OSError) is bad input
+    def value_fault(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr("docksim.linear.penetration_dde_coeffs", value_fault)
+    assert run("linearize", "table1") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: ValueError: math domain error\n"
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_write_json_rejects_non_finite_values(tmp_path, capsys, value):
@@ -518,6 +542,22 @@ class TestBoundary:
         assert run("boundary", "--axis", "beta", "--mu", "60",
                    "--grid", "1:2:2", "--out", str(tmp_path / "x.csv")) == 1
 
+    # these used to end in Python's "could not convert string to float",
+    # "invalid literal for int()" or numpy's "Maximum allowed size
+    # exceeded", which named no grid
+    @pytest.mark.parametrize("grid, message", [
+        *((grid, f"grid must be start:stop:count (a whole count) or a comma list of numbers, got {grid!r}\n")
+          for grid in ("a:b:3", "0:1:2.5", "1,x")),
+        ("0:1:1" + "0" * 27, f"grid count 1{'0' * 27} is too large: "),
+    ], ids=["letters", "fractional-count", "list-item", "huge-count"])
+    def test_malformed_grid_exits_1_quoting_it(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "x.csv"
+        assert run("boundary", "--axis", "beta", "--mu", "60", "--kappa", "1000",
+                   "--grid", grid, "--out", str(out)) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestLinearize:
     def test_matrix_dump(self, capsys):
@@ -527,6 +567,27 @@ class TestLinearize:
         assert result["F_x"][1][0] == pytest.approx(-3000.0 / 60.0)
         assert result["F_y"][3][2] == pytest.approx(-3000.0 / 15.6)
         assert result["T"][2] == pytest.approx([1.0, 0.0, -0.3 * np.cos(np.radians(30)), 0.0])
+
+    # a negative stiffness or damping used to be written out with exit 0;
+    # nan exited 1 only through the JSON writer's error
+    @pytest.mark.parametrize("flag, value", [("--k", "-5"), ("--k", "nan"), ("--b", "-1"), ("--b", "inf")])
+    def test_unusable_analysis_pair_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "lin.json"
+        assert run("linearize", "table1", flag, value, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {flag[2:]} must be finite and >= 0, got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        # -k/m overflowed to -inf, which exited 1 only through the JSON
+        # writer's error
+        ("body.m=5e-324", "linearization out of floating-point range at m=5e-324, "
+                          "J_x=1.422972972972973, k=3000.0, b=0.0"),
+        # m_a underflowed to 0: a ZeroDivisionError, exit 3
+        ("body.J_x=5e-324", "m_a must be finite and > 0, got 0.0"),
+    ], ids=["overflow", "underflow"])
+    def test_model_out_of_float_range_exits_1(self, capsys, override, message):
+        assert run("linearize", "table1", "--set", override) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestEnergy:
@@ -552,7 +613,12 @@ class TestEnergy:
         ("t,q\n0,1\n", "unrecognized trajectory header"),
         # a header and no rows used to end in an IndexError traceback
         ("t,z,v_z,theta,omega,d,d_dot,f,tau\n", "no data rows"),
-    ], ids=["unknown-header", "header-only"])
+        # rows narrower than the header exited 3 with an IndexError; wider
+        # ones were read with their extra values dropped
+        ("t,z,v_z,theta,omega,d,d_dot,f,tau\n0,0,0,1,0\n", "rows hold 5 values, the header names 9"),
+        ("t,z,v_z,theta,omega,d,d_dot,f,tau\n" + ",".join(["0"] * 11) + "\n",
+         "rows hold 11 values, the header names 9"),
+    ], ids=["unknown-header", "header-only", "narrow-rows", "wide-rows"])
     def test_unreadable_trajectory_exits_1(self, tmp_path, capsys, text, message):
         traj = self._write_run(tmp_path, "run")
         bogus = tmp_path / "bogus.traj.csv"
@@ -582,6 +648,23 @@ class TestEnergy:
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert option.lstrip("-") in err
         assert not out.exists()
+
+    def test_undecodable_file_exits_1(self, tmp_path, capsys):
+        # bytes that are not UTF-8 raise a UnicodeDecodeError, a plain
+        # ValueError, where the reader does not catch it
+        traj = self._write_run(tmp_path, "run")
+        bogus = tmp_path / "bogus.traj.csv"
+        bogus.write_bytes(b"t,z,v_z,theta,omega,d,d_dot,f,tau\n\xff\xfe\n")
+        capsys.readouterr()
+        assert run("energy", "--measured", str(traj), "--commanded", str(bogus),
+                   "--out", str(tmp_path / "e.csv")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bogus}: could not convert string") and err.count("\n") == 1
+        scenario = tmp_path / "bogus.json"
+        scenario.write_bytes(b'{"body": "\xff"}')
+        assert run("simulate", str(scenario), "--out", str(tmp_path / "x")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {scenario}: not valid JSON (") and err.count("\n") == 1
 
     def test_mismatched_row_counts_exit_1(self, tmp_path):
         traj = self._write_run(tmp_path, "full")

@@ -16,7 +16,7 @@ from docksim import (
     nominal_state_2d,
     validate,
 )
-from docksim.core import _CSV_CHUNK_ROWS, delay_problem, step_count, write_csv
+from docksim.core import _CSV_CHUNK_ROWS, delay_problem, require, step_count, write_csv
 
 from conftest import depth_and_rate_2d, table1_body, table1_contact
 
@@ -195,6 +195,14 @@ def test_validation_error_takes_one_message_or_a_list():
     assert str(err) == "contact.b_v must be a number, got true"
     assert ValidationError(["m bad", "J bad"]).diagnostics == ["m bad", "J bad"]
     assert isinstance(err, ValueError)
+
+
+def test_require_raises_every_diagnostic_or_nothing():
+    assert require() is None and require(None, None) is None
+    with pytest.raises(ValidationError) as err:
+        require(None, "m bad", None, "J bad")
+    assert err.value.diagnostics == ["m bad", "J bad"]
+    assert str(err.value) == "m bad; J bad"
 
 
 def test_validate_reports_every_violation_in_order():
