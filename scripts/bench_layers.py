@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the block path and of CSV export: integrate_dde
-microseconds per step, contact-law (model ``wrench``) calls per run, and
-write_trajectory_csv / read_trajectory_csv microseconds per row on the
-bundled scenarios, table1 and fig7 in 2D and table1, fig7 and demo3d in 3D.
+"""Layer benchmark of the scenario reader, the block path and CSV export:
+load_scenario (which ends in validate) microseconds per call,
+integrate_dde microseconds per step, contact-law (model ``wrench``) calls
+per run, and write_trajectory_csv / read_trajectory_csv microseconds per
+row on the bundled scenarios, table1 and fig7 in 2D and table1, fig7 and
+demo3d in 3D.
 Short delays, which no bundled scenario runs, come as the cases
 "table1-2d-dt<step>" and "demo3d-3d-dt<step>": the scenario with dt = 1e-2,
 5e-3, 2.5e-3 and 1.25e-3 (h/dt = 1.6, 3.2, 6.4 and 12.8) and every step
@@ -14,10 +16,11 @@ arguments (so the recorded wrench is included, and the script runs against
 any integrate_dde signature), and those arguments are replayed. The replay
 gets one untimed warm-up run, which also counts the model class's wrench
 calls, then --repeat timed runs (time.perf_counter); a round keeps the best
-of them. The CSV timings write that simulate run's trajectory (rows and
-columns stated) to a temporary file and read it back, best of --repeat each
-after one untimed write. The JSON holds each round's best and the median of
-the round bests.
+of them. load_scenario is timed on the case's scenario file, best of
+--repeat calls after the case's own untimed load. The CSV timings write
+that simulate run's trajectory (rows and columns stated) to a temporary
+file and read it back, best of --repeat each after one untimed write. The
+JSON holds each round's best and the median of the round bests.
 
 Without --side, every round runs in this process on the docksim it
 imports. With --side LABEL=SRC (repeatable), every round runs each side in
@@ -59,15 +62,17 @@ def best_of(repeat, fn) -> float:
 
 
 def measure(t_end, repeat) -> dict:
-    """One round: {case: {steps, wrench_calls, us_per_step, csv_rows,
-    csv_columns, write_us_per_row, read_us_per_row}}."""
+    """One round: {case: {load_us, steps, wrench_calls, us_per_step,
+    csv_rows, csv_columns, write_us_per_row, read_us_per_row}}."""
     from docksim import dynamics
     from docksim.cli import load_scenario, scenario_path
 
     result = {}
     for name, mode, dt in CASES:
         case = f"{name}-{mode}" + (f"-dt{dt:g}" if dt else "")
-        body, contact, sim, _ = load_scenario(scenario_path(name))
+        path = scenario_path(name)
+        body, contact, sim, _ = load_scenario(path)
+        load = best_of(repeat, lambda: load_scenario(path))
         if dt is not None:
             sim = dataclasses.replace(sim, dt=dt, record_every=1)
         if t_end is not None:
@@ -112,7 +117,7 @@ def measure(t_end, repeat) -> dict:
             write = best_of(repeat, lambda: dynamics.write_trajectory_csv(traj, path))
             read = best_of(repeat, lambda: dynamics.read_trajectory_csv(path))
         rows = len(traj.times)
-        result[case] = {"steps": steps, "wrench_calls": calls[0],
+        result[case] = {"load_us": round(load * 1e6, 2), "steps": steps, "wrench_calls": calls[0],
                         "us_per_step": round(best / steps * 1e6, 4),
                         "csv_rows": rows, "csv_columns": columns,
                         "write_us_per_row": round(write / rows * 1e6, 4),
@@ -122,12 +127,13 @@ def measure(t_end, repeat) -> dict:
 
 def summarize(rounds: list) -> dict:
     """Per case: steps, wrench calls per run, the round bests and their
-    median; then the CSV size and the write/read round bests and medians."""
+    median; then the CSV size and the write/read round bests and medians;
+    then the load_scenario round bests and their median."""
     out = {}
     for case in rounds[0]:
         first = rounds[0][case]
         bests = {key: [r[case][key] for r in rounds]
-                 for key in ("us_per_step", "write_us_per_row", "read_us_per_row")}
+                 for key in ("us_per_step", "write_us_per_row", "read_us_per_row", "load_us")}
         out[case] = {
             "steps": first["steps"],
             "wrench_calls_per_run": first["wrench_calls"],
@@ -140,6 +146,8 @@ def summarize(rounds: list) -> dict:
                         ("read_trajectory_csv", "read_us_per_row")):
             out[case][f"{fn}_us_per_row_per_round"] = bests[key]
             out[case][f"{fn}_us_per_row"] = round(statistics.median(bests[key]), 4)
+        out[case]["load_scenario_us_per_round"] = bests["load_us"]
+        out[case]["load_scenario_us"] = round(statistics.median(bests["load_us"]), 2)
     return out
 
 
@@ -170,15 +178,16 @@ def main() -> int:
         return 0
 
     report = {
-        "what": "integrate_dde microseconds per step (simulate's own call, replayed), model wrench "
-                "calls per run, and write_trajectory_csv / read_trajectory_csv microseconds "
-                "per row of the simulate trajectory, per scenario and mode",
+        "what": "load_scenario (with validate) microseconds per call, integrate_dde microseconds per "
+                "step (simulate's own call, replayed), model wrench calls per run, and "
+                "write_trajectory_csv / read_trajectory_csv microseconds per row of the simulate "
+                "trajectory, per scenario and mode",
         "method": f"{args.rounds} rounds; per round and case one untimed warm-up run, then the best "
                   f"of {args.repeat} timed runs",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
         "t_end": args.t_end,
-        "unit": "us/step; CSV: us/row",
+        "unit": "us/step; CSV: us/row; load_scenario: us/call",
     }
     if args.side:
         sides = [s.split("=", 1) for s in args.side]

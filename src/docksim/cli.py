@@ -1,8 +1,15 @@
 """Command-line front end.
 
 Subcommands: simulate, stability, boundary, linearize, energy. Inputs are
-JSON scenario files (strictly checked: unknown keys are rejected, angles may
-be given in degrees via *_deg keys); bulk numeric outputs are CSV with fixed
+JSON scenario files, strictly checked: each section (the document, body,
+contact, each spring, sim, sim.initial and analysis) is read by _section
+through one table from its keys to their kinds (a number, a whole number, a
+length-3 vector, a 3x3 matrix, the springs list, or a raw value), which
+rejects unknown keys, missing required keys and a section that is not a
+JSON object ("malformed scenario value"). Angles may be given in degrees
+via *_deg keys. A key left out takes the default of the core type it
+fills, an analysis key that of ANALYSIS_DEFAULTS; sim.dt, which has
+neither, defaults to 1e-4 s. Bulk numeric outputs are CSV with fixed
 formatting so repeated runs are byte-identical. Run metadata goes to a
 separate .meta.json sidecar, never into the data files.
 
@@ -58,24 +65,26 @@ EXIT_INTERNAL = 3
 
 ANALYSIS_DEFAULTS = {
     "neutrality_band": _stability.DEFAULT_NEUTRAL_BAND,
-    "averaging_window": 0.02,
+    "averaging_window": _dynamics.DEFAULT_EVENT_WINDOW,
 }
 
 
-def _check_keys(section: str, data: dict, allowed: set[str], required: tuple[str, ...] = ()) -> None:
-    """Reject a section that is not a JSON object (a TypeError, which
-    load_scenario reports as a malformed value), an unknown key, named with
-    JSON's escapes so that the message stays on one line, and a missing
-    required key."""
+def _section(name: str, data, kinds: dict, required: tuple[str, ...] = ()) -> dict:
+    """Read one scenario section: {key: kinds[key](f"{name}.{key}", value)}
+    for the keys present. Data that is not a JSON object is a TypeError,
+    which load_scenario reports as a malformed value; an unknown key, named
+    with JSON's escapes so that the message stays on one line, or a missing
+    required key is a ValidationError."""
     if not isinstance(data, dict):
-        raise TypeError(f"{section} must be an object, got {json.dumps(data)}")
-    unknown = sorted(set(data) - allowed)
+        raise TypeError(f"{name} must be an object, got {json.dumps(data)}")
+    unknown = sorted(data.keys() - kinds.keys())
     if unknown:
         names = ", ".join(json.dumps(key, ensure_ascii=False)[1:-1] for key in unknown)
-        raise ValidationError(f"unknown key(s) in {section}: {names}")
+        raise ValidationError(f"unknown key(s) in {name}: {names}")
     for key in required:
         if key not in data:
-            raise ValidationError(f"{section}: missing {key}")
+            raise ValidationError(f"{name}: missing {key}")
+    return {key: kinds[key](f"{name}.{key}", value) for key, value in data.items()}
 
 
 def _leaf(where: str, x, expected: str):
@@ -91,25 +100,32 @@ def _leaf(where: str, x, expected: str):
     return x
 
 
-def _number(section: str, data: dict, key: str, default=None, kind=float):
-    """data[key] (or a non-None default when absent) as kind, from a
-    :func:`_leaf` number. An int key takes a whole number only, not 2.9,
-    NaN or Infinity."""
-    value = _leaf(f"{section}.{key}", data[key] if default is None else data.get(key, default), "be a number")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValidationError(f"{section}.{key} must be a whole number, got {json.dumps(value)}")
-    return kind(value)
+def _raw(where: str, value):
+    """value unchanged: a key that its section, or the type it builds, checks."""
+    return value
 
 
-def _numbers(section: str, data: dict, key: str, default=None, matrix: bool = False):
-    """data[key] (or a non-None default when absent), unchanged: a length-3
-    vector, or with matrix a 3x3 matrix, of :func:`_leaf` numbers. Any
-    other nesting, ragged or not, is rejected, and so is any other leaf."""
-    value = data[key] if default is None else data.get(key, default)
+def _number(where: str, value) -> float:
+    """A :func:`_leaf` number as a float."""
+    return float(_leaf(where, value, "be a number"))
 
+
+def _whole(where: str, value) -> int:
+    """A :func:`_leaf` number that is whole, as an int: not 2.9, NaN or
+    Infinity."""
+    value = _leaf(where, value, "be a number")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{where} must be a whole number, got {json.dumps(value)}")
+    return int(value)
+
+
+def _vector(where: str, value, matrix: bool = False):
+    """value unchanged: a length-3 vector, or with matrix a 3x3 matrix, of
+    :func:`_leaf` numbers. Any other nesting, ragged or not, is rejected,
+    and so is any other leaf."""
     def wrong_shape():
         shape = "3x3 matrix" if matrix else "length-3 vector"
-        return ValidationError(f"{section}.{key} must be a {shape}, got {json.dumps(value)}")
+        return ValidationError(f"{where} must be a {shape}, got {json.dumps(value)}")
 
     items = [value]
     for _ in range(1 + matrix):
@@ -119,22 +135,34 @@ def _numbers(section: str, data: dict, key: str, default=None, matrix: bool = Fa
     for item in items:
         if isinstance(item, (list, tuple)):
             raise wrong_shape()
-        _leaf(f"{section}.{key}", item, "hold numbers")
+        _leaf(where, item, "hold numbers")
     return value
 
 
-def _angle(section: str, data: dict, name: str, required: bool = True):
-    """Read an angle given either in radians (name) or degrees (name_deg)."""
+def _matrix(where: str, value):
+    """value unchanged: a :func:`_vector` 3x3 matrix."""
+    return _vector(where, value, matrix=True)
+
+
+def _springs(where: str, value) -> tuple:
+    """The compliance-device springs as (k, l_hat) pairs, each spring an
+    object of both keys."""
+    springs = [_section(f"{where}[{i}]", spring, {"k": _number, "l_hat": _vector}, ("k", "l_hat"))
+               for i, spring in enumerate(value)]
+    return tuple((spring["k"], spring["l_hat"]) for spring in springs)
+
+
+def _angle(section: str, values: dict, name: str) -> float:
+    """Take an angle out of a section's read values: given either in
+    radians (name) or degrees (name_deg)."""
     deg = name + "_deg"
-    if name in data and deg in data:
+    if name in values and deg in values:
         raise ValidationError(f"{section}: give either {name} or {deg}, not both")
-    if name in data:
-        return _number(section, data, name)
-    if deg in data:
-        return math.radians(_number(section, data, deg))
-    if required:
-        raise ValidationError(f"{section}: missing {name} (or {deg})")
-    return None
+    if name in values:
+        return values.pop(name)
+    if deg in values:
+        return math.radians(values.pop(deg))
+    raise ValidationError(f"{section}: missing {name} (or {deg})")
 
 
 def scenario_path(name: str) -> Path:
@@ -190,8 +218,9 @@ def _parse_scenario(doc, overrides: list[str]):
         node = doc
         for key in dotted.strip().split("."):
             parent = node
-            if isinstance(node, list) and key.isascii() and key.isdigit() and int(key) < len(node):
-                key = int(key)
+            # float() reads a digit string of any length, int() none beyond 4 300 digits
+            if isinstance(node, list) and key.isascii() and key.isdigit() and float(key) < len(node):
+                key = int(float(key))
                 node = node[key]
             elif isinstance(node, dict):
                 node = node.get(key)
@@ -199,75 +228,44 @@ def _parse_scenario(doc, overrides: list[str]):
                 raise ValidationError(f"override path {dotted!r} does not lead into the document")
         parent[key] = value
 
-    _check_keys("scenario", doc, {"description", "body", "contact", "sim", "analysis"},
-                ("body", "contact", "sim"))
+    doc = _section("scenario", doc, dict.fromkeys(("description", "body", "contact", "sim", "analysis"), _raw),
+                   ("body", "contact", "sim"))
 
-    body_doc = doc["body"]
-    _check_keys("body", body_doc, {"m", "J", "J_x", "a", "a_B"}, ("m",))
-    if ("J" in body_doc) == ("J_x" in body_doc):
+    body = _section("body", doc["body"],
+                    {"m": _number, "J": _matrix, "J_x": _number, "a": _number, "a_B": _vector}, ("m",))
+    if ("J" in body) == ("J_x" in body):
         raise ValidationError("body: give exactly one of J (3x3) or J_x")
-    if ("a" in body_doc) == ("a_B" in body_doc):
+    if ("a" in body) == ("a_B" in body):
         raise ValidationError("body: give exactly one of a (probe length) or a_B (probe vector)")
-    if "J" in body_doc:
-        J = _numbers("body", body_doc, "J", matrix=True)
-    else:
-        J = np.diag([_number("body", body_doc, "J_x")] * 3)
-    if "a_B" in body_doc:
-        a_B = _numbers("body", body_doc, "a_B")
-    else:
-        a_B = [0.0, 0.0, _number("body", body_doc, "a")]
-    body = BodyParams(m=_number("body", body_doc, "m"), J=J, a_B=a_B)
+    J = body["J"] if "J" in body else np.diag([body["J_x"]] * 3)
+    a_B = body["a_B"] if "a_B" in body else [0.0, 0.0, body["a"]]
+    body = BodyParams(m=body["m"], J=J, a_B=a_B)
 
-    contact_doc = doc["contact"]
-    _check_keys("contact", contact_doc,
-                {"k_v", "b_v", "alpha", "alpha_deg", "springs", "n_hat", "activation"}, ("k_v", "b_v"))
-    springs = []
-    for i, spring in enumerate(contact_doc.get("springs", [])):
-        section = f"contact.springs[{i}]"
-        _check_keys(section, spring, {"k", "l_hat"}, ("k", "l_hat"))
-        springs.append((_number(section, spring, "k"), _numbers(section, spring, "l_hat")))
-    contact = ContactParams(
-        k_v=_number("contact", contact_doc, "k_v"),
-        b_v=_number("contact", contact_doc, "b_v"),
-        alpha=_angle("contact", contact_doc, "alpha"),
-        springs=tuple(springs),
-        n_hat=_numbers("contact", contact_doc, "n_hat", (0.0, 0.0, 1.0)),
-        activation=contact_doc.get("activation", "unilateral"),
-    )
+    contact = _section("contact", doc["contact"],
+                       {"k_v": _number, "b_v": _number, "alpha": _number, "alpha_deg": _number,
+                        "springs": _springs, "n_hat": _vector, "activation": _raw}, ("k_v", "b_v"))
+    alpha = _angle("contact", contact, "alpha")
+    contact = ContactParams(alpha=alpha, **contact)
 
-    sim_doc = doc["sim"]
-    _check_keys("sim", sim_doc, {"h", "dt", "t_end", "record_every", "initial"}, ("h", "t_end", "initial"))
-    init_doc = sim_doc["initial"]
-    mode = init_doc.get("mode")
+    sim = _section("sim", doc["sim"], {"h": _number, "dt": _number, "t_end": _number,
+                                       "record_every": _whole, "initial": _raw}, ("h", "t_end", "initial"))
+    mode = sim["initial"].get("mode")
     if mode == "2d":
-        _check_keys("sim.initial", init_doc,
-                    {"mode", "z", "v_z", "theta", "theta_deg", "omega", "y", "v_y"}, ("z", "v_z", "omega"))
-        initial = ChaserState2D(
-            z=_number("sim.initial", init_doc, "z"),
-            v_z=_number("sim.initial", init_doc, "v_z"),
-            theta=_angle("sim.initial", init_doc, "theta"),
-            omega=_number("sim.initial", init_doc, "omega"),
-            y=_number("sim.initial", init_doc, "y", 0.0),
-            v_y=_number("sim.initial", init_doc, "v_y", 0.0),
-        )
+        initial = _section("sim.initial", sim["initial"],
+                           {"mode": _raw, "z": _number, "v_z": _number, "theta": _number, "theta_deg": _number,
+                            "omega": _number, "y": _number, "v_y": _number}, ("z", "v_z", "omega"))
+        initial["theta"] = _angle("sim.initial", initial, "theta")
     elif mode == "3d":
-        _check_keys("sim.initial", init_doc, {"mode", "r", "v", "d_c3", "omega"},
-                    ("r", "v", "d_c3", "omega"))
-        initial = ChaserState3D(**{key: _numbers("sim.initial", init_doc, key)
-                                   for key in ("r", "v", "d_c3", "omega")})
+        keys = ("r", "v", "d_c3", "omega")
+        initial = _section("sim.initial", sim["initial"], {"mode": _raw, **dict.fromkeys(keys, _vector)}, keys)
     else:
         raise ValidationError("sim.initial: mode must be '2d' or '3d'")
-    sim = SimConfig(
-        h=_number("sim", sim_doc, "h"),
-        dt=_number("sim", sim_doc, "dt", 1e-4),
-        t_end=_number("sim", sim_doc, "t_end"),
-        initial=initial,
-        record_every=_number("sim", sim_doc, "record_every", 1, kind=int),
-    )
+    del initial["mode"]
+    initial = (ChaserState2D if mode == "2d" else ChaserState3D)(**initial)
+    sim = SimConfig(**{"dt": 1e-4, **sim, "initial": initial})
 
-    analysis_doc = dict(doc.get("analysis", {}))
-    _check_keys("analysis", analysis_doc, set(ANALYSIS_DEFAULTS))
-    options = {**ANALYSIS_DEFAULTS, **{k: _number("analysis", analysis_doc, k) for k in analysis_doc}}
+    options = {**ANALYSIS_DEFAULTS,
+               **_section("analysis", doc.get("analysis", {}), dict.fromkeys(ANALYSIS_DEFAULTS, _number))}
     require(*(nonnegative_problem(f"analysis.{key}", value) for key, value in options.items()))
     return body, contact, sim, options
 

@@ -394,6 +394,10 @@ def validate(
     for i, (k_i, l_hat) in enumerate(contact.springs):
         diags.append(nonnegative_problem(f"spring k_{i + 1}", k_i))
         new_springs.append((k_i, _check_unit(f"l_hat_{i + 1}", l_hat, diags)))
+    # the sum bounds every stiffness the contact law and the linearization form
+    stiffnesses = [contact.k_v, *(k_i for k_i, _ in contact.springs)]
+    if all(0.0 <= k < math.inf for k in stiffnesses) and sum(stiffnesses) == math.inf:
+        diags.append("stiffness k_v + sum of spring k_i overflows a float")
     n_hat = _check_unit("n_hat", contact.n_hat, diags)
     if not 0.0 < contact.alpha < math.pi / 2:
         diags.append(f"alpha must be in (0, pi/2) rad, got {contact.alpha!r}")

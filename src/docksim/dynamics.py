@@ -148,6 +148,9 @@ SPECULATIVE_BLOCKS = 8
 # simulate's divergence bound, in multiples of the initial state's largest
 # component (at least 1)
 DIVERGENCE_FACTOR = 1e3
+# span [s] over which extract_events averages the entry and exit rates,
+# unless given (the scenario key analysis.averaging_window)
+DEFAULT_EVENT_WINDOW = 0.02
 
 
 class DivergenceError(RuntimeError):
@@ -652,7 +655,7 @@ def extract_events(
     times: np.ndarray,
     d: np.ndarray,
     d_dot: np.ndarray,
-    window: float = 0.02,
+    window: float = DEFAULT_EVENT_WINDOW,
 ) -> list[ContactEvent]:
     """Segment contacts by sign changes of d and measure entry/exit rates.
 
@@ -713,7 +716,7 @@ def simulate(
     params: BodyParams,
     contact: ContactParams,
     mode: str = "2d",
-    event_window: float = 0.02,
+    event_window: float = DEFAULT_EVENT_WINDOW,
 ) -> tuple[Trajectory, list[ContactEvent]]:
     """Run the delayed nonlinear model of ``mode`` (:class:`PlanarModel`
     for "2d", :class:`SpatialModel` for "3d") and return the recorded

@@ -59,6 +59,11 @@ def test_infinite_stiffness_exits_1_with_its_own_diagnostic(tmp_path, capsys):
     # give exactly one of J (3x3) or J_x", and a newline split the error line
     'body="m"',
     'contact.springs=["ab\\ncd"]',
+    # "ab" used to exit 3 (dict() of a string), [] to run with exit 0 and
+    # [["neutrality_band", 0.5]] to be read as that key
+    'analysis="ab"',
+    "analysis=[]",
+    'analysis=[["neutrality_band", 0.5]]',
 ])
 def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
     code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "x"))
@@ -203,6 +208,18 @@ def test_value_whose_size_overflows_a_derived_quantity_exits_1(tmp_path, capsys,
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_stiffness_sum_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # each spring is finite; their sum used to end in numpy's overflow
+    # warning and a nan stiffness (linearize, stability) or a run (simulate)
+    springs = '[{"k": 1.7e308, "l_hat": [0, 0, 1]}, {"k": 1.7e308, "l_hat": [0, 0, 1]}]'
+    for argv in (["simulate", "table1", "--out", str(tmp_path / "bad")], ["linearize", "table1"],
+                 ["stability", "--from-scenario", "table1"]):
+        assert run(*argv, "--set", f"contact.springs={springs}", "--set", "sim.t_end=0.01") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: stiffness k_v + sum of spring k_i overflows a float\n"
+    assert not (tmp_path / "bad.traj.csv").exists()
+
+
 def _leaf_paths(node, prefix=()):
     """Every dotted --set path to a scalar of a scenario document."""
     if not isinstance(node, (dict, list)):
@@ -220,7 +237,8 @@ FUZZ_PATHS = sorted(
     for name in ("table1", "demo3d")
     for path in {*_leaf_paths(json.loads(scenario_path(name).read_text())),
                  *(f"contact.springs.{i}" for i in range(6)),
-                 "nosuch", "body.nosuch", "sim.initial.nosuch", "contact.springs.0.nosuch"}
+                 "nosuch", "body.nosuch", "sim.initial.nosuch", "contact.springs.0.nosuch",
+                 "body", "contact", "contact.springs", "sim.initial", "analysis"}
     if path not in ("sim.dt", "sim.t_end")
 )
 _JSON_SCALARS = st.one_of(
@@ -271,7 +289,11 @@ def test_override_steps_into_a_list(tmp_path):
     assert json.loads((tmp_path / "whole.events.json").read_text())["events"]
 
 
-@pytest.mark.parametrize("path", ["contact.springs.9.k", "contact.springs.x.k", "contact.springs.-1.k"])
+@pytest.mark.parametrize("path", [
+    "contact.springs.9.k", "contact.springs.x.k", "contact.springs.-1.k",
+    # an index beyond Python's 4 300-digit int() limit used to exit 3
+    pytest.param("contact.springs.1" + "0" * 5000 + ".k", id="contact.springs.1e5000.k"),
+])
 def test_override_path_outside_a_list_exits_1(tmp_path, capsys, path):
     code = run("simulate", "demo3d", "--set", f"{path}=1", "--out", str(tmp_path / "bad"))
     assert code == 1

@@ -167,6 +167,9 @@ _STATE_3D = dict(r=[0.0, 0.0, -0.14], v=[0.0, 0.0, -0.02], d_c3=[0.0, 0.6, 0.8],
     (_bundle(body=dict(a_B=[0.0, 0.0, 1e200])), "probe vector a_B is too long: |a_B| overflows a float"),
     (_bundle(contact=dict(springs=((-5.0, [0.0, 0.6, 0.8]),))),
      "spring k_1 must be finite and >= 0, got -5.0"),
+    # each spring is finite, their sum is not
+    (_bundle(contact=dict(springs=((1.7e308, [0.0, 0.0, 1.0]), (1.7e308, [0.0, 0.0, 1.0])))),
+     "stiffness k_v + sum of spring k_i overflows a float"),
     (_bundle(sim=dict(h=-0.016)), "h must be finite and >= 0, got -0.016"),
     (_bundle(sim=dict(h=np.nan)), "h must be finite and >= 0, got nan"),
     (_bundle(sim=dict(h=np.inf)), "h must be finite and >= 0, got inf"),

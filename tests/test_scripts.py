@@ -77,6 +77,7 @@ def test_bench_layers(tmp_path):
         assert (case["csv_rows"], case["csv_columns"]) == (rows, 9 if "-2d" in name else 19)
         assert case["write_trajectory_csv_us_per_row"] > 0.0
         assert case["read_trajectory_csv_us_per_row"] > 0.0
+        assert case["load_scenario_us"] > 0.0
     # one round of each side in its own process
     report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
