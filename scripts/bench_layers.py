@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the scenario reader, the block path and CSV export:
-load_scenario (which ends in validate) microseconds per call,
-integrate_dde microseconds per step, contact-law (model ``wrench``) calls
-per run, and write_trajectory_csv / read_trajectory_csv microseconds per
-row on the bundled scenarios, table1 and fig7 in 2D and table1, fig7 and
-demo3d in 3D.
+"""Layer benchmark of the scenario reader, the block path, CSV export and
+the closed-form stability layer: load_scenario (which ends in validate)
+microseconds per call, integrate_dde microseconds per step, contact-law
+(model ``wrench``) calls per run, and write_trajectory_csv /
+read_trajectory_csv microseconds per row on the bundled scenarios, table1
+and fig7 in 2D and table1, fig7 and demo3d in 3D; then stability_boundary
+microseconds per point on one fixed 2 000-point beta grid at mu = 60,
+kappa = 1000 (fig7's penetration mode, rounded), and microseconds per
+critical_damping(60, 1000, h) call over fixed delays, each the best of
+--repeat calls after one untimed call.
 Short delays, which no bundled scenario runs, come as the cases
 "table1-2d-dt<step>" and "demo3d-3d-dt<step>": the scenario with dt = 1e-2,
 5e-3, 2.5e-3 and 1.25e-3 (h/dt = 1.6, 3.2, 6.4 and 12.8) and every step
@@ -20,13 +24,14 @@ of them. load_scenario is timed on the case's scenario file, best of
 --repeat calls after the case's own untimed load. The CSV timings write
 that simulate run's trajectory (rows and columns stated) to a temporary
 file and read it back, best of --repeat each after one untimed write. The
-JSON holds each round's best and the median of the round bests.
+JSON holds each round's best and the median of the round bests, the
+stability figures under "stability".
 
 Without --side, every round runs in this process on the docksim it
 imports. With --side LABEL=SRC (repeatable), every round runs each side in
 a fresh Python process with PYTHONPATH=SRC, alternating which side goes
 first, and the JSON holds one entry per side: a before/after comparison of
-two checkouts.
+two checkouts, with the stability figures under "stability_sides".
 
 Usage: python scripts/bench_layers.py [--rounds 5] [--repeat 5] [--t-end T]
            [--side before=../old/src --side after=src] [--out bench.json]
@@ -50,6 +55,9 @@ CASES = [("table1", "2d", None), ("fig7", "2d", None), ("table1", "3d", None), (
          ("demo3d", "3d", None)]
 CASES += [(name, mode, dt) for name, mode in (("table1", "2d"), ("demo3d", "3d"))
           for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
+# the stability layer's inputs, at mu = 60 and kappa = 1000
+BOUNDARY_BETAS = np.linspace(1.0, 200.0, 2000).tolist()
+DAMPING_DELAYS = np.linspace(0.002, 0.04, 20).tolist()
 
 
 def best_of(repeat, fn) -> float:
@@ -125,6 +133,31 @@ def measure(t_end, repeat) -> dict:
     return result
 
 
+def measure_stability(repeat) -> dict:
+    """One round of the stability layer: {boundary_us_per_point,
+    critical_damping_us}."""
+    from docksim import stability
+
+    def boundary():
+        return stability.stability_boundary("beta", BOUNDARY_BETAS, mu=60.0, kappa=1000.0)
+
+    def damping():
+        return [stability.critical_damping(60.0, 1000.0, h) for h in DAMPING_DELAYS]
+
+    result = {}
+    for key, fn, per in (("boundary_us_per_point", boundary, len(BOUNDARY_BETAS)),
+                         ("critical_damping_us", damping, len(DAMPING_DELAYS))):
+        fn()
+        result[key] = round(best_of(repeat, fn) / per * 1e6, 4)
+    return result
+
+
+def summarize_stability(rounds: list) -> dict:
+    """Per stability figure: the round bests and their median."""
+    return {key: {"per_round": [r[key] for r in rounds],
+                  "median": round(statistics.median(r[key] for r in rounds), 4)} for key in rounds[0]}
+
+
 def summarize(rounds: list) -> dict:
     """Per case: steps, wrench calls per run, the round bests and their
     median; then the CSV size and the write/read round bests and medians;
@@ -174,20 +207,21 @@ def main() -> int:
     if args.rounds < 1 or args.repeat < 1:
         ap.error("--rounds and --repeat must be >= 1")
     if args.raw:
-        print(json.dumps(measure(args.t_end, args.repeat)))
+        print(json.dumps({"cases": measure(args.t_end, args.repeat), "stability": measure_stability(args.repeat)}))
         return 0
 
     report = {
         "what": "load_scenario (with validate) microseconds per call, integrate_dde microseconds per "
                 "step (simulate's own call, replayed), model wrench calls per run, and "
                 "write_trajectory_csv / read_trajectory_csv microseconds per row of the simulate "
-                "trajectory, per scenario and mode",
+                "trajectory, per scenario and mode; stability_boundary microseconds per point of a "
+                "2000-point beta grid and critical_damping microseconds per call, at mu = 60, kappa = 1000",
         "method": f"{args.rounds} rounds; per round and case one untimed warm-up run, then the best "
                   f"of {args.repeat} timed runs",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
         "t_end": args.t_end,
-        "unit": "us/step; CSV: us/row; load_scenario: us/call",
+        "unit": "us/step; CSV: us/row; load_scenario: us/call; stability: us/point and us/call",
     }
     if args.side:
         sides = [s.split("=", 1) for s in args.side]
@@ -198,9 +232,13 @@ def main() -> int:
             for label, src in (sides if r % 2 == 0 else sides[::-1]):
                 rounds[label].append(run_side(src, args.t_end, args.repeat))
         report["method"] += "; each round runs each side in a fresh process, alternating which goes first"
-        report["sides"] = {label: summarize(rounds[label]) for label in rounds}
+        report["sides"] = {label: summarize([r["cases"] for r in rounds[label]]) for label in rounds}
+        report["stability_sides"] = {label: summarize_stability([r["stability"] for r in rounds[label]])
+                                     for label in rounds}
     else:
-        report["workloads"] = summarize([measure(args.t_end, args.repeat) for _ in range(args.rounds)])
+        rounds = [(measure(args.t_end, args.repeat), measure_stability(args.repeat)) for _ in range(args.rounds)]
+        report["workloads"] = summarize([cases for cases, _ in rounds])
+        report["stability"] = summarize_stability([stab for _, stab in rounds])
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,9 +4,9 @@ Subcommands: simulate, stability, boundary, linearize, energy. Inputs are
 JSON scenario files, strictly checked: each section (the document, body,
 contact, each spring, sim, sim.initial and analysis) is read by _section
 through one table from its keys to their kinds (a number, a whole number, a
-length-3 vector, a 3x3 matrix, the springs list, or a raw value), which
-rejects unknown keys, missing required keys and a section that is not a
-JSON object ("malformed scenario value"). Angles may be given in degrees
+length-3 vector, a 3x3 matrix, the springs list, an object, or a raw
+value), which rejects unknown keys, missing required keys and a section
+that is not a JSON object ("malformed scenario value"). Angles may be given in degrees
 via *_deg keys. A key left out takes the default of the core type it
 fills, an analysis key that of ANALYSIS_DEFAULTS; sim.dt, which has
 neither, defaults to 1e-4 s. Bulk numeric outputs are CSV with fixed
@@ -17,8 +17,9 @@ stability judges one second-order delay system mu s^2 + e^(-s h)
 (beta s + kappa): given by --mu, --beta and --kappa, or defaulted with
 --from-scenario to the scenario's penetration mode (m_a, b_v, k), the one
 contact mode of its planar linearization. Both ways print the same text
-and JSON; --set paths may step into lists by index (contact.springs.0.k),
-and --set without --from-scenario is an input error.
+and JSON, and --out writes the JSON to a file with or without --json;
+--set paths may step into lists by index (contact.springs.0.k), and --set
+without --from-scenario is an input error.
 
 Exit codes: 0 success, 1 invalid input (a ValidationError, or an OSError
 for a file that cannot be read or written), 2 numerical divergence, 3 an
@@ -69,14 +70,21 @@ ANALYSIS_DEFAULTS = {
 }
 
 
+def _object(where: str, value) -> dict:
+    """value unchanged if it is a JSON object, else a TypeError, which
+    load_scenario reports as a malformed value."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be an object, got {json.dumps(value)}")
+    return value
+
+
 def _section(name: str, data, kinds: dict, required: tuple[str, ...] = ()) -> dict:
     """Read one scenario section: {key: kinds[key](f"{name}.{key}", value)}
-    for the keys present. Data that is not a JSON object is a TypeError,
-    which load_scenario reports as a malformed value; an unknown key, named
-    with JSON's escapes so that the message stays on one line, or a missing
-    required key is a ValidationError."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{name} must be an object, got {json.dumps(data)}")
+    for the keys present. Data that is not a JSON object is an
+    :func:`_object` error; an unknown key, named with JSON's escapes so that
+    the message stays on one line, or a missing required key is a
+    ValidationError."""
+    _object(name, data)
     unknown = sorted(data.keys() - kinds.keys())
     if unknown:
         names = ", ".join(json.dumps(key, ensure_ascii=False)[1:-1] for key in unknown)
@@ -248,7 +256,7 @@ def _parse_scenario(doc, overrides: list[str]):
     contact = ContactParams(alpha=alpha, **contact)
 
     sim = _section("sim", doc["sim"], {"h": _number, "dt": _number, "t_end": _number,
-                                       "record_every": _whole, "initial": _raw}, ("h", "t_end", "initial"))
+                                       "record_every": _whole, "initial": _object}, ("h", "t_end", "initial"))
     mode = sim["initial"].get("mode")
     if mode == "2d":
         initial = _section("sim.initial", sim["initial"],
@@ -361,7 +369,7 @@ def cmd_stability(args) -> int:
     if not {"mu", "beta", "kappa"} <= set(values):
         raise ValidationError("stability needs --mu, --beta and --kappa (or --from-scenario)")
     result = _stability.analyze(**values, n_delays=args.n_delays)
-    if args.json:
+    if args.json or args.out:
         payload = result.as_dict()
         if args.from_scenario:
             payload["scenario"] = str(path)
@@ -457,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=float, default=None,
                    help=f"relative neutrality band around h_c (default {_stability.DEFAULT_NEUTRAL_BAND})")
     p.add_argument("--json", action="store_true", help="emit the result as JSON")
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p.add_argument("--out", default=None, help="write the JSON result here (with or without --json)")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("boundary", help="neutral-stability curve along one parameter axis")

@@ -24,14 +24,21 @@ of a scenario's planar linearization, the one contact mode of the
 linearized 4-state model: that model's characteristic function factors
 into this mode and the rigid-body pair s^2.
 
-The closed form is written twice, with the same float operations in the
-same order: the scalar form :func:`_crossing`, which the single-point
-functions read through the checks of :func:`_closed_form` and the
-critical-damping bisection reads unchecked, and the grid form
-:func:`_crossing_grid`, with which the boundary sweep
-(:func:`stability_boundary`) solves a whole curve along one coefficient axis
-in one numpy pass, bit for bit the scalar form's values. :func:`classify` is
-the one stable/neutral/unstable rule, used by the delay verdicts and by the
+The closed form is written once, as the element-wise :func:`_crossing`:
+of one point with Python floats and math's sqrt and atan, or of a whole
+grid with numpy float64 values, np.sqrt and math.atan mapped over the
+values (:func:`_atan_each`). Every other operation in it (+, *, /, sqrt)
+rounds correctly on both, but numpy's arctan need not round as libm's
+does; with the arctan mapped, a grid point has the single point's bits by
+construction. :func:`analyze` is the one checked entry: it checks the
+coefficients, n_delays and the floating-point range, and
+:func:`critical_delays` and :func:`verdict_4th_order` read it. Two callers
+read :func:`_crossing` unchecked: the boundary sweep
+(:func:`stability_boundary`), which solves a whole curve along one
+coefficient axis in one numpy pass and solves each point that pass flags
+again through :func:`analyze`, and the critical-damping bisection, which
+checks only the range at each of its steps. :func:`classify` is the one
+stable/neutral/unstable rule, used by the delay verdicts and by the
 restitution reading.
 """
 
@@ -52,55 +59,26 @@ CRITICAL_DAMPING_HTOL = 1e-9  # [s]
 DEFAULT_NEUTRAL_BAND = 0.01
 
 
-def _crossing(mu: float, beta: float, kappa: float) -> tuple[float, float, float]:
-    """(omega_c, sigma, arctan(omega_c beta / kappa)) of one point, without
-    checks: the scalar form of the closed form. Squares with x * x, which
-    rounds correctly (libm's x ** 2 need not) and reads inf where the square
-    overflows; omega_c leaves (0, inf) where the coefficients leave the
-    floating-point range."""
+def _atan_each(x: np.ndarray) -> np.ndarray:
+    """math.atan over each value of x: numpy's own arctan need not round as
+    libm's does."""
+    return np.array(list(map(math.atan, x.tolist())))
+
+
+def _crossing(mu, beta, kappa, sqrt=math.sqrt, atan=math.atan):
+    """(omega_c, sigma, arctan(omega_c beta / kappa)), element-wise and
+    without checks: of one point with Python floats and math's functions,
+    or of a grid with numpy float64 values, np.sqrt and :func:`_atan_each`,
+    which round alike, so that each grid point has the single point's bits.
+    Squares with x * x, which rounds correctly (libm's x ** 2 need not) and
+    reads inf where the square overflows; omega_c leaves (0, inf) where the
+    coefficients leave the floating-point range."""
     r = beta / mu
     q = kappa / mu
     b2 = r * r
-    sigma = math.sqrt(0.25 * b2 * b2 + q * q)
-    omega = math.sqrt(0.5 * b2 + sigma)
-    return omega, sigma, math.atan(omega * beta / kappa)
-
-
-def _closed_form(mu: float, beta: float, kappa: float, n_delays: int = 1) -> tuple[float, float, list[float]]:
-    """(omega_c, sigma, h_n): the crossing frequency, the crossing indicator
-    and the first n_delays crossing delays, after checking the coefficients
-    once. A coefficient out of its domain, n_delays below 1, and a closed
-    form that overflows or is not finite raise ValidationError."""
-    require(positive_problem("mu", mu), positive_problem("kappa", kappa), nonnegative_problem("beta", beta),
-            None if n_delays >= 1 else f"n_delays must be >= 1, got {n_delays!r}")
-    omega, sigma, base = _crossing(mu, beta, kappa)
-    if not 0.0 < omega < math.inf:
-        raise ValidationError(f"closed form out of floating-point range at "
-                              f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
-    h_n = [(base + 2.0 * math.pi * n) / omega for n in range(n_delays)]
-    return omega, sigma, h_n
-
-
-def _crossing_grid(mu, beta, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_c, sigma, h_c, suspect) over a grid: the grid form of the
-    closed form. Each coefficient is a float or a 1-D array of the grid's
-    length; every value is computed with the float operations of
-    :func:`_crossing` in the same order, so each is the scalar form's bit
-    for bit. suspect flags every point the checked scalar form rejects: a
-    coefficient out of its domain (a non-finite one leaves omega_c at 0, inf
-    or nan) or omega_c outside (0, inf); the numbers of flagged points are
-    meaningless."""
-    with np.errstate(all="ignore"):
-        r = np.atleast_1d(np.divide(beta, mu))
-        q = np.atleast_1d(np.divide(kappa, mu))
-        b2 = r * r
-        sigma = np.sqrt(0.25 * b2 * b2 + q * q)
-        omega = np.sqrt(0.5 * b2 + sigma)
-        base = np.array(list(map(math.atan, (omega * beta / kappa).tolist())))
-        h_c = (base + 0.0) / omega
-    suspect = ~((np.greater(mu, 0.0) & np.greater(kappa, 0.0) & np.greater_equal(beta, 0.0))
-                & (omega > 0.0) & (omega < math.inf))
-    return omega, sigma, h_c, suspect
+    sigma = sqrt(0.25 * b2 * b2 + q * q)
+    omega = sqrt(0.5 * b2 + sigma)
+    return omega, sigma, atan(omega * beta / kappa)
 
 
 def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> tuple[float, list[float]]:
@@ -110,8 +88,8 @@ def critical_delays(mu: float, beta: float, kappa: float, n_delays: int = 5) -> 
     principal arctan branch (the argument is >= 0, so h_0 >= 0; negative
     branches would give negative delays and are discarded).
     """
-    h_n = _closed_form(mu, beta, kappa, n_delays)[2]
-    return h_n[0], h_n
+    result = analyze(mu, beta, kappa, n_delays=n_delays)
+    return result.h_c, list(result.h_n)
 
 
 def critical_damping(mu: float, kappa: float, h: float) -> float:
@@ -127,7 +105,7 @@ def critical_damping(mu: float, kappa: float, h: float) -> float:
     require(positive_problem("mu", mu), positive_problem("kappa", kappa), positive_problem("h", h))
 
     def h_c(beta: float) -> float:
-        # h_0 with the operations of _closed_form: (base + 2 pi * 0) / omega
+        # h_0 with the operations of analyze: (base + 2 pi * 0) / omega
         omega, _, base = _crossing(mu, beta, kappa)
         if not 0.0 < omega < math.inf:
             raise ValidationError(f"critical damping at h = {h!r} leaves the floating-point range "
@@ -200,15 +178,24 @@ def analyze(
     n_delays: int = 5,
     band: float = DEFAULT_NEUTRAL_BAND,
 ) -> StabilityResult:
-    """Full pole-location summary; verdict included when h is given. h
-    and band must be finite and >= 0 (ValidationError), band also without
-    h."""
-    omega_c, sigma, h_n = _closed_form(mu, beta, kappa, n_delays)
+    """Full pole-location summary: the crossing frequency omega_c, the
+    crossing indicator sigma and the first n_delays crossing delays, with
+    the verdict when h is given. A coefficient out of its domain, n_delays
+    below 1, a closed form that overflows or is not finite, and then an h or
+    band that is not finite and >= 0 (band also without h) raise
+    ValidationError."""
+    require(positive_problem("mu", mu), positive_problem("kappa", kappa), nonnegative_problem("beta", beta),
+            None if n_delays >= 1 else f"n_delays must be >= 1, got {n_delays!r}")
+    omega_c, sigma, base = _crossing(mu, beta, kappa)
+    if not 0.0 < omega_c < math.inf:
+        raise ValidationError(f"closed form out of floating-point range at "
+                              f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
+    h_n = tuple((base + 2.0 * math.pi * n) / omega_c for n in range(n_delays))
     require(nonnegative_problem("band", band), None if h is None else delay_problem(h))
     verdict = None if h is None else classify(h, h_n[0], band)
     return StabilityResult(
         mu=mu, beta=beta, kappa=kappa, omega_c=omega_c, h_c=h_n[0],
-        h_n=tuple(h_n), sigma=sigma, h=h, verdict=verdict,
+        h_n=h_n, sigma=sigma, h=h, verdict=verdict,
     )
 
 
@@ -232,34 +219,43 @@ def stability_boundary(
 ) -> list[BoundaryPoint]:
     """Neutral-stability curve h_c(x) along one parameter axis.
 
-    axis names the swept coefficient; the other two must be fixed. The
-    whole curve is solved in one pass of the closed form over the grid
-    (:func:`_crossing_grid`, bit for bit the scalar form), and the points
-    are returned in grid order. Points the pass flags are solved again by
-    the checked scalar form; a point that fails there (bad coefficient,
-    closed form out of floating-point range) is recorded on the point with
-    its diagnostic and the sweep continues.
+    axis names the swept coefficient; the other two must be fixed, and the
+    swept one must not be. The whole curve is solved in one numpy pass of
+    :func:`_crossing` over the grid, and the points are returned in grid
+    order. The pass flags every point :func:`analyze` would reject: a
+    coefficient out of its domain (a non-finite one leaves omega_c at 0, inf
+    or nan) or omega_c outside (0, inf). Each flagged point is solved again
+    by :func:`analyze`; a point that fails there is recorded on the point
+    with its diagnostic, and the sweep continues.
     """
     if axis not in ("beta", "kappa", "mu"):
         raise ValidationError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
-    fixed = {name: v for name, v in (("mu", mu), ("beta", beta), ("kappa", kappa)) if name != axis}
+    fixed = {"mu": mu, "beta": beta, "kappa": kappa}
+    if fixed.pop(axis) is not None:
+        raise ValidationError(f"sweep along {axis!r} takes no fixed {axis}")
     if any(v is None for v in fixed.values()):
         raise ValidationError(f"sweep along {axis!r} needs the other two coefficients fixed")
     grid = [float(x) for x in grid]
     if not grid:
         raise ValidationError("grid must hold at least one point")
-    omega, sigma, h_c, suspect = _crossing_grid(**fixed, **{axis: np.array(grid)})
+    # as numpy float64 values, a fixed divisor of 0 reads inf rather than raising
+    coeffs = {**{name: np.float64(v) for name, v in fixed.items()}, axis: np.array(grid)}
+    with np.errstate(all="ignore"):
+        omega, sigma, base = _crossing(**coeffs, sqrt=np.sqrt, atan=_atan_each)
+        h_c = (base + 0.0) / omega  # analyze's n = 0 term: beta = -0.0 reads h_c = 0.0, not -0.0
+    in_domain = (coeffs["mu"] > 0.0) & (coeffs["kappa"] > 0.0) & (coeffs["beta"] >= 0.0)
+    suspect = ~(in_domain & (omega > 0.0) & (omega < math.inf))
     # tuple.__new__ is what BoundaryPoint._make calls, without its length check
     points = list(map(tuple.__new__, repeat(BoundaryPoint),
                       zip(grid, h_c.tolist(), omega.tolist(), sigma.tolist(), repeat(None))))
     for i in np.flatnonzero(suspect).tolist():
         x = grid[i]
         try:
-            omega_i, sigma_i, h_n = _closed_form(**fixed, **{axis: x})
+            result = analyze(**fixed, **{axis: x}, n_delays=1)
         except ValidationError as exc:
             points[i] = BoundaryPoint(x, math.nan, math.nan, math.nan, str(exc))
         else:
-            points[i] = BoundaryPoint(x, h_n[0], omega_i, sigma_i)
+            points[i] = BoundaryPoint(x, result.h_c, result.omega_c, result.sigma)
     return points
 
 

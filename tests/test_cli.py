@@ -64,6 +64,7 @@ def test_infinite_stiffness_exits_1_with_its_own_diagnostic(tmp_path, capsys):
     'analysis="ab"',
     "analysis=[]",
     'analysis=[["neutrality_band", 0.5]]',
+    "sim.initial=5",
 ])
 def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
     code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "x"))
@@ -71,6 +72,13 @@ def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "malformed scenario value" in err
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_initial_state_that_is_not_an_object_is_named(tmp_path, capsys):
+    # used to read "malformed scenario value ('int' object has no attribute 'get')"
+    assert run("simulate", "table1", "--set", "sim.initial=5", "--out", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(": malformed scenario value (sim.initial must be an object, got 5)\n")
 
 
 @pytest.mark.parametrize("key", ["averaging_window", "neutrality_band"])
@@ -436,6 +444,16 @@ class TestStability:
             expected = json.loads(expected)
         assert from_scenario == expected
 
+    def test_out_writes_json_with_or_without_the_json_flag(self, tmp_path, capsys):
+        # --out without --json used to print the text report and write no file
+        coefficients = ["--mu", "15.6", "--beta", "50", "--kappa", "3000", "--h", "0.016"]
+        for name, json_flag in (("plain.json", []), ("flagged.json", ["--json"])):
+            assert run("stability", *coefficients, *json_flag, "--out", str(tmp_path / name)) == 0
+            assert capsys.readouterr().out == ""
+        written = (tmp_path / "plain.json").read_text()
+        assert written == (tmp_path / "flagged.json").read_text()
+        assert json.loads(written)["verdict"] == "stable"
+
     def test_from_scenario_judges_the_penetration_mode(self, capsys):
         # fig7's (m, 2b, 2k) pair, no mode of the linearization, once gave
         # h_c = 0.0486231 s here
@@ -563,6 +581,14 @@ class TestBoundary:
     def test_missing_fixed_coefficient_exits_1(self, tmp_path):
         assert run("boundary", "--axis", "beta", "--mu", "60",
                    "--grid", "1:2:2", "--out", str(tmp_path / "x.csv")) == 1
+
+    def test_fixed_value_for_the_swept_axis_exits_1(self, tmp_path, capsys):
+        # --beta 3 along beta used to be dropped without a word, with exit 0
+        out = tmp_path / "x.csv"
+        assert run("boundary", "--axis", "beta", "--beta", "3", "--mu", "60", "--kappa", "1000",
+                   "--grid", "1", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", "error: sweep along 'beta' takes no fixed beta\n")
+        assert not out.exists()
 
     # these used to end in Python's "could not convert string to float",
     # "invalid literal for int()" or numpy's "Maximum allowed size

@@ -78,11 +78,17 @@ def test_bench_layers(tmp_path):
         assert case["write_trajectory_csv_us_per_row"] > 0.0
         assert case["read_trajectory_csv_us_per_row"] > 0.0
         assert case["load_scenario_us"] > 0.0
+    stability = json.loads(out.read_text())["stability"]
+    assert set(stability) == {"boundary_us_per_point", "critical_damping_us"}
+    assert all(figure["median"] > 0.0 for figure in stability.values())
     # one round of each side in its own process
     report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
     assert set(report["sides"]) == {"a", "b"}
     assert all(set(side) == set(steps) for side in report["sides"].values())
+    assert set(report["stability_sides"]) == {"a", "b"}
+    assert all(side["boundary_us_per_point"]["median"] > 0.0 and side["critical_damping_us"]["median"] > 0.0
+               for side in report["stability_sides"].values())
 
 
 def test_code_lines(tmp_path):

@@ -9,7 +9,6 @@ from docksim.cli import load_scenario, scenario_path
 from docksim.linear import linearize_2d, penetration_dde_coeffs
 from docksim.stability import (
     BoundaryPoint,
-    _closed_form,
     analyze,
     classify,
     critical_damping,
@@ -194,6 +193,13 @@ class TestBoundary:
             for p_soft, p_stiff in zip(curves[lo][1:], curves[hi][1:]):
                 assert p_stiff.h_critical < p_soft.h_critical
 
+    @pytest.mark.parametrize("axis", ["beta", "kappa", "mu"])
+    def test_fixed_value_for_the_swept_axis_is_rejected(self, axis):
+        # used to be dropped without a word
+        fixed = {"mu": 60.0, "beta": 50.0, "kappa": 1000.0}
+        with pytest.raises(ds.ValidationError, match=f"^sweep along '{axis}' takes no fixed {axis}$"):
+            stability_boundary(axis, [1.0], **fixed)
+
     def test_failed_points_recorded_and_curve_continues(self):
         points = stability_boundary("mu", [-1.0, 10.0], beta=20.0, kappa=1000.0)
         assert points[0].error is not None and math.isnan(points[0].h_critical)
@@ -230,12 +236,12 @@ def point_bits(p: BoundaryPoint) -> tuple:
 
 
 def scalar_point(x: float, mu: float, beta: float, kappa: float) -> tuple:
-    """One boundary point from the checked scalar form, bits and error text."""
+    """One boundary point from the checked single-point form, bits and error text."""
     try:
-        omega_c, sigma, h_n = _closed_form(mu, beta, kappa)
+        result = analyze(mu, beta, kappa, n_delays=1)
     except ValueError as exc:
         return x.hex(), math.nan.hex(), math.nan.hex(), math.nan.hex(), str(exc)
-    return x.hex(), h_n[0].hex(), omega_c.hex(), sigma.hex(), None
+    return x.hex(), result.h_c.hex(), result.omega_c.hex(), result.sigma.hex(), None
 
 
 # ordinary coefficients, beta = 0 (both signs), extreme magnitudes whose
