@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, nonnegative_problem, positive_problem, require, sample_count, write_csv
+from .core import ValidationError, allocate, nonnegative_problem, positive_problem, require, sample_count, write_csv
 from .dynamics import ContactEvent, Trajectory
 from .stability import classify
 
@@ -188,7 +188,7 @@ def streams_from_trajectories(
     samples = sample_count(t_end, dt)
     if samples < 1:
         raise ValidationError(f"dt = {dt!r} s gives no sample in a run of {t_end!r} s")
-    t = np.arange(1, samples + 1) * dt
+    t = allocate(f"the sample count {samples:.9g} of dt = {dt!r} s", np.arange, 1, samples + 1) * dt
 
     def expand(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if traj.mode == "2d":

@@ -54,6 +54,7 @@ from .core import (
     ContactParams,
     SimConfig,
     ValidationError,
+    allocate,
     nonnegative_problem,
     require,
     validate,
@@ -303,10 +304,7 @@ def _grid(text: str) -> list[float]:
                               f"of numbers, got {text!r}") from None
     if count < 1:
         raise ValidationError("grid count must be >= 1")
-    try:
-        return [float(x) for x in np.linspace(start, stop, count)]
-    except ValueError as exc:  # a count beyond numpy's array size
-        raise ValidationError(f"grid count {count} is too large: {exc}") from None
+    return [float(x) for x in allocate(f"grid count {count}", np.linspace, start, stop, count)]
 
 
 def _write_json(obj, out: str | None) -> None:

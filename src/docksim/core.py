@@ -171,11 +171,6 @@ class ChaserState3D:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.r, self.v, self.d_c3, self.omega])
 
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "ChaserState3D":
-        y = np.asarray(y, dtype=float)
-        return cls(r=y[0:3], v=y[3:6], d_c3=y[6:9], omega=y[9:12])
-
 
 @dataclass(frozen=True)
 class ChaserState2D:
@@ -202,11 +197,6 @@ class ChaserState2D:
         """Order (z, v_z, theta, omega, y, v_y): the four analysis states
         first, the decoupled wall-parallel pair appended."""
         return np.array([self.z, self.v_z, self.theta, self.omega, self.y, self.v_y])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "ChaserState2D":
-        y = np.asarray(y, dtype=float)
-        return cls(z=y[0], v_z=y[1], theta=y[2], omega=y[3], y=y[4], v_y=y[5])
 
     def embed_3d(self) -> ChaserState3D:
         """Embed into the 12-state model (plane = N's (y,z), rotation about x)."""
@@ -320,6 +310,16 @@ def sample_count(span: float, dt: float) -> int:
     q = span / dt
     n = round(q)
     return n if abs(q - n) <= STEP_COUNT_RTOL * q else math.floor(q)
+
+
+def allocate(what: str, make, *args):
+    """make(*args), a numpy allocation sized by a count from the input;
+    numpy's ValueError for a size beyond what its arrays can index becomes
+    a ValidationError that names ``what``, the count asked for."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValidationError(f"{what} is too large: {exc}") from None
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence, labels: Sequence[Sequence[str]] = ()) -> None:

@@ -22,7 +22,7 @@ the scheme is plain RK4 for the undelayed ODE. A delay that is negative,
 not finite or in (0, dt) is rejected (:func:`docksim.core.delay_problem`),
 since the explicit scheme can only look up completed steps. The delayed
 samples of step k lie at the fractional rows k - h/dt, k + 1/2 - h/dt and
-k + 1 - h/dt; :func:`integrate_dde` builds that grid once for the run.
+k + 1 - h/dt; the block path builds that grid once for the run.
 
 Each contact mode is one class, :class:`PlanarModel` (2D) and
 :class:`SpatialModel` (3D). It unpacks the body and contact parameters once
@@ -31,8 +31,8 @@ and holds everything that depends on the mode: the scalar right-hand side
 state vector of an initial state, the unit-norm columns the integrator
 renormalizes and the undelayed depth channels. :func:`simulate` looks the
 class up by mode and hands the model to :func:`integrate_dde`, which takes
-a model or a caller's own right-hand side; :func:`make_rhs_2d` and
-:func:`make_rhs_3d` return a model's ``rhs``.
+a model only; :func:`make_rhs_2d` and :func:`make_rhs_3d` return a model's
+``rhs``.
 
 A model has one path at h > 0, the block path, with the same protocol
 for both modes. The force applied over the next h was sensed h ago, so when
@@ -50,11 +50,9 @@ A zero force is just a value here, so free flight and contact take the same
 path. Each finished block is checked for divergence, which raises at its
 first offending row with the per-step message and t.
 
-The per-step loop does only what a block cannot: it calls the right-hand
-side ``rhs(y, y_delayed)`` four times per step on Python floats, for a
-caller's own right-hand side at any delay and for a model at h = 0, where
-every stage's delayed argument is the stage itself. At h > 0 it reads a
-step's three delayed samples with one :func:`_lerp_rows` call.
+At h = 0 there is no delay for a block to span, and a per-step loop calls
+the model's ``rhs(y, y_delayed)`` four times per step on Python floats,
+each stage's delayed argument being the stage itself.
 
 In free flight the delayed wrench is exactly zero, so the run speculates
 there. After a block whose force and torque samples are all bitwise equal
@@ -132,6 +130,7 @@ from .core import (
     SimConfig,
     ValidationError,
     activation_problem,
+    allocate,
     delay_problem,
     nonnegative_problem,
     require,
@@ -139,8 +138,9 @@ from .core import (
     write_csv,
 )
 
-# rhs(y, y_delayed) -> y': two float sequences (lists from the integrator,
-# numpy rows from callers) in, a tuple of floats out
+# a model's rhs(y, y_delayed) -> y': two float sequences (lists from the
+# integrator at h = 0, numpy rows from other callers) in, a tuple of floats
+# out
 Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 # length of a speculative span of free flight, in blocks of int(h/dt)
 # steps (measured on planar runs: 4 to 16 all pay, 8 most)
@@ -162,77 +162,63 @@ class DivergenceError(RuntimeError):
 
 
 def integrate_dde(
-    system: Rhs | PlanarModel | SpatialModel,
+    model: PlanarModel | SpatialModel,
     initial: np.ndarray,
     dt: float,
     t_end: float,
     h: float,
     divergence_bound: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate y'(t) = rhs(y(t), y(t-h)) on the fixed grid.
+    """Integrate y'(t) = model.rhs(y(t), y(t-h)) on the fixed grid.
 
     Returns (times, states) with one row per grid point including t = 0.
     Pre-history is the constant initial state. Not decimated; callers slice.
-    t_end must be a whole number of steps (:func:`docksim.core.step_count`).
+    t_end must be a whole number of steps (:func:`docksim.core.step_count`),
+    and one whose row count numpy cannot allocate is a ValidationError too.
 
     h must be 0 or a finite delay >= dt (:func:`docksim.core.delay_problem`),
     else ValidationError.
 
-    ``system`` is either a right-hand side ``rhs(y, y_delayed)``, stepped
-    by plain RK4, or a :class:`PlanarModel` or :class:`SpatialModel`, which
-    brings its own ``rhs`` and the ``unit_slice`` of columns renormalized
-    after every step. At h > 0 a model advances in blocks of int(h/dt)
-    steps with its block form (under a steady wrench, in checked spans of
-    SPECULATIVE_BLOCKS blocks) and never calls ``rhs``; the rows are those
-    of ``rhs`` stepped one row at a time, bit for bit. A model is also left
+    ``model`` is a :class:`PlanarModel` or :class:`SpatialModel`, which
+    brings its scalar ``rhs`` and the ``unit_slice`` of columns
+    renormalized after every step. At h > 0 it advances in blocks of
+    int(h/dt) steps with its block form (under a steady wrench, in checked
+    spans of SPECULATIVE_BLOCKS blocks) and never calls ``rhs``; the rows
+    are those of ``rhs`` stepped one row at a time, bit for bit. At h = 0
+    ``rhs`` is stepped by plain RK4, one row at a time. The model is left
     with ``model.applied``, the force and torque (f, tau) applied at every
     row: its ``wrench`` at the rows sampled one delay back.
     """
-    if isinstance(system, (PlanarModel, SpatialModel)):
-        model, rhs, unit_slice = system, system.rhs, system.unit_slice
-    else:
-        model, rhs, unit_slice = None, system, None
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
     require(delay_problem(h, dt))
-    Y = np.empty((n + 1, y0.size))
+    Y = allocate(f"t_end/dt = {n:.9g} steps", np.empty, (n + 1, y0.size))
     Y[0] = y0
     times = np.arange(n + 1) * dt
-    ratio = h / dt
-    # the delayed stage samples of step k, at rows k - ratio, k + 1/2 - ratio
-    # and k + 1 - ratio (the first of step k + 1), interleaved; the even ones
-    # are each row's own delayed sample
-    k = np.arange(n + 1, dtype=float)
-    grid = np.empty(2 * n + 1)
-    grid[0::2] = k - ratio
-    grid[1::2] = (k[:-1] + 0.5) - ratio
     # sum(|y|) of a step, or max |y| of a block, bounds every |y_j|, and a
     # NaN or inf component makes the comparison with the finite limit fail,
     # so one pass screens each step or block; _check_divergence then decides
     # exactly
     limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
-    if model is not None and h:
-        model.applied = _integrate_blocks(model, Y, times, grid, int(ratio), dt, limit, divergence_bound)
+    if h:
+        model.applied = _integrate_blocks(model, Y, times, h / dt, dt, limit, divergence_bound)
         return times, Y
+    rhs, unit_slice = model.rhs, model.unit_slice
     half = 0.5 * dt
     sixth = dt / 6.0
     y = Y[0].tolist()
-    # at h = 0 the delayed samples stay None, and each stage's delayed
-    # argument is the stage state itself
-    d0 = dh = d1 = None
-    # a diverging run overflows in the renormalization before the screen
+    # h = 0: each stage's delayed argument is the stage state itself. A
+    # diverging run overflows in the renormalization before the screen
     # below sees it; it ends in DivergenceError, as in _integrate_blocks
     with np.errstate(all="ignore"):
         for i in range(n):
-            if h:
-                d0, dh, d1 = _lerp_rows(Y, grid[2 * i:2 * i + 3]).tolist()
-            k1 = rhs(y, d0 or y)
+            k1 = rhs(y, y)
             y2 = [a + half * b for a, b in zip(y, k1)]
-            k2 = rhs(y2, dh or y2)
+            k2 = rhs(y2, y2)
             y3 = [a + half * b for a, b in zip(y, k2)]
-            k3 = rhs(y3, dh or y3)
+            k3 = rhs(y3, y3)
             y4 = [a + dt * b for a, b in zip(y, k3)]
-            k4 = rhs(y4, d1 or y4)
+            k4 = rhs(y4, y4)
             y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
             row = Y[i + 1]
             row[:] = y
@@ -242,22 +228,22 @@ def integrate_dde(
                 y = row.tolist()
             if not sum(map(abs, y)) <= limit:
                 _check_divergence(y, float(times[i + 1]), divergence_bound)
-    if model is not None:
-        # h = 0: each row is its own delayed sample
-        model.applied = model.wrench(Y[:, :model.columns].T)
+    # each row is its own delayed sample
+    model.applied = model.wrench(Y[:, :model.columns].T)
     return times, Y
 
 
-def _integrate_blocks(model, Y, times, grid, span, dt, limit, divergence_bound) -> tuple:
+def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> tuple:
     """Fill Y block by block with the model's ``wrench`` and ``push``, and
-    return the wrench (f, tau) applied at every row. grid holds the delayed
-    stage samples of every step, interleaved (see :func:`integrate_dde`).
-    Steps i..j-1 with j - i <= span = int(h/dt) read delayed samples at
-    fractional rows <= j - h/dt <= i, so rows <= i, which are final: one
-    lerp and one ``wrench`` call give the wrench at every stage sample of
-    the block, and ``push`` steps the block under it. The even samples,
-    grid[2k] for k = i..j, are the delayed samples of rows i..j, so their
-    wrench is the one recorded.
+    return the wrench (f, tau) applied at every row; ratio = h/dt >= 1.
+    The delayed stage samples of step k lie at the fractional rows
+    k - ratio, k + 1/2 - ratio and k + 1 - ratio (the first of step
+    k + 1); grid holds them all, interleaved. Steps i..j-1 with j - i <= span = int(ratio) read
+    delayed samples at fractional rows <= j - ratio <= i, so rows <= i,
+    which are final: one lerp and one ``wrench`` call give the wrench at
+    every stage sample of the block, and ``push`` steps the block under
+    it. The even samples, grid[2k] for k = i..j, are the delayed samples
+    of rows i..j, so their wrench is the one recorded.
 
     After a block whose wrench samples are all bitwise equal, a span of
     SPECULATIVE_BLOCKS blocks runs on a guess: ``push`` steps the span's
@@ -273,6 +259,11 @@ def _integrate_blocks(model, Y, times, grid, span, dt, limit, divergence_bound) 
     Each finished block, and each committed part of a span, is checked for
     divergence, which raises at its first offending row."""
     n = len(Y) - 1
+    span = int(ratio)
+    k = np.arange(n + 1, dtype=float)
+    grid = np.empty(2 * n + 1)
+    grid[0::2] = k - ratio
+    grid[1::2] = (k[:-1] + 0.5) - ratio
     history = Y[:, :model.columns]
     f_rec = np.empty(n + 1)
     tau_rec = np.empty((n + 1,) + model.torque_shape)

@@ -9,10 +9,11 @@ import numpy as np
 
 import docksim as ds
 from docksim.cli import load_scenario, scenario_path
-from docksim.dynamics import integrate_dde, make_rhs_2d
+from docksim.dynamics import make_rhs_2d
 from docksim.linear import gradient_matrix, transform_matrix, transformed_matrix
 
 from conftest import M_A, approach_config, table1_body, table1_contact
+from test_integrator_oracle import numpy_integrate_dde
 
 # Published restitution-vs-damping table for this operating point. The
 # zero-damping entry (1.6) exceeds what the stated contact model can
@@ -144,11 +145,11 @@ def test_criterion_05_decoupling_oracle():
     F_x = model.F_x
     rhs4 = lambda y, yd: np.array([y[1], F_x[1] @ yd, y[3], F_x[3] @ yd])
     x0 = np.array([1e-3, 0.0, 2e-3, 0.0])
-    _, Y4 = integrate_dde(rhs4, x0, 1e-4, 2.0, 0.016)
+    _, Y4 = numpy_integrate_dde(rhs4, x0, 1e-4, 2.0, 0.016)
     depth_from_4state = Y4[:, 0] - a_c * Y4[:, 2]
     rhs2 = lambda y, yd: np.array([y[1], (-kappa * yd[0] - beta * yd[1]) / mu])
     d0 = np.array([x0[0] - a_c * x0[2], x0[1] - a_c * x0[3]])
-    _, Y2 = integrate_dde(rhs2, d0, 1e-4, 2.0, 0.016)
+    _, Y2 = numpy_integrate_dde(rhs2, d0, 1e-4, 2.0, 0.016)
     err = float(np.abs(depth_from_4state - Y2[:, 0]).max())
     report("5 (decoupling oracle)", err < 1e-8,
            f"max |depth(4-state) - depth(scalar DDE)| = {err:.3e} over 2 s (< 1e-8)")

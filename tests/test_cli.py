@@ -35,6 +35,17 @@ def test_t_end_off_the_step_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "off.traj.csv").exists()
 
 
+def test_step_count_beyond_numpy_exits_1(tmp_path, capsys):
+    # 1.2e300 rows: numpy refuses the array before allocating anything,
+    # which used to exit 3 as an internal error
+    code = run("simulate", "table1", "--set", "sim.dt=1e-300", "--out", str(tmp_path / "big"))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: t_end/dt = 1.2e+300 steps is too large: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "big.traj.csv").exists()
+
+
 @pytest.mark.parametrize("h", ["Infinity", "NaN", "-0.016"])
 def test_unusable_delay_exits_1(tmp_path, capsys, h):
     code = run("simulate", "table1.json", "--set", f"sim.h={h}", "--out", str(tmp_path / "bad"))
@@ -682,6 +693,9 @@ class TestEnergy:
         ("--dt", "nan"),
         ("--dt", "inf"),
         ("--dt", "10"),  # longer than the 0.9 s run: no sample
+        # 9e299 samples, which numpy refuses before allocating anything
+        # (this used to exit 3 as an internal error)
+        ("--dt", "1e-300"),
         ("--tolerance", "nan"),
         ("--tolerance", "-1"),
         ("--tolerance", "inf"),

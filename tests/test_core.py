@@ -255,11 +255,12 @@ def test_delay_problem(h, dt, message):
 
 
 def test_states_round_trip_through_vectors():
+    # the layouts the models index: (z, v_z, theta, omega, y, v_y) and
+    # (r, v, d_c3, omega)
     s2 = ChaserState2D(z=-0.1, v_z=0.2, theta=0.3, omega=-0.4, y=0.5, v_y=0.6)
-    assert ChaserState2D.from_vector(s2.as_vector()) == s2
+    assert s2.as_vector().tolist() == [-0.1, 0.2, 0.3, -0.4, 0.5, 0.6]
     s3 = ChaserState3D(r=[1, 2, 3], v=[4, 5, 6], d_c3=[0, 0, 1], omega=[7, 8, 9])
-    back = ChaserState3D.from_vector(s3.as_vector())
-    assert np.array_equal(back.r, s3.r) and np.array_equal(back.omega, s3.omega)
+    assert s3.as_vector().tolist() == [1, 2, 3, 4, 5, 6, 0, 0, 1, 7, 8, 9]
 
 
 def test_planar_embedding_matches_geometry():

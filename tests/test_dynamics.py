@@ -258,21 +258,34 @@ class TestNumpyTrig:
         self.assert_math_bits(np.column_stack([th, th])[:, 0])
 
 
+def free_flight_model():
+    """The planar table1 model, whose unilateral contact stays force-free
+    while the probe is off the wall (d > 0)."""
+    return PlanarModel(table1_body(), table1_contact())
+
+
 class TestStep:
     def test_drift_is_exact(self):
-        _, Y = integrate_dde(lambda y, yd: np.array([y[1], 0.0]), np.array([0.0, 0.5]), 0.1, 0.1, 0.0)
+        # a free flight away from the wall at h = 0: z' = v_z = 0.5
+        y0 = ds.ChaserState2D(z=0.0, v_z=0.5, theta=0.0, omega=0.0).as_vector()
+        _, Y = integrate_dde(free_flight_model(), y0, 0.1, 0.1, 0.0)
         assert Y[1, 0] == pytest.approx(0.05, abs=1e-18)
 
     def test_harmonic_phase_error(self):
-        # undelayed, undamped 1D contact: z'' = -(k/m) z, one full period
-        k_over_m = 3000.0 / 60.0
-        omega = math.sqrt(k_over_m)
+        # undelayed, undamped 1D contact: d'' = -(k/m) d, one full period.
+        # Bilateral, so the spring acts on either side of the wall; at
+        # theta = 0 the probe is normal to it and the torque is zero, and
+        # J_x = 1e12 pins the attitude besides
+        body = ds.BodyParams(m=60.0, J=np.diag([1e12, 1e12, 1e12]), a_B=[0.0, 0.0, 0.3])
+        model = PlanarModel(body, table1_contact(activation="bilateral"))
+        omega = math.sqrt(3000.0 / 60.0)
         dt = 1e-4
-        rhs = lambda y, yd: np.array([y[1], -k_over_m * y[0]])
         n = int(round(2 * math.pi / omega / dt))
-        _, Y = integrate_dde(rhs, np.array([1.0, 0.0]), dt, n * dt, 0.0)
+        y0 = ds.ChaserState2D(z=1.0 - body.a, v_z=0.0, theta=0.0, omega=0.0).as_vector()
+        _, Y = integrate_dde(model, y0, dt, n * dt, 0.0)
         t_end = n * dt
-        phase = math.atan2(-Y[-1, 1] / omega, Y[-1, 0]) - (omega * t_end) % (2 * math.pi)
+        d, d_dot = model.depth(Y[-1])
+        phase = math.atan2(-d_dot / omega, d) - (omega * t_end) % (2 * math.pi)
         phase = (phase + math.pi) % (2 * math.pi) - math.pi
         assert abs(phase) < 1e-6
 
@@ -317,16 +330,20 @@ class TestStep:
         assert all(low <= r <= high for r in ratios), ratios
 
     def test_divergence_bound_applies_per_component(self):
-        # |y| sums past the bound while every component stays inside it
-        drift = lambda y, yd: (0.0, 0.0, 0.0)
-        _, Y = integrate_dde(drift, np.array([0.6, -0.6, 0.6]), 0.1, 0.3, 0.0, divergence_bound=1.0)
-        assert np.array_equal(Y[-1], [0.6, -0.6, 0.6])
+        # |y| sums past the bound while every component stays inside it: a
+        # probe at rest off the wall
+        at_rest = ds.ChaserState2D(z=0.6, v_z=0.0, theta=0.6, omega=0.0, y=-0.6)
+        _, Y = integrate_dde(free_flight_model(), at_rest.as_vector(), 0.1, 0.3, 0.0, divergence_bound=1.0)
+        assert np.array_equal(Y[-1], at_rest.as_vector())
+        beyond = ds.ChaserState2D(z=0.6, v_z=0.0, theta=0.6, omega=0.0, y=-1.5)
         with pytest.raises(ds.DivergenceError, match="divergence bound"):
-            integrate_dde(drift, np.array([0.6, -1.5, 0.6]), 0.1, 0.3, 0.0, divergence_bound=1.0)
+            integrate_dde(free_flight_model(), beyond.as_vector(), 0.1, 0.3, 0.0, divergence_bound=1.0)
 
     def test_rejects_non_finite(self):
+        # a rate so large that the first step's RK4 sum overflows
+        y0 = ds.ChaserState2D(z=1.0, v_z=0.0, theta=0.0, omega=0.0, v_y=1e308).as_vector()
         with pytest.raises(ds.DivergenceError, match="non-finite"):
-            integrate_dde(lambda y, yd: np.array([float("inf")]), np.array([1.0]), 0.1, 0.1, 0.0)
+            integrate_dde(free_flight_model(), y0, 0.1, 0.1, 0.0)
 
 
 def count_scalar_rhs_calls(monkeypatch, mode):
@@ -463,18 +480,14 @@ class TestSimulate:
     def test_model_runs_as_its_rhs_and_unit_slice(self, body, mode, activation, h):
         # handed the model, integrate_dde gives the rows of the model's
         # scalar form and unit slice stepped one row at a time, bit for bit:
-        # in 2D that is integrate_dde on the bare ``rhs``, in 3D the oracle's
-        # numpy scheme, which renormalizes the attitude column as the model
-        # does
+        # the oracle's numpy scheme, which renormalizes the attitude column
+        # as the 3D model does
         model = dynamics._MODELS[mode](body, table1_contact(b_v=50.0, activation=activation))
         cfg = approach_config(h=h, t_end=1.0)
         y0 = model.initial_vector(cfg.initial)
         times, Y = integrate_dde(model, y0, cfg.dt, cfg.t_end, h, divergence_bound=1e3)
-        if model.unit_slice is None:
-            ref_times, ref = integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h, divergence_bound=1e3)
-        else:
-            ref_times, ref = numpy_integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h,
-                                                 unit_slice=model.unit_slice, divergence_bound=1e3)
+        ref_times, ref = numpy_integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h,
+                                             unit_slice=model.unit_slice, divergence_bound=1e3)
         assert times.tobytes() == ref_times.tobytes()
         assert Y.tobytes() == ref.tobytes()
         assert model.applied[0].max() > 0.0
@@ -505,7 +518,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match="not a whole number of steps"):
             ds.simulate(cfg, body, contact, mode="2d")
         with pytest.raises(ValueError, match="not a whole number of steps"):
-            integrate_dde(make_rhs_2d(body, contact), cfg.initial.as_vector(),
+            integrate_dde(PlanarModel(body, contact), cfg.initial.as_vector(),
                           cfg.dt, cfg.t_end, cfg.h)
 
     def test_planar_3d_state_runs_in_2d_mode(self, body):

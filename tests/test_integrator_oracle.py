@@ -2,15 +2,16 @@
 
 ``numpy_integrate_dde`` below is the earlier numpy-array form of the same
 delayed RK4 scheme, kept here only as a reference: every stage is a numpy
-expression on the whole state vector, one step at a time. ``integrate_dde``
-performs the same floating-point operations in the same order, on Python
-floats in its per-step loop (a caller's right-hand side, or a model at
-h = 0) and on arrays in its block path (a ``PlanarModel`` or
-``SpatialModel`` at h > 0), so each must agree with the reference bit for
-bit, and must diverge at the same step with the same message.
+expression on the whole state vector, one step at a time, on any
+right-hand side ``rhs(y, y_delayed)``. ``integrate_dde`` takes a
+``PlanarModel`` or ``SpatialModel`` and performs the same floating-point
+operations in the same order, on Python floats in its per-step loop (at
+h = 0) and on arrays in its block path (at h > 0), so each must agree with
+the reference bit for bit, and must diverge at the same step with the same
+message. The tests of a caller's own delayed system (the linearized
+dynamics) run on the reference alone.
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -26,8 +27,6 @@ from docksim.dynamics import (
     SpatialModel,
     extract_events,
     integrate_dde,
-    make_rhs_2d,
-    make_rhs_3d,
 )
 
 
@@ -88,50 +87,43 @@ def numpy_lerp_history(Y, latest, q):
     return (1.0 - w) * Y[i0] + w * Y[i0 + 1]
 
 
-def run_both(rhs, y0, dt, t_end, h, bound, model=None):
+def run_both(model, y0, dt, t_end, h, bound):
     """Run both integrators; each result is (times, Y) or the
     DivergenceError. ``integrate_dde`` is handed the model, its ``rhs``
-    swapped for a counting wrapper of ``rhs``, or without one ``rhs``, which
-    neither side renormalizes. With a model and h > 0, the block path must
-    not call the right-hand side."""
+    swapped for a counting wrapper; the reference steps the model's own
+    ``rhs`` and renormalizes its ``unit_slice``. At h > 0 the block path
+    must not call the right-hand side."""
+    rhs = model.rhs
     calls = [0]
 
     def counted(y, yd):
         calls[0] += 1
         return rhs(y, yd)
 
-    if model is None:
-        system, unit_slice = counted, None
-    else:
-        model.rhs = counted
-        system, unit_slice = model, model.unit_slice
-    # the per-step loop lets numpy's overflow warnings through on a
-    # diverging run, as it always has; the block path must not
-    quiet = np.errstate(over="ignore", invalid="ignore") if model is None else contextlib.nullcontext()
+    model.rhs = counted
     results = []
     try:
-        with quiet:
-            results.append(integrate_dde(system, y0, dt, t_end, h, divergence_bound=bound))
+        results.append(integrate_dde(model, y0, dt, t_end, h, divergence_bound=bound))
     except DivergenceError as exc:
         results.append(exc)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            results.append(numpy_integrate_dde(rhs, y0, dt, t_end, h, unit_slice=unit_slice,
+            results.append(numpy_integrate_dde(rhs, y0, dt, t_end, h, unit_slice=model.unit_slice,
                                                divergence_bound=bound))
     except DivergenceError as exc:
         results.append(exc)
-    if model is not None and h:
+    if h:
         assert calls[0] == 0, "the block path called the right-hand side"
     return results
 
 
 def assert_bitwise_equal(new, ref):
     if isinstance(ref, DivergenceError):
-        assert isinstance(new, DivergenceError), "reference diverged, float loop did not"
+        assert isinstance(new, DivergenceError), "reference diverged, integrate_dde did not"
         assert str(new) == str(ref)
         assert new.t == ref.t
         return
-    assert not isinstance(new, DivergenceError), f"float loop diverged alone: {new}"
+    assert not isinstance(new, DivergenceError), f"integrate_dde diverged alone: {new}"
     assert new[0].tobytes() == ref[0].tobytes()
     assert new[1].tobytes() == ref[1].tobytes()
 
@@ -154,9 +146,9 @@ def delays(draw, dt):
 
 
 @st.composite
-def cases(draw, blocks=False):
-    """A random 2D or 3D run near the wall; with ``blocks``, the model
-    comes last (the block path at h > 0, the per-step loop at h = 0)."""
+def cases(draw):
+    """A random 2D or 3D run near the wall, with its model first (the block
+    path at h > 0, the per-step loop at h = 0)."""
     mode = draw(st.sampled_from(["2d", "3d"]))
     dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3]))
     h = draw(delays(dt))
@@ -189,30 +181,21 @@ def cases(draw, blocks=False):
         v_y=draw(signed_zero | st.floats(-0.05, 0.05)),
     )
     if mode == "2d":
-        rhs, y0 = make_rhs_2d(body, contact), state.as_vector()
+        model, y0 = PlanarModel(body, contact), state.as_vector()
     else:
         s3 = state.embed_3d()
         tilt = draw(st.floats(-0.05, 0.05))
         d_c3 = np.array([tilt, s3.d_c3[1], s3.d_c3[2]])
         s3 = ds.ChaserState3D(r=s3.r, v=s3.v, d_c3=d_c3 / np.linalg.norm(d_c3),
                               omega=[draw(signed_zero | st.floats(-0.5, 0.5)) for _ in range(3)])
-        rhs, y0 = make_rhs_3d(body, contact), s3.as_vector()
+        model, y0 = SpatialModel(body, contact), s3.as_vector()
     steps = draw(st.integers(1, 300))
     bound = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
-    case = rhs, y0, dt, steps * dt, h, bound
-    if blocks:
-        case += ((PlanarModel if mode == "2d" else SpatialModel)(body, contact),)
-    return case
+    return model, y0, dt, steps * dt, h, bound
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
-def test_float_loop_matches_numpy_scheme_bitwise(case):
-    assert_bitwise_equal(*run_both(*case))
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=cases(blocks=True))
 def test_block_path_matches_numpy_scheme_bitwise(case):
     # h = 0 runs the model in the per-step loop; h/dt from 1 to 40 runs
     # the block path, with blocks of every length from 1 to 40 steps
@@ -227,12 +210,8 @@ def test_divergence_is_reported_identically(mode, bound, message):
     body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
     contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
     state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
-    if mode == "2d":
-        new, ref = run_both(make_rhs_2d(body, contact), state.as_vector(), 1e-3, 2.0, 5e-3, bound)
-    else:
-        # the model renormalizes its attitude column
-        model = SpatialModel(body, contact)
-        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 5e-3, bound, model)
+    model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
+    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 5e-3, bound)
     assert isinstance(ref, DivergenceError) and message in str(ref)
     assert_bitwise_equal(new, ref)
 
@@ -244,13 +223,10 @@ def test_long_contact_run_matches_numpy_scheme_bitwise(mode, h):
     contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
                                springs=((800.0, [0.0, 0.6, 0.8]),))
     state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=0.0)
-    if mode == "2d":
-        new, ref = run_both(make_rhs_2d(body, contact), state.as_vector(), 1e-4, 1.2, h, 1e3)
-    else:
-        # the model renormalizes its attitude column: in the per-step loop
-        # at h = 0, in the block path at h > 0
-        model = SpatialModel(body, contact)
-        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-4, 1.2, h, 1e3, model)
+    # the 3D model renormalizes its attitude column: in the per-step loop at
+    # h = 0, in the block path at h > 0
+    model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
+    new, ref = run_both(model, model.initial_vector(state), 1e-4, 1.2, h, 1e3)
     assert_bitwise_equal(new, ref)
 
 
@@ -266,7 +242,7 @@ def spinning_3d_run(activation):
                                activation=activation)
     s = ds.ChaserState2D(z=-0.3 * math.cos(1.0) + 0.003, v_z=-0.03, theta=1.0, omega=0.0).embed_3d()
     state = ds.ChaserState3D(r=s.r, v=[0.002, 0.001, -0.03], d_c3=s.d_c3, omega=[0.3, -0.4, 0.5])
-    return make_rhs_3d(body, contact), state.as_vector(), SpatialModel(body, contact)
+    return SpatialModel(body, contact), state.as_vector()
 
 
 @pytest.mark.parametrize("h", [0.016, 0.0163])  # on and off the dt grid
@@ -285,7 +261,7 @@ def spinning_3d_run(activation):
 ])
 def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h):
     if omega is None:
-        rhs, y0, model = spinning_3d_run(activation)
+        model, y0 = spinning_3d_run(activation)
     else:
         body = ds.BodyParams(m=60.0, J=np.diag([1.43, 1.43, 1.43]), a_B=[0.0, 0.0, 0.3])
         contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
@@ -293,8 +269,7 @@ def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h)
         state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=omega, v_y=0.01)
         model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
         y0 = model.initial_vector(state)
-        rhs = model.rhs
-    new, ref = run_both(rhs, y0, 1e-4, 1.2, h, 1e3, model)
+    new, ref = run_both(model, y0, 1e-4, 1.2, h, 1e3)
     assert_bitwise_equal(new, ref)
     v_z = ref[1][:, 5 if mode == "3d" else 1]
     if omega == 0.0 and activation == "unilateral":
@@ -316,7 +291,7 @@ def test_divergence_inside_a_block_is_reported_identically(mode, bound, message)
     contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
     state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
     model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
-    new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 0.017, bound, model)
+    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 0.017, bound)
     assert isinstance(ref, DivergenceError) and message in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)
@@ -336,8 +311,7 @@ SPIN_CONTACT = ds.ContactParams(k_v=3000.0, b_v=2.0, alpha=0.5)
 
 def run_planar(body, contact, state, dt, t_end, h, bound):
     """run_both for a 2D run given the planar model."""
-    return run_both(make_rhs_2d(body, contact), state.as_vector(), dt, t_end, h, bound,
-                    PlanarModel(body, contact))
+    return run_both(PlanarModel(body, contact), state.as_vector(), dt, t_end, h, bound)
 
 
 def contact_events(result, a):
@@ -426,28 +400,11 @@ def test_fast_forward_reports_divergence_identically(mode, bound):
     # from the first block of 16 steps on, so spans of SPECULATIVE_BLOCKS
     # blocks start at step 16 and commit whole
     state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
-    if mode == "2d":
-        new, ref = run_planar(SPIN_BODY, SPIN_CONTACT, state, 1e-3, 2.0, 0.0163, bound)
-    else:
-        model = SpatialModel(SPIN_BODY, SPIN_CONTACT)
-        new, ref = run_both(model.rhs, model.initial_vector(state), 1e-3, 2.0, 0.0163, bound, model)
+    model = (PlanarModel if mode == "2d" else SpatialModel)(SPIN_BODY, SPIN_CONTACT)
+    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 0.0163, bound)
     assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)
     # past the first block of 16 steps a span started at
     assert steps > 16 and (steps - 16) % (SPECULATIVE_BLOCKS * 16) > 16
 
-
-def test_fast_forward_keeps_a_negative_zero_in_the_loop():
-    # (x, x', u, u'): a force-free system whose zero acceleration u'' takes
-    # the sign of -x(t-h). The loop turns u' = -0.0 into +0.0 once x(t-h)
-    # turns negative. A right-hand side of a direct caller has no model, so
-    # integrate_dde steps it one row at a time
-    def rhs(y, yd):
-        return (y[1], 0.0, y[3], math.copysign(0.0, -yd[0]))
-
-    y0 = np.array([1.0, -1.0, 0.5, -0.0])
-    new = integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163)
-    ref = numpy_integrate_dde(rhs, y0, 1e-3, 2.0, 0.0163)
-    assert math.copysign(1.0, ref[1][-1, 3]) == 1.0
-    assert_bitwise_equal(new, ref)

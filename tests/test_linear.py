@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import docksim as ds
-from docksim.dynamics import integrate_dde, make_rhs_2d
+from docksim.dynamics import make_rhs_2d
 from docksim.linear import (
     characteristic_value,
     default_analysis_stiffness,
@@ -19,6 +19,7 @@ from docksim.linear import (
 )
 
 from conftest import JX_RECOVERED, M_A, table1_body, table1_contact
+from test_integrator_oracle import numpy_integrate_dde
 
 SIMILARITY_RTOL = 1e-10
 
@@ -179,11 +180,11 @@ class TestPenetrationDdeCoeffs:
         F_x = model.F_x
         rhs4 = lambda y, yd: np.array([y[1], F_x[1] @ yd, y[3], F_x[3] @ yd])
         x0 = np.array([1e-3, 0.0, 2e-3, 0.0])
-        _, Y4 = integrate_dde(rhs4, x0, 1e-4, 0.5, 0.016)
+        _, Y4 = numpy_integrate_dde(rhs4, x0, 1e-4, 0.5, 0.016)
         depth_4state = Y4[:, 0] - a_c * Y4[:, 2]
         rhs2 = lambda y, yd: np.array([y[1], (-kappa * yd[0] - beta * yd[1]) / mu])
         d0 = np.array([x0[0] - a_c * x0[2], x0[1] - a_c * x0[3]])
-        _, Y2 = integrate_dde(rhs2, d0, 1e-4, 0.5, 0.016)
+        _, Y2 = numpy_integrate_dde(rhs2, d0, 1e-4, 0.5, 0.016)
         assert np.abs(depth_4state - Y2[:, 0]).max() < 1e-9
 
 

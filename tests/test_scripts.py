@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import docksim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,13 +17,13 @@ DEMO3D_TRAJ_SHA = "e3ddfe0789857038d941420d811a42fbe2168d3e2a8303274c55f9be00680
 DEMO3D_EVENTS_SHA = "d3c4658ab3d526e3f35eecafa9aeef7ca8c5f5e43dfbd73228b4c97e63a3fc15"
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout if code == 0 else proc.stderr
 
 
 def test_run_stability_maps(tmp_path):
@@ -39,6 +41,20 @@ def test_run_table1(tmp_path):
     header, row = out.read_text().splitlines()
     assert header == "beta,beta_c_over_beta,epsilon,linear_verdict,nonlinear_cue"
     assert row.startswith("50,")
+
+
+@pytest.mark.parametrize("betas, message", [
+    # negative damping used to run and then end in a traceback, NaN
+    # damping to integrate until the divergence guard's traceback
+    ("50,-5", "b_v must be finite and >= 0, got -5.0"),
+    ("nan", "b_v must be finite and >= 0, got nan"),
+    ("abc", "could not convert string to float: 'abc'"),
+])
+def test_run_table1_rejects_a_bad_beta(tmp_path, betas, message):
+    out = tmp_path / "table1.csv"
+    err = run_script("run_table1.py", "--betas", betas, "--out", str(out), code=1)
+    assert err == f"error: --betas: {message}\n"
+    assert not out.exists()
 
 
 def test_run_demo3d(tmp_path):
