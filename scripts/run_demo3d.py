@@ -53,7 +53,6 @@ def main() -> int:
     commanded = ds.Trajectory(
         mode="3d", times=damped.times, states=damped.states, d=damped.d,
         d_dot=damped.d_dot, f=spring_f, tau=damped.tau * scale[:, None],
-        in_contact=damped.in_contact,
     )
     record = observed_energy(streams_from_trajectories(damped, commanded, n_hat=contact.n_hat))
     write_energy_csv(record, out / "damped.energy.csv")

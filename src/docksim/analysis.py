@@ -21,11 +21,10 @@ import numpy as np
 
 from .core import ValidationError, allocate, nonnegative_problem, positive_problem, require, sample_count, write_csv
 from .dynamics import ContactEvent, Trajectory
-from .stability import classify
+from .stability import DEFAULT_NEUTRAL_BAND, classify
 
 DEFAULT_SAMPLE_TIME = 0.004  # [s]
 DEFAULT_LOSSLESS_TOL = 1e-6  # [J]
-DEFAULT_RESTITUTION_BAND = 0.02
 
 ENERGY_CHANNELS = ("dE_x", "dE_y", "dE_z", "dE_rx", "dE_ry", "dE_rz")
 
@@ -38,13 +37,15 @@ class RestitutionResult:
     classification: str  # stable | neutral | unstable
 
 
-def restitution(event: ContactEvent, band: float = DEFAULT_RESTITUTION_BAND) -> RestitutionResult:
+def restitution(event: ContactEvent, band: float = DEFAULT_NEUTRAL_BAND) -> RestitutionResult:
     """epsilon = |v_plus| / |v_minus| for one contact event.
 
     epsilon < 1 reads stable (energy lost), epsilon > 1 unstable (energy
     injected); a band around 1 reads neutral (:func:`docksim.stability.classify`
-    with limit 1). Raises ValidationError when the band is not finite and
-    >= 0, or when the event has no impact velocity (v_minus = 0).
+    with limit 1), by default the band of :func:`docksim.stability.analyze`
+    and of the scenario key ``analysis.neutrality_band``. Raises
+    ValidationError when the band is not finite and >= 0, or when the event
+    has no impact velocity (v_minus = 0).
     """
     require(nonnegative_problem("band", band),
             "no impact velocity: v_minus is zero" if event.v_minus == 0.0 else None)
@@ -160,11 +161,9 @@ def observed_energy(
 
 
 def resample(t_src: np.ndarray, values: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
-    """Linear-interpolation resampling of one (N,) or (N,k) channel block."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return np.interp(t_dst, t_src, values)
-    return np.column_stack([np.interp(t_dst, t_src, values[:, j]) for j in range(values.shape[1])])
+    """Linear-interpolation resampling of an (N, k) channel block, column by
+    column."""
+    return np.column_stack([np.interp(t_dst, t_src, column) for column in np.asarray(values, dtype=float).T])
 
 
 def streams_from_trajectories(

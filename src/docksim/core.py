@@ -6,9 +6,13 @@ internally; degree-valued keys are converted at the scenario-file boundary
 ``d`` is negative while the probe tip is past the wall, so the spring force
 ``-k*d`` is positive (outward along the wall normal) during contact.
 
-All types here are plain value carriers. They do not self-validate;
-:func:`validate` is the single gate that checks every invariant and reports
-all violations at once. :func:`require` is the one way an input check
+All types here are value carriers whose constructors check only the
+shape of what they hold, raising :class:`ValidationError`: ``BodyParams``
+a 3x3 J, ``ContactParams`` and ``ChaserState3D`` their 3-vectors (through
+``_vec``), ``SimConfig`` a whole ``record_every``. :func:`validate` is the
+single gate that checks every other invariant (finiteness, signs and
+ranges, unit norms, the delay and the step count) and reports all
+violations at once. :func:`require` is the one way an input check
 raises: it turns the diagnostics of the ``*_problem`` rules into one
 :class:`ValidationError`. :func:`step_count` is the one rule for how many
 fixed steps a run takes, :func:`delay_problem` the one rule for which

@@ -22,25 +22,27 @@ the scheme is plain RK4 for the undelayed ODE. A delay that is negative,
 not finite or in (0, dt) is rejected (:func:`docksim.core.delay_problem`),
 since the explicit scheme can only look up completed steps. The delayed
 samples of step k lie at the fractional rows k - h/dt, k + 1/2 - h/dt and
-k + 1 - h/dt; the block path builds that grid once for the run.
+k + 1 - h/dt; the block path builds those of each block's steps i..j-1 as
+m/2 - h/dt for m = 2i..2j, whose halves are exact.
 
 Each contact mode is one class, :class:`PlanarModel` (2D) and
 :class:`SpatialModel` (3D). It unpacks the body and contact parameters once
 and holds everything that depends on the mode: the scalar right-hand side
 ``model.rhs(y, y_delayed)``, its block form (``wrench`` and ``push``), the
-state vector of an initial state, the unit-norm columns the integrator
-renormalizes and the undelayed depth channels. :func:`simulate` looks the
-class up by mode and hands the model to :func:`integrate_dde`, which takes
-a model only; :func:`make_rhs_2d` and :func:`make_rhs_3d` return a model's
-``rhs``.
+width of its wrench rows, the state vector of an initial state, the
+unit-norm columns the integrator renormalizes and the undelayed depth
+channels. :func:`simulate` looks the class up by mode and hands the model
+to :func:`integrate_dde`, which takes a model only; :func:`make_rhs_2d` and
+:func:`make_rhs_3d` return a model's ``rhs``.
 
-A model has one path at h > 0, the block path, with the same protocol
-for both modes. The force applied over the next h was sensed h ago, so when
-the run reaches row i the delayed samples of steps i .. i + int(h/dt) - 1
-lie at fractional rows <= i, in rows that are already final. For such a
-block, one vectorized lerp (:func:`_lerp_rows`) gives the three stage
-samples of every step, ``model.wrench`` gives their force and torque, and
-``model.push`` steps the block under them: each (position, rate) pair whose
+A model has one path at h > 0, the block path, with the same protocol for
+both modes. The force applied over the next h was sensed h ago, so when the
+run reaches row i the delayed samples of steps i .. i + int(h/dt) - 1 lie
+at fractional rows <= i, in rows that are already final. For such a block,
+one vectorized lerp (:func:`_lerp_rows`) gives the three stage samples of
+every step, ``model.wrench`` gives their wrench as one array with one row
+per sample, (f, tau_x) in 2D and (f, tau_x, tau_y, tau_z) in 3D, and
+``model.push`` steps the block under it: each (position, rate) pair whose
 rate derivative is that delayed acceleration -- (z, v_z), (theta, omega)
 and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the RK4 increments on
 arrays and an in-place ``np.cumsum``. So a 2D block runs no Python loop per
@@ -55,19 +57,19 @@ the model's ``rhs(y, y_delayed)`` four times per step on Python floats,
 each stage's delayed argument being the stage itself.
 
 In free flight the delayed wrench is exactly zero, so the run speculates
-there. After a block whose force and torque samples are all bitwise equal
-(signed zeros count, and a 3D torque row matches only if all its
-components do), the next span of ``SPECULATIVE_BLOCKS`` blocks is pushed
-under that held wrench first, then its own stage samples are lerped from
-the pushed rows and the wrench is evaluated there. Step s of a span from
-row i reads samples 2s, 2s + 1 and 2s + 2, which lie in rows <= i + s; so
-while every sample matches the held wrench bit for bit, each pushed row is
-the row the sequential scheme gives, and one long in-place cumsum (and, in
-3D, one long attitude loop) adds as the chained ones do. With the first
-mismatch at sample m the first (m - 1) // 2 steps are committed, their
-wrench recorded and their rows screened for divergence; normal blocks
-resume at the first uncommitted step, and a span that commits nothing
-falls through to a normal block.
+there. After a block whose wrench rows are all bitwise equal (signed zeros
+count, and a row matches only if all its components do; one int64 compare
+of the array finds the first row that does not), the next span of
+``SPECULATIVE_BLOCKS`` blocks is pushed under that one held row first, then
+its own stage samples are lerped from the pushed rows and the wrench is
+evaluated there. Step s of a span from row i reads samples 2s, 2s + 1 and
+2s + 2, which lie in rows <= i + s; so while every sample matches the held
+wrench bit for bit, each pushed row is the row the sequential scheme gives,
+and one long in-place cumsum (and, in 3D, one long attitude loop) adds as
+the chained ones do. With the first mismatch at sample m the first
+(m - 1) // 2 steps are committed, their wrench rows recorded and their rows
+screened for divergence; normal blocks resume at the first uncommitted
+step, and a span that commits nothing falls through to a normal block.
 
 Both paths give the rows of the earlier numpy-array form of the scheme bit
 for bit, because each float operation is the elementwise one of that form,
@@ -89,13 +91,14 @@ loop takes most of the time (``BENCH_planar_trig.json``, from
 ``scripts/bench_layers.py``).
 
 The contact channels :func:`simulate` records are the force and torque the
-integrator applied, which it leaves on the model as ``model.applied``, in
-the trajectory's row layout, so the contact law is evaluated once per run.
-The block path keeps the wrench at each block's even stage samples,
-k - h/dt for its rows k; at h = 0 the model's ``wrench`` runs once, after
-the per-step loop, on the rows themselves, which are their own delayed
-samples there. The models evaluate the contact law through the functions
-of :mod:`docksim.contact`.
+integrator applied, which it leaves on the model as ``model.applied``, one
+wrench row per grid row, so the contact law is evaluated once per run;
+:func:`simulate` splits it into the ``f`` and ``tau`` channels. The block
+path keeps the wrench rows of each block's even stage samples, k - h/dt for
+its rows k; at h = 0 the model's ``wrench`` runs once, after the per-step
+loop, on the rows themselves, which are their own delayed samples there.
+The models evaluate the contact law through the functions of
+:mod:`docksim.contact`.
 
 The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 :func:`write_trajectory_csv` and the reader :func:`read_trajectory_csv`.
@@ -186,8 +189,11 @@ def integrate_dde(
     spans of SPECULATIVE_BLOCKS blocks) and never calls ``rhs``; the rows
     are those of ``rhs`` stepped one row at a time, bit for bit. At h = 0
     ``rhs`` is stepped by plain RK4, one row at a time. The model is left
-    with ``model.applied``, the force and torque (f, tau) applied at every
-    row: its ``wrench`` at the rows sampled one delay back.
+    with ``model.applied``, the wrench applied at every row, one row
+    (f, tau_x) in 2D or (f, tau_x, tau_y, tau_z) in 3D each: its
+    ``wrench`` at the rows sampled one delay back. At h > 0 each block
+    builds the delayed stage rows of its own steps; no array of them spans
+    the run.
     """
     y0 = np.asarray(initial, dtype=float)
     n = step_count(t_end, dt)
@@ -233,24 +239,27 @@ def integrate_dde(
     return times, Y
 
 
-def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> tuple:
+def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> np.ndarray:
     """Fill Y block by block with the model's ``wrench`` and ``push``, and
-    return the wrench (f, tau) applied at every row; ratio = h/dt >= 1.
+    return the wrench applied at every row, one row each; ratio = h/dt >= 1.
     The delayed stage samples of step k lie at the fractional rows
     k - ratio, k + 1/2 - ratio and k + 1 - ratio (the first of step
-    k + 1); grid holds them all, interleaved. Steps i..j-1 with j - i <= span = int(ratio) read
+    k + 1), so those of steps i..j-1 are m/2 - ratio for m = 2i..2j,
+    built per block (m/2 is exact, so each is the bits of k - ratio or
+    (k + 0.5) - ratio). Steps i..j-1 with j - i <= span = int(ratio) read
     delayed samples at fractional rows <= j - ratio <= i, so rows <= i,
     which are final: one lerp and one ``wrench`` call give the wrench at
-    every stage sample of the block, and ``push`` steps the block under
-    it. The even samples, grid[2k] for k = i..j, are the delayed samples
-    of rows i..j, so their wrench is the one recorded.
+    every stage sample of the block, one row per sample, and ``push``
+    steps the block under it. The even samples, m = 2k for k = i..j, are
+    the delayed samples of rows i..j, so their wrench rows are the ones
+    recorded.
 
-    After a block whose wrench samples are all bitwise equal, a span of
+    After a block whose wrench rows are all bitwise equal, a span of
     SPECULATIVE_BLOCKS blocks runs on a guess: ``push`` steps the span's
-    rows under that held wrench, then the span's own stage samples are
+    rows under that one held row, then the span's own stage samples are
     lerped from them and ``wrench`` is evaluated there. Step s reads
     samples 2s, 2s + 1 and 2s + 2, which read rows <= i + s only, so while
-    every sample so far equals the held wrench the pushed rows are the
+    every sample so far equals the held row the pushed rows are the
     sequential ones: with the first mismatch at sample m, the first
     (m - 1) // 2 steps are committed and the rest is recomputed by normal
     blocks from the first uncommitted step. A span that commits nothing
@@ -260,57 +269,52 @@ def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> tu
     divergence, which raises at its first offending row."""
     n = len(Y) - 1
     span = int(ratio)
-    k = np.arange(n + 1, dtype=float)
-    grid = np.empty(2 * n + 1)
-    grid[0::2] = k - ratio
-    grid[1::2] = (k[:-1] + 0.5) - ratio
     history = Y[:, :model.columns]
-    f_rec = np.empty(n + 1)
-    tau_rec = np.empty((n + 1,) + model.torque_shape)
-    held = None  # the steady wrench of the last block, one sample each
+    applied = np.empty((n + 1, model.width))
+    held = None  # the steady wrench of the last block, one row
     i = 0
     with np.errstate(all="ignore"):
         while i < n:
             if held is None:
                 j = min(n, i + span)
-                f, tau = model.wrench(_lerp_rows(history, grid[2 * i:2 * j + 1]).T)
-                model.push(Y[i:j + 1], f, tau, dt)
-                if _first_change(f, tau, f[:1], tau[:1]) == len(f):
-                    held = f[:1], tau[:1]
+                w = model.wrench(_lerp_rows(history, np.arange(2 * i, 2 * j + 1) * 0.5 - ratio).T)
+                model.push(Y[i:j + 1], w, dt)
+                if _first_change(w, w[:1]) == len(w):
+                    held = w[:1]
             else:
                 j = min(n, i + SPECULATIVE_BLOCKS * span)
-                model.push(Y[i:j + 1], *held, dt)
-                f, tau = model.wrench(_lerp_rows(history, grid[2 * i:2 * j + 1]).T)
-                m = _first_change(f, tau, *held)
-                if m < len(f):
+                model.push(Y[i:j + 1], held, dt)
+                w = model.wrench(_lerp_rows(history, np.arange(2 * i, 2 * j + 1) * 0.5 - ratio).T)
+                m = _first_change(w, held)
+                if m < len(w):
                     held = None
                     j = i + (m - 1) // 2
                     if j <= i:
                         continue
-            f_rec[i:j + 1] = f[:2 * (j - i) + 1:2]
-            tau_rec[i:j + 1] = tau[:2 * (j - i) + 1:2]
+            applied[i:j + 1] = w[:2 * (j - i) + 1:2]
             seg = Y[i + 1:j + 1]
             if not np.abs(seg).max() <= limit:
                 bad = np.flatnonzero(~(np.abs(seg).max(axis=1) <= limit))
                 row = i + 1 + int(bad[0])
                 _check_divergence(Y[row].tolist(), float(times[row]), divergence_bound)
             i = j
-    return f_rec, tau_rec
+    return applied
 
 
-def _first_change(f: np.ndarray, tau: np.ndarray, f0: np.ndarray, tau0: np.ndarray) -> int:
-    """Index of the first sample whose f or tau differs from the one-sample
-    f0 or tau0 bit for bit (so signed zeros count), or len(f) if none; a
-    3D torque row differs if any of its components does."""
-    m = len(f)
-    for x, x0 in ((f, f0), (tau, tau0)):
-        # flat indices, so a sample's row of x.size // len(f) components
-        # maps back to it by floor division (no reduction along the rows,
-        # which costs numpy several times more)
-        changed = np.flatnonzero(x.view(np.int64) != x0.view(np.int64))
-        if len(changed):
-            m = min(m, int(changed[0]) // (x.size // len(f)))
-    return m
+def _first_change(w: np.ndarray, w0: np.ndarray) -> int:
+    """Index of the first row of the wrench w that differs from the one
+    row w0 bit for bit (so signed zeros and NaN payloads count), or len(w)
+    if none."""
+    # each row against the one before it, w0 before the first: the first
+    # row unlike its predecessor is the first unlike w0, and the compare is
+    # of two equal flat slices (every row against w0 broadcasts a row of 2
+    # or 4 values, which costs numpy several times more); a flat index maps
+    # back to its row by floor division
+    width = w.shape[1]
+    x = np.concatenate((w0.reshape(-1), w.reshape(-1))).view(np.int64)
+    changed = x[width:] != x[:-width]
+    first = int(changed.argmax())
+    return first // width if changed[first] else len(w)
 
 
 def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
@@ -394,7 +398,7 @@ class PlanarModel:
     arrays, with no per-step loop."""
 
     columns = 4  # the law reads (z, v_z, theta, omega) of a delayed sample
-    torque_shape = ()  # tau is the scalar x-torque
+    width = 2  # a wrench row is (f, tau_x)
     unit_slice = None  # no column to renormalize
 
     def __init__(self, params: BodyParams, contact: ContactParams):
@@ -436,9 +440,9 @@ class PlanarModel:
         return depth_2d(x, self.a, np.cos(x[2])), depth_rate_2d(x, self.a, np.sin(x[2]))
 
     def wrench(self, xd):
-        """Applied force f and x-torque tau at the delayed samples xd
-        (columns first), as ``rhs`` computes them: numpy's float64 sin and
-        cos give math's bits (see the module docstring)."""
+        """Applied force and x-torque, one row (f, tau_x) per delayed sample
+        of xd (columns first), as ``rhs`` computes them: numpy's float64
+        sin and cos give math's bits (see the module docstring)."""
         s = np.sin(xd[2])
         c = np.cos(xd[2])
         d = depth_2d(xd, self.a, c)
@@ -446,14 +450,14 @@ class PlanarModel:
         f = contact_force(k, self.b_v, d, depth_rate_2d(xd, self.a, s))
         if not self.bilateral:
             f = np.where(d < 0.0, f, 0.0)
-        return f, torque_2d(f, self.a, s)
+        return np.column_stack((f, torque_2d(f, self.a, s)))
 
-    def push(self, seg, f, tau, dt):
-        """Steps i..j-1 into seg = Y[i:j+1] under the wrench (f, tau) at
-        their 2 (j - i) + 1 stage samples, or under one held sample of it."""
+    def push(self, seg, w, dt):
+        """Steps i..j-1 into seg = Y[i:j+1] under the wrench rows w of
+        their 2 (j - i) + 1 stage samples, or under one held row."""
         acc = np.zeros((3, 2 * len(seg) - 1))  # v_y' = 0
-        acc[0] = f / self.m
-        acc[1] = tau / self.J_x
+        acc[0] = w[:, 0] / self.m
+        acc[1] = w[:, 1] / self.J_x
         _advance_pairs(seg, slice(0, 6, 2), slice(1, 6, 2), acc, dt)
 
 
@@ -507,7 +511,7 @@ class SpatialModel:
     renormalizes it."""
 
     columns = 12
-    torque_shape = (3,)  # tau is the body torque, three columns per row
+    width = 4  # a wrench row is (f, tau_x, tau_y, tau_z), the body torque
     unit_slice = slice(6, 9)  # d_c3, renormalized after every step
 
     def __init__(self, params: BodyParams, contact: ContactParams):
@@ -547,22 +551,22 @@ class SpatialModel:
         return depth_3d(x, self.n_hat, self.a_B), depth_rate_3d(x, self.n_hat, self.a_B)
 
     def wrench(self, xd):
-        """Applied force f and body torque tau, one (tau_x, tau_y, tau_z)
-        row per sample, at the delayed samples xd (columns first), as
-        ``rhs`` computes them."""
+        """Applied force and body torque, one row (f, tau_x, tau_y, tau_z)
+        per delayed sample of xd (columns first), as ``rhs`` computes
+        them."""
         c0, c1, c2 = xd[6], xd[7], xd[8]
         d = depth_3d(xd, self.n_hat, self.a_B)
         k = contact_stiffness(self.k_v, self.springs, c0, c1, c2)
         f = contact_force(k, self.b_v, d, depth_rate_3d(xd, self.n_hat, self.a_B))
         if not self.bilateral:
             f = np.where(d < 0.0, f, 0.0)
-        return f, np.column_stack(torque_3d(f, self.a_B, c0, c1, c2))
+        return np.column_stack((f, *torque_3d(f, self.a_B, c0, c1, c2)))
 
-    def push(self, seg, f, tau, dt):
-        """Steps i..j-1 into seg = Y[i:j+1] under the wrench (f, tau) at
-        their 2 (j - i) + 1 stage samples, or under one held sample of it."""
-        tx, ty, tz = np.broadcast_to(tau, (2 * len(seg) - 1, 3)).T.tolist()
-        acc = np.broadcast_to(np.multiply.outer(self.n_hat, f / self.m), (3, len(tx)))
+    def push(self, seg, w, dt):
+        """Steps i..j-1 into seg = Y[i:j+1] under the wrench rows w of
+        their 2 (j - i) + 1 stage samples, or under one held row."""
+        tx, ty, tz = np.broadcast_to(w[:, 1:], (2 * len(seg) - 1, 3)).T.tolist()
+        acc = np.broadcast_to(np.multiply.outer(self.n_hat, w[:, 0] / self.m), (3, len(tx)))
         _advance_pairs(seg, slice(0, 3), slice(3, 6), acc, dt)
         spin = self.spin
         half = 0.5 * dt
@@ -613,7 +617,7 @@ class Trajectory:
     penetration depth and rate of the *undelayed* state (the commanded
     geometry); ``f`` is the applied force intensity, which the delay makes
     lag the geometry; ``tau`` is the scalar x-torque in 2D or the body
-    torque vector in 3D. ``in_contact`` flags undelayed d < 0.
+    torque vector in 3D.
     """
 
     mode: str
@@ -623,7 +627,11 @@ class Trajectory:
     d_dot: np.ndarray
     f: np.ndarray
     tau: np.ndarray
-    in_contact: np.ndarray
+
+    @property
+    def in_contact(self) -> np.ndarray:
+        """Flags of undelayed d < 0."""
+        return self.d < 0.0
 
 
 @dataclass(frozen=True)
@@ -729,9 +737,11 @@ def simulate(
     times, Y = integrate_dde(model, y0, config.dt, config.t_end, config.h, divergence_bound=bound)
 
     # Contact channels on the whole grid: d and d_dot of the undelayed
-    # state; f and tau as the integrator applied them.
+    # state; f and tau as the integrator applied them, split from its
+    # wrench rows (tau a scalar per row in 2D).
     d, d_dot = model.depth(Y.T)
-    f, tau = model.applied
+    f = model.applied[:, 0]
+    tau = model.applied[:, 1] if mode == "2d" else model.applied[:, 1:]
 
     events = extract_events(times, d, d_dot, window=event_window)
     rec = slice(None, None, config.record_every)
@@ -743,7 +753,6 @@ def simulate(
         d_dot=d_dot[rec],
         f=f[rec],
         tau=tau[rec],
-        in_contact=(d < 0.0)[rec],
     )
     return traj, events
 
@@ -767,8 +776,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """Read a file written by :func:`write_trajectory_csv`; the header
     decides the mode. A 2D file has no (y, v_y) columns, so they read as
-    zero, and ``in_contact`` is recomputed as d < 0, as :func:`simulate`
-    records it. Raises ValidationError on any other header, on a row that
+    zero. Raises ValidationError on any other header, on a row that
     is not numbers and on a file with no data rows or with rows of another
     width than the header's."""
     # undecodable bytes read as U+FFFD, which no header or number contains
@@ -793,10 +801,8 @@ def read_trajectory_csv(path) -> Trajectory:
     states = data[:, 1:n + 1]
     if mode == "2d":
         states = np.column_stack([states, np.zeros((len(data), 2))])
-    d = data[:, n + 1]
     return Trajectory(
         mode=mode, times=data[:, 0], states=states,
-        d=d, d_dot=data[:, n + 2], f=data[:, n + 3],
+        d=data[:, n + 1], d_dot=data[:, n + 2], f=data[:, n + 3],
         tau=data[:, n + 4] if mode == "2d" else data[:, n + 4:],
-        in_contact=d < 0.0,
     )

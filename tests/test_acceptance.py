@@ -222,7 +222,6 @@ def test_criterion_09_passivity_monitor():
     commanded = ds.Trajectory(
         mode="2d", times=traj.times, states=traj.states, d=traj.d, d_dot=traj.d_dot,
         f=spring_f, tau=-body.a * spring_f * np.sin(traj.states[:, 2]),
-        in_contact=traj.in_contact,
     )
     from docksim.analysis import streams_from_trajectories
 

@@ -13,6 +13,7 @@ from docksim.analysis import (
     streams_from_trajectories,
     write_energy_csv,
 )
+from docksim.cli import ANALYSIS_DEFAULTS
 from docksim.dynamics import ContactEvent
 
 from conftest import approach_config, table1_body, table1_contact
@@ -47,6 +48,16 @@ class TestRestitution:
         assert restitution(event(-1.0, 1.015), band=0.02).classification == "neutral"
         assert restitution(event(-1.0, 1.05), band=0.02).classification == "unstable"
         assert restitution(event(-1.0, 0.9), band=0.02).classification == "stable"
+
+    def test_default_band_is_the_neutrality_band(self):
+        # restitution reads an event as docksim simulate's events JSON does
+        # for a scenario without analysis.neutrality_band (0.01): at
+        # epsilon = 1.015 both read unstable, where a default band of 0.02
+        # read neutral
+        ev = event(-1.0, 1.015)
+        assert restitution(ev).classification == "unstable"
+        (entry,) = events_payload([ev], band=ANALYSIS_DEFAULTS["neutrality_band"])
+        assert entry["classification"] == "unstable"
 
     def test_band_edges_are_neutral(self):
         # |epsilon - 1| <= band reads neutral, the next float out does not
@@ -136,7 +147,6 @@ class TestObservedEnergy:
             mode="2d", times=traj.times, states=traj.states, d=traj.d,
             d_dot=traj.d_dot, f=spring_f,
             tau=-body.a * spring_f * np.sin(traj.states[:, 2]),
-            in_contact=traj.in_contact,
         )
         streams = streams_from_trajectories(traj, commanded, dt=0.004)
         record = observed_energy(streams, dt=0.004)
@@ -157,7 +167,7 @@ class TestObservedEnergy:
         zeros = np.zeros(steps + 1)
         traj = ds.Trajectory(mode="2d", times=np.linspace(0.0, t_end, steps + 1),
                              states=np.zeros((steps + 1, 6)), d=zeros, d_dot=zeros, f=zeros,
-                             tau=zeros, in_contact=zeros < 0.0)
+                             tau=zeros)
         record = observed_energy(streams_from_trajectories(traj, traj, dt=0.004), dt=0.004)
         assert len(record.times) == samples
         assert record.times[-1] == pytest.approx(samples * 0.004, rel=1e-12)

@@ -204,14 +204,49 @@ class TestRhsContract:
             d, _ = model.depth(np.array([yd]).T)
             assert d.tobytes() == np.array([zero]).tobytes()
         out = np.array(model.rhs(y, yd))
-        f, tau = model.wrench(np.array([yd]).T)
-        assert len(f) == 1 and tau.shape == (1,) + model.torque_shape
+        w = model.wrench(np.array([yd]).T)
+        # one row per sample: (f, tau_x) in 2D, (f, tau_x, tau_y, tau_z) in 3D
+        assert w.shape == (1, 2 if mode == "2d" else 4)
         if mode == "2d":
-            assert out[1:2].tobytes() == (f / body.m).tobytes()
-            assert out[3:4].tobytes() == (tau / body.J_x).tobytes()
+            assert out[1:2].tobytes() == (w[:, 0] / body.m).tobytes()
+            assert out[3:4].tobytes() == (w[:, 1] / body.J_x).tobytes()
         else:
-            assert out[3:6].tobytes() == np.multiply.outer(model.n_hat, f / body.m)[:, 0].tobytes()
-            assert np.array(spun[-1]).tobytes() == tau[0].tobytes()
+            assert out[3:6].tobytes() == np.multiply.outer(model.n_hat, w[:, 0] / body.m)[:, 0].tobytes()
+            assert np.array(spun[-1]).tobytes() == w[0, 1:].tobytes()
+
+
+class TestFirstChange:
+    """``_first_change(w, w0)`` on a 3D wrench of rows (f, tau_x, tau_y,
+    tau_z): the first row that differs from the row w0 bit for bit."""
+
+    @staticmethod
+    def nan(payload):
+        return np.array([0x7FF8000000000000 | payload]).view(np.float64)[0]
+
+    def steady(self):
+        # a NaN force and signed-zero torques: a float comparison would
+        # call every row changed, and miss a flipped zero sign
+        w0 = np.array([self.nan(1), 0.0, -0.0, 0.0])
+        return np.tile(w0, (7, 1)), w0
+
+    @pytest.mark.parametrize("held", [False, True])  # w0 as a row or as a one-row block
+    def test_no_change_gives_len(self, held):
+        w, w0 = self.steady()
+        assert dynamics._first_change(w, w0[None] if held else w0) == len(w)
+
+    @pytest.mark.parametrize("row", range(7))
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_flipped_zero_sign_of_one_torque_component(self, row, column):
+        w, w0 = self.steady()
+        w[row, column] = -w0[column]
+        assert w[row, column] == w0[column]  # equal as floats
+        assert dynamics._first_change(w, w0) == row
+
+    @pytest.mark.parametrize("row", range(7))
+    def test_other_nan_payload(self, row):
+        w, w0 = self.steady()
+        w[row, 0] = self.nan(2)
+        assert dynamics._first_change(w, w0) == row
 
 
 class TestNumpyTrig:
@@ -300,7 +335,7 @@ class TestStep:
         state = ds.ChaserState3D(r=[0.0, 0.0, 10.0], v=[0.0, 0.0, 0.0], d_c3=[0.0, 0.0, 1.0],
                                  omega=[0.5, -0.3, 0.7])
         _, Y = integrate_dde(model, state.as_vector(), 1e-3, 100_000 * 1e-3, h)
-        assert model.applied[0].max() == 0.0
+        assert model.applied[:, 0].max() == 0.0
         norms = np.linalg.norm(Y[:, 6:9], axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-9)
 
@@ -490,7 +525,7 @@ class TestSimulate:
                                              unit_slice=model.unit_slice, divergence_bound=1e3)
         assert times.tobytes() == ref_times.tobytes()
         assert Y.tobytes() == ref.tobytes()
-        assert model.applied[0].max() > 0.0
+        assert model.applied[:, 0].max() > 0.0
 
     def test_record_every_decimates_uniformly(self, body, contact):
         cfg = ds.SimConfig(h=0.016, dt=1e-4, t_end=0.2, initial=approach_config().initial,
@@ -586,10 +621,11 @@ class TestSimulate:
         traj, _ = ds.simulate(cfg, body, contact, mode=mode)
         model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
         back = np.arange(len(traj.states)) - cfg.h / cfg.dt
-        f, tau = model.wrench(_lerp_rows(traj.states, back).T)
-        assert np.any(f != 0.0)
-        assert traj.f.tobytes() == f.tobytes()
-        assert traj.tau.tobytes() == tau.tobytes()
+        w = model.wrench(_lerp_rows(traj.states, back).T)
+        assert np.any(w[:, 0] != 0.0)
+        # the wrench rows split into f and tau, which is 1-D in 2D
+        assert traj.tau.ndim == (1 if mode == "2d" else 2)
+        assert np.column_stack((traj.f, traj.tau)).tobytes() == w.tobytes()
 
     def test_elastic_zero_delay_restitution(self, body):
         # near-linear elastic regime: slow approach keeps the attitude drift
