@@ -5,13 +5,16 @@ JSON scenario files, strictly checked: each section (the document, body,
 contact, each spring, sim, sim.initial and analysis) is read by _section
 through one table from its keys to their kinds (a number, a whole number, a
 length-3 vector, a 3x3 matrix, the springs list, an object, or a raw
-value), which rejects unknown keys, missing required keys and a section
-that is not a JSON object ("malformed scenario value"). Angles may be given in degrees
-via *_deg keys. A key left out takes the default of the core type it
-fills, an analysis key that of ANALYSIS_DEFAULTS; sim.dt, which has
-neither, defaults to 1e-4 s. Bulk numeric outputs are CSV with fixed
-formatting so repeated runs are byte-identical. Run metadata goes to a
-separate .meta.json sidecar, never into the data files.
+value), which rejects unknown keys and missing required keys. Each check
+raises its own ValidationError where it is made; a section that is not a
+JSON object, or springs that are not a JSON list, is a "malformed scenario
+value". Four pairs of keys are either-or, read by one rule (_either) that
+takes exactly one of them: J or J_x, a_B or a, alpha or alpha_deg, theta or
+theta_deg (the *_deg keys take degrees). A key left out takes the default
+of the core type it fills, an analysis key that of ANALYSIS_DEFAULTS;
+sim.dt, which has neither, defaults to 1e-4 s. Bulk numeric outputs are CSV
+with fixed formatting so repeated runs are byte-identical. Run metadata
+goes to a separate .meta.json sidecar, never into the data files.
 
 stability judges one second-order delay system mu s^2 + e^(-s h)
 (beta s + kappa): given by --mu, --beta and --kappa, or defaulted with
@@ -23,10 +26,10 @@ without --from-scenario is an input error.
 
 Exit codes: 0 success, 1 invalid input (a ValidationError, or an OSError
 for a file that cannot be read or written), 2 numerical divergence, 3 an
-internal fault (any other exception, an internal ValueError included,
-reported on one line). A reader that closes stdout early
-(docksim ... | head) is not bad input: the run ends with 0 and no error
-line.
+internal fault (any other exception, an internal ValueError, TypeError or
+AttributeError included, reported on one line). A reader that closes
+stdout early (docksim ... | head) is not bad input: the run ends with 0
+and no error line.
 """
 
 from __future__ import annotations
@@ -71,12 +74,18 @@ ANALYSIS_DEFAULTS = {
 }
 
 
-def _object(where: str, value) -> dict:
-    """value unchanged if it is a JSON object, else a TypeError, which
-    load_scenario reports as a malformed value."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{where} must be an object, got {json.dumps(value)}")
+def _malformed(where: str, value, kind: type, expected: str):
+    """value unchanged if it is of the JSON kind (dict for an object, list
+    for an array), else a ValidationError: a malformed scenario value."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"malformed scenario value ({where} must be {expected}, got {json.dumps(value)})")
     return value
+
+
+def _object(where: str, value) -> dict:
+    """value unchanged if it is a JSON object, else a :func:`_malformed`
+    error."""
+    return _malformed(where, value, dict, "an object")
 
 
 def _section(name: str, data, kinds: dict, required: tuple[str, ...] = ()) -> dict:
@@ -154,24 +163,21 @@ def _matrix(where: str, value):
 
 
 def _springs(where: str, value) -> tuple:
-    """The compliance-device springs as (k, l_hat) pairs, each spring an
-    object of both keys."""
+    """The compliance-device springs, a JSON list (else a
+    :func:`_malformed` error), as (k, l_hat) pairs, each spring an object of
+    both keys."""
     springs = [_section(f"{where}[{i}]", spring, {"k": _number, "l_hat": _vector}, ("k", "l_hat"))
-               for i, spring in enumerate(value)]
+               for i, spring in enumerate(_malformed(where, value, list, "a list"))]
     return tuple((spring["k"], spring["l_hat"]) for spring in springs)
 
 
-def _angle(section: str, values: dict, name: str) -> float:
-    """Take an angle out of a section's read values: given either in
-    radians (name) or degrees (name_deg)."""
-    deg = name + "_deg"
-    if name in values and deg in values:
-        raise ValidationError(f"{section}: give either {name} or {deg}, not both")
-    if name in values:
-        return values.pop(name)
-    if deg in values:
-        return math.radians(values.pop(deg))
-    raise ValidationError(f"{section}: missing {name} (or {deg})")
+def _either(section: str, values: dict, key: str, other: str, convert):
+    """Take one value out of a section's read values, the one rule of the
+    either-or keys: values[key] as given, or convert(values[other]). Both
+    or neither is a ValidationError."""
+    if (key in values) == (other in values):
+        raise ValidationError(f"{section}: give exactly one of {key} or {other}")
+    return values.pop(key) if key in values else convert(values.pop(other))
 
 
 def scenario_path(name: str) -> Path:
@@ -194,17 +200,15 @@ def load_scenario(path: Path, overrides: list[str] | None = None):
     Returns (body, contact, sim, analysis_options). Overrides are
     dotted-path assignments like contact.b_v=60 applied to the raw document
     before parsing; values are parsed as JSON. Values of the wrong kind
-    (null for a number, a number for a section) raise ValidationError.
+    (null for a number, a number for a section) raise ValidationError where
+    they are read; any other exception is a fault of the program.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON, text that is not UTF-8, an integer too long to read
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        body, contact, sim, options = _parse_scenario(doc, overrides or [])
-    except (TypeError, AttributeError) as exc:
-        raise ValidationError(f"{path}: malformed scenario value ({exc})") from exc
+    body, contact, sim, options = _parse_scenario(doc, overrides or [])
     body, contact, sim = validate(body, contact, sim)
     return body, contact, sim, options
 
@@ -242,18 +246,13 @@ def _parse_scenario(doc, overrides: list[str]):
 
     body = _section("body", doc["body"],
                     {"m": _number, "J": _matrix, "J_x": _number, "a": _number, "a_B": _vector}, ("m",))
-    if ("J" in body) == ("J_x" in body):
-        raise ValidationError("body: give exactly one of J (3x3) or J_x")
-    if ("a" in body) == ("a_B" in body):
-        raise ValidationError("body: give exactly one of a (probe length) or a_B (probe vector)")
-    J = body["J"] if "J" in body else np.diag([body["J_x"]] * 3)
-    a_B = body["a_B"] if "a_B" in body else [0.0, 0.0, body["a"]]
-    body = BodyParams(m=body["m"], J=J, a_B=a_B)
+    body = BodyParams(m=body["m"], J=_either("body", body, "J", "J_x", lambda J_x: np.diag([J_x] * 3)),
+                      a_B=_either("body", body, "a_B", "a", lambda a: [0.0, 0.0, a]))
 
     contact = _section("contact", doc["contact"],
                        {"k_v": _number, "b_v": _number, "alpha": _number, "alpha_deg": _number,
                         "springs": _springs, "n_hat": _vector, "activation": _raw}, ("k_v", "b_v"))
-    alpha = _angle("contact", contact, "alpha")
+    alpha = _either("contact", contact, "alpha", "alpha_deg", math.radians)
     contact = ContactParams(alpha=alpha, **contact)
 
     sim = _section("sim", doc["sim"], {"h": _number, "dt": _number, "t_end": _number,
@@ -263,7 +262,7 @@ def _parse_scenario(doc, overrides: list[str]):
         initial = _section("sim.initial", sim["initial"],
                            {"mode": _raw, "z": _number, "v_z": _number, "theta": _number, "theta_deg": _number,
                             "omega": _number, "y": _number, "v_y": _number}, ("z", "v_z", "omega"))
-        initial["theta"] = _angle("sim.initial", initial, "theta")
+        initial["theta"] = _either("sim.initial", initial, "theta", "theta_deg", math.radians)
     elif mode == "3d":
         keys = ("r", "v", "d_c3", "omega")
         initial = _section("sim.initial", sim["initial"], {"mode": _raw, **dict.fromkeys(keys, _vector)}, keys)
@@ -319,13 +318,8 @@ def _write_json(obj, out: str | None) -> None:
 def cmd_simulate(args) -> int:
     path = scenario_path(args.scenario)
     body, contact, sim, options = load_scenario(path, args.set)
-    mode = args.mode
-    if mode is None:
-        mode = "3d" if isinstance(sim.initial, ChaserState3D) else "2d"
-    traj, events = _dynamics.simulate(
-        sim, body, contact, mode=mode,
-        event_window=options["averaging_window"],
-    )
+    traj, events = _dynamics.simulate(sim, body, contact, mode=args.mode,
+                                      event_window=options["averaging_window"])
     prefix = args.out
     _dynamics.write_trajectory_csv(traj, f"{prefix}.traj.csv")
     _write_json(
@@ -336,7 +330,7 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "scenario": str(path),
         "overrides": list(args.set or []),
-        "mode": mode,
+        "mode": traj.mode,
         "samples": int(len(traj.times)),
         "events": len(events),
         "docksim_version": __version__,

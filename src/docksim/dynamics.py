@@ -714,12 +714,14 @@ def simulate(
     config: SimConfig,
     params: BodyParams,
     contact: ContactParams,
-    mode: str = "2d",
+    mode: str | None = None,
     event_window: float = DEFAULT_EVENT_WINDOW,
 ) -> tuple[Trajectory, list[ContactEvent]]:
     """Run the delayed nonlinear model of ``mode`` (:class:`PlanarModel`
-    for "2d", :class:`SpatialModel` for "3d") and return the recorded
-    trajectory plus the detected contact events.
+    for "2d", :class:`SpatialModel` for "3d"; None, the default, for the
+    mode of ``config.initial``) and return the recorded trajectory plus the
+    detected contact events. An explicit mode embeds a planar initial
+    state in 3D, or projects a 3D one that lies in the plane onto 2D.
 
     The model goes to :func:`integrate_dde` once; its ``applied`` wrench
     becomes the ``f`` and ``tau`` channels. The divergence guard aborts
@@ -728,6 +730,8 @@ def simulate(
     Contact events are segmented on the full integration grid regardless
     of the recording decimation.
     """
+    if mode is None:
+        mode = "3d" if isinstance(config.initial, ChaserState3D) else "2d"
     require(activation_problem(contact.activation),
             None if mode in _MODELS else f"mode must be '2d' or '3d', got {mode!r}")
     model = _MODELS[mode](params, contact)
@@ -777,8 +781,10 @@ def read_trajectory_csv(path) -> Trajectory:
     """Read a file written by :func:`write_trajectory_csv`; the header
     decides the mode. A 2D file has no (y, v_y) columns, so they read as
     zero. Raises ValidationError on any other header, on a row that
-    is not numbers and on a file with no data rows or with rows of another
-    width than the header's."""
+    is not numbers, on a file with no data rows or with rows of another
+    width than the header's, and on a t column that is not finite and
+    non-decreasing (a repeated stamp is allowed: a long run written at 9
+    significant digits may round two samples to one)."""
     # undecodable bytes read as U+FFFD, which no header or number contains
     with open(path, errors="replace") as fh:
         header = fh.readline().strip().split(",")
@@ -798,6 +804,8 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ValidationError(f"{path}: no data rows")
     if data.shape[1] != len(columns):
         raise ValidationError(f"{path}: rows hold {data.shape[1]} values, the header names {len(columns)}")
+    if not (np.isfinite(data[:, 0]).all() and (np.diff(data[:, 0]) >= 0.0).all()):
+        raise ValidationError(f"{path}: t must be finite and non-decreasing")
     states = data[:, 1:n + 1]
     if mode == "2d":
         states = np.column_stack([states, np.zeros((len(data), 2))])

@@ -225,8 +225,9 @@ def stability_boundary(
     order. The pass flags every point :func:`analyze` would reject: a
     coefficient out of its domain (a non-finite one leaves omega_c at 0, inf
     or nan) or omega_c outside (0, inf). Each flagged point is solved again
-    by :func:`analyze`; a point that fails there is recorded on the point
-    with its diagnostic, and the sweep continues.
+    by :func:`analyze`, which rejects it by the same rules on the same
+    :func:`_crossing` operations; its diagnostic is recorded on the point,
+    and the sweep continues.
     """
     if axis not in ("beta", "kappa", "mu"):
         raise ValidationError(f"axis must be 'beta', 'kappa' or 'mu', got {axis!r}")
@@ -251,11 +252,9 @@ def stability_boundary(
     for i in np.flatnonzero(suspect).tolist():
         x = grid[i]
         try:
-            result = analyze(**fixed, **{axis: x}, n_delays=1)
+            analyze(**fixed, **{axis: x}, n_delays=1)
         except ValidationError as exc:
             points[i] = BoundaryPoint(x, math.nan, math.nan, math.nan, str(exc))
-        else:
-            points[i] = BoundaryPoint(x, result.h_c, result.omega_c, result.sigma)
     return points
 
 

@@ -135,6 +135,15 @@ class TestObservedEnergy:
             PowerStreams(f_m=good, v_m=good, f_in=good, v_r=bad,
                          tau_m=good, omega_m=good, tau_in=good, omega_r=good)
 
+    @pytest.mark.parametrize("bad, shape", [(np.zeros(10), (10,)), (np.zeros((10, 2)), (10, 2)),
+                                            (np.zeros((10, 3, 1)), (10, 3, 1))])
+    def test_channel_that_is_not_n_by_3_is_hard_error(self, bad, shape):
+        good = np.zeros((10, 3))
+        with pytest.raises(ds.ValidationError) as raised:
+            PowerStreams(f_m=good, v_m=good, f_in=good, v_r=good,
+                         tau_m=good, omega_m=bad, tau_in=good, omega_r=good)
+        assert str(raised.value) == f"omega_m must have shape (N, 3), got {shape}"
+
     def test_damped_zero_delay_run_is_passive(self):
         # measured stream carries the full force, commanded stream the
         # spring-only force: the only mismatch is the damping, so the

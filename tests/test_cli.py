@@ -62,34 +62,84 @@ def test_infinite_stiffness_exits_1_with_its_own_diagnostic(tmp_path, capsys):
     assert out == "" and err == "error: k_v must be finite and >= 0, got inf\n"
 
 
-@pytest.mark.parametrize("override", [
-    "body=5",
-    "contact.springs=5",
-    "contact.springs=[[1,2]]",
+@pytest.mark.parametrize("override, message", [
+    ("body=5", "body must be an object, got 5"),
+    # springs that are not a list used to end in Python's "'int' object is
+    # not iterable"; a string or an object was read spring by spring, one
+    # per character or key
+    ("contact.springs=5", "contact.springs must be a list, got 5"),
+    ('contact.springs="ab"', 'contact.springs must be a list, got "ab"'),
+    ('contact.springs={"k": 1}', 'contact.springs must be a list, got {"k": 1}'),
+    ("contact.springs=[[1,2]]", "contact.springs[0] must be an object, got [1, 2]"),
     # a string used to be read as a set of keys, one per character: "body:
     # give exactly one of J (3x3) or J_x", and a newline split the error line
-    'body="m"',
-    'contact.springs=["ab\\ncd"]',
+    ('body="m"', 'body must be an object, got "m"'),
+    ('contact.springs=["ab\\ncd"]', 'contact.springs[0] must be an object, got "ab\\ncd"'),
     # "ab" used to exit 3 (dict() of a string), [] to run with exit 0 and
     # [["neutrality_band", 0.5]] to be read as that key
-    'analysis="ab"',
-    "analysis=[]",
-    'analysis=[["neutrality_band", 0.5]]',
-    "sim.initial=5",
-])
-def test_malformed_scenario_value_exits_1(tmp_path, capsys, override):
-    code = run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "x"))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "malformed scenario value" in err
-    assert err.count("\n") == 1  # one line, no traceback
-
-
-def test_initial_state_that_is_not_an_object_is_named(tmp_path, capsys):
+    ('analysis="ab"', 'analysis must be an object, got "ab"'),
+    ("analysis=[]", "analysis must be an object, got []"),
+    ('analysis=[["neutrality_band", 0.5]]', 'analysis must be an object, got [["neutrality_band", 0.5]]'),
     # used to read "malformed scenario value ('int' object has no attribute 'get')"
-    assert run("simulate", "table1", "--set", "sim.initial=5", "--out", str(tmp_path / "x")) == 1
-    err = capsys.readouterr().err
-    assert err.endswith(": malformed scenario value (sim.initial must be an object, got 5)\n")
+    ("sim.initial=5", "sim.initial must be an object, got 5"),
+])
+def test_malformed_scenario_value_exits_1(tmp_path, capsys, override, message):
+    # one line, no traceback, and no file path, which no other reader error names
+    assert run("simulate", "table1.json", "--set", override, "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr() == ("", f"error: malformed scenario value ({message})\n")
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, AttributeError])
+@pytest.mark.parametrize("constructor", ["BodyParams", "ContactParams", "ChaserState2D", "SimConfig"])
+def test_fault_in_a_type_constructor_exits_3(monkeypatch, capsys, exc_type, constructor):
+    # load_scenario used to report any TypeError or AttributeError raised
+    # while reading a scenario as "malformed scenario value", exit 1
+    def fault(*args, **kwargs):
+        raise exc_type("internal bug in a constructor")
+
+    monkeypatch.setattr(f"docksim.cli.{constructor}", fault)
+    assert run("stability", "--from-scenario", "table1") == 3
+    assert capsys.readouterr() == ("", f"internal error: {exc_type.__name__}: internal bug in a constructor\n")
+
+
+# (section, the key table1 gives, the other key of its pair with a value)
+EITHER_OR = [
+    ("body", "J_x", "J=[[1,0,0],[0,1,0],[0,0,1]]", "body: give exactly one of J or J_x"),
+    ("body", "a", "a_B=[0,0,0.3]", "body: give exactly one of a_B or a"),
+    ("contact", "alpha_deg", "alpha=0.5", "contact: give exactly one of alpha or alpha_deg"),
+    ("sim.initial", "theta_deg", "theta=1.0", "sim.initial: give exactly one of theta or theta_deg"),
+]
+
+
+@pytest.mark.parametrize("section, key, other, message", EITHER_OR, ids=[m[1] for m in EITHER_OR])
+def test_either_or_keys_take_exactly_one(tmp_path, capsys, section, key, other, message):
+    assert run("simulate", "table1", "--set", f"{section}.{other}", "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    doc = json.loads(scenario_path("table1").read_text())
+    node = doc
+    for name in section.split("."):
+        node = node[name]
+    del node[key]
+    neither = tmp_path / "neither.json"
+    neither.write_text(json.dumps(doc))
+    assert run("simulate", str(neither), "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x.traj.csv").exists()
+
+
+def test_radian_angles_load_like_their_degree_twins(tmp_path):
+    doc = json.loads(scenario_path("table1").read_text())
+    contact, initial = doc["contact"], doc["sim"]["initial"]
+    contact["alpha"] = math.radians(contact.pop("alpha_deg"))
+    initial["theta"] = math.radians(initial.pop("theta_deg"))
+    radians = tmp_path / "radians.json"
+    radians.write_text(json.dumps(doc))
+    assert repr(load_scenario(radians)) == repr(load_scenario(scenario_path("table1")))
+
+
+def test_override_without_an_equals_sign_exits_1(capsys):
+    assert run("stability", "--from-scenario", "table1", "--set", "contact.b_v") == 1
+    assert capsys.readouterr() == ("", "error: override must look like section.key=value, got 'contact.b_v'\n")
 
 
 @pytest.mark.parametrize("key", ["averaging_window", "neutrality_band"])
@@ -275,24 +325,40 @@ FUZZ_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(where=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
-def test_any_override_ends_in_a_documented_exit(where, value):
-    # 0 success, 1 one error line, 2 one divergence line; never a traceback
-    # or an internal fault (3)
-    name, path = where
+def _assert_documented_exits(name, override):
+    """simulate, stability --from-scenario and linearize of the scenario
+    with the override (and sim.t_end = 0.01) each end in 0 success, 1 one
+    error line or 2 one divergence line; never in a traceback or an
+    internal fault (3)."""
     with tempfile.TemporaryDirectory() as tmp:
         for argv in (["simulate", name, "--out", f"{tmp}/run"], ["stability", "--from-scenario", name],
                      ["linearize", name]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([*argv, "--set", f"{path}={value}", "--set", "sim.t_end=0.01"])
+                code = main([*argv, "--set", override, "--set", "sim.t_end=0.01"])
             lines = err.getvalue().splitlines(keepends=True)
             assert code in (0, 1, 2), err.getvalue()
             if code:
                 assert len(lines) == 1 and lines[0].startswith(("error: ", "divergence guard: ")[code - 1])
             else:
                 assert lines == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(where=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
+def test_any_override_ends_in_a_documented_exit(where, value):
+    name, path = where
+    _assert_documented_exits(name, f"{path}={value}")
+
+
+@pytest.mark.parametrize("value", ["5", '"ab"', "null", "true", "[]", "[1]", "{}"])
+@pytest.mark.parametrize("path", ["body", "contact", "contact.springs", "contact.springs.0", "sim.initial",
+                                  "analysis"])
+def test_any_kind_of_section_ends_in_a_documented_exit(path, value):
+    # every JSON kind where an object or a list belongs, drawn by the fuzz
+    # test above only at random: each is read as input, none as a fault
+    for name in ("table1", "demo3d"):
+        _assert_documented_exits(name, f"{path}={value}")
 
 
 def test_override_steps_into_a_list(tmp_path):
@@ -415,6 +481,7 @@ class TestSimulate:
         assert code == 0
         header = (tmp_path / "p3.traj.csv").read_text().splitlines()[0]
         assert header.startswith("t,r_x,r_y,r_z")
+        assert json.loads((tmp_path / "p3.meta.json").read_text())["mode"] == "3d"
 
 
 class TestStability:
@@ -608,7 +675,9 @@ class TestBoundary:
         *((grid, f"grid must be start:stop:count (a whole count) or a comma list of numbers, got {grid!r}\n")
           for grid in ("a:b:3", "0:1:2.5", "1,x")),
         ("0:1:1" + "0" * 27, f"grid count 1{'0' * 27} is too large: "),
-    ], ids=["letters", "fractional-count", "list-item", "huge-count"])
+        ("1:2", "grid must be start:stop:count, got '1:2'\n"),
+        ("0:1:0", "grid count must be >= 1\n"),
+    ], ids=["letters", "fractional-count", "list-item", "huge-count", "two-parts", "zero-count"])
     def test_malformed_grid_exits_1_quoting_it(self, tmp_path, capsys, grid, message):
         out = tmp_path / "x.csv"
         assert run("boundary", "--axis", "beta", "--mu", "60", "--kappa", "1000",
@@ -735,6 +804,20 @@ class TestEnergy:
         short.write_text("\n".join(lines[:-10]) + "\n")
         assert run("energy", "--measured", str(traj), "--commanded", str(short),
                    "--out", str(tmp_path / "e.csv")) == 1
+
+    def test_time_column_that_goes_back_exits_1(self, tmp_path, capsys):
+        # np.interp used to resample such a file without a word: the run
+        # exited 0 with another final dE
+        traj = self._write_run(tmp_path, "run", ["contact.b_v=50"])
+        lines = traj.read_text().splitlines(keepends=True)
+        lines[100] = "1e9," + lines[100].split(",", 1)[1]
+        bogus = tmp_path / "bogus.traj.csv"
+        bogus.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "e.csv"
+        assert run("energy", "--measured", str(bogus), "--commanded", str(traj), "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {bogus}: t must be finite and non-decreasing\n")
+        assert not out.exists()
 
 
 def test_module_entry_point():

@@ -271,6 +271,17 @@ def test_planar_embedding_matches_geometry():
     assert s3.omega[0] == s2.omega
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BodyParams(m=1.0, J=np.eye(2), a_B=[0.0, 0.0, 0.3]), "J must be 3x3, got shape (2, 2)"),
+    (lambda: BodyParams(m=1.0, J=np.ones(9), a_B=[0.0, 0.0, 0.3]), "J must be 3x3, got shape (9,)"),
+    (lambda: ContactParams(k_v=1.0, b_v=0.0, alpha=0.5, n_hat=[0, 1]), "expected length-3 vector, got shape (2,)"),
+], ids=["J-2x2", "J-flat", "n_hat-length-2"])
+def test_constructor_rejects_a_wrong_shape(make, message):
+    with pytest.raises(ValidationError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 def test_value_types_are_frozen():
     body = table1_body()
     with pytest.raises(Exception):

@@ -569,6 +569,17 @@ class TestSimulate:
         np.testing.assert_allclose(t3.f, t2.f, rtol=1e-9, atol=1e-12)
         assert len(e3) == len(e2) == 1
 
+    @pytest.mark.parametrize("name, mode", [("table1", "2d"), ("demo3d", "3d")])
+    def test_default_mode_is_the_initial_states(self, name, mode):
+        # simulate used to run the planar model whatever the initial state:
+        # demo3d came back in mode "2d", and a 3D state off the plane raised
+        # "cannot run in 2D mode"
+        body, contact, sim, _ = load_scenario(scenario_path(name), ["sim.t_end=0.05"])
+        traj, events = ds.simulate(sim, body, contact)
+        explicit, explicit_events = ds.simulate(sim, body, contact, mode=mode)
+        assert traj.mode == mode
+        assert np.array_equal(traj.states, explicit.states) and events == explicit_events
+
     def test_non_planar_3d_state_is_rejected_in_2d_mode(self, body, contact):
         s = approach_config().initial.embed_3d()
         off_plane = ds.ChaserState3D(r=[0.01, s.r[1], s.r[2]], v=s.v, d_c3=s.d_c3, omega=s.omega)
@@ -750,13 +761,29 @@ def test_trajectory_csv_write_read_write_is_byte_identical(tmp_path, body, mode)
         assert not back.states[:, 4:].any()  # (y, v_y) are not in the 2D file
 
 
+def _rows_2d(*times):
+    """A 2D trajectory file whose rows are zeros but for the t column."""
+    return ",".join(dynamics.TRAJ_COLUMNS_2D) + "\n" + "".join(f"{t},0,0,1,0,0,0,0,0\n" for t in times)
+
+
 @pytest.mark.parametrize("text, message", [
     ("t,x,y\n0,1,2\n", "unrecognized trajectory header"),
     (",".join(dynamics.TRAJ_COLUMNS_2D) + "\n", "no data rows"),
     (",".join(dynamics.TRAJ_COLUMNS_3D) + "\n\n\n", "no data rows"),
-], ids=["unknown-header", "2d-header-only", "3d-header-blank-lines"])
+    # np.interp used to read such a t column without a word
+    (_rows_2d(0, 1e9, 0.002), "t must be finite and non-decreasing"),
+    (_rows_2d(0, "nan", 0.002), "t must be finite and non-decreasing"),
+    (_rows_2d(0, 0.001, "inf"), "t must be finite and non-decreasing"),
+], ids=["unknown-header", "2d-header-only", "3d-header-blank-lines", "t-goes-back", "t-nan", "t-inf"])
 def test_trajectory_csv_unreadable_file_is_rejected(tmp_path, text, message):
     path = tmp_path / "bad.traj.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.traj.csv: {message}"):
         read_trajectory_csv(path)
+
+
+def test_trajectory_csv_may_repeat_a_time_stamp(tmp_path):
+    # a long run written at 9 significant digits may round two samples to one
+    path = tmp_path / "run.traj.csv"
+    path.write_text(_rows_2d(0, 1.00000001, 1.00000001, 1.00000002))
+    assert read_trajectory_csv(path).times.tolist() == [0.0, 1.00000001, 1.00000001, 1.00000002]

@@ -200,6 +200,15 @@ class TestBoundary:
         with pytest.raises(ds.ValidationError, match=f"^sweep along '{axis}' takes no fixed {axis}$"):
             stability_boundary(axis, [1.0], **fixed)
 
+    @pytest.mark.parametrize("axis, grid, message", [
+        ("h", [1.0], "axis must be 'beta', 'kappa' or 'mu', got 'h'"),
+        ("beta", [], "grid must hold at least one point"),
+    ])
+    def test_unknown_axis_or_empty_grid_is_rejected(self, axis, grid, message):
+        with pytest.raises(ds.ValidationError) as raised:
+            stability_boundary(axis, grid, mu=60.0, kappa=1000.0)
+        assert str(raised.value) == message
+
     def test_failed_points_recorded_and_curve_continues(self):
         points = stability_boundary("mu", [-1.0, 10.0], beta=20.0, kappa=1000.0)
         assert points[0].error is not None and math.isnan(points[0].h_critical)
