@@ -31,7 +31,12 @@ Without --side, every round runs in this process on the docksim it
 imports. With --side LABEL=SRC (repeatable), every round runs each side in
 a fresh Python process with PYTHONPATH=SRC, alternating which side goes
 first, and the JSON holds one entry per side: a before/after comparison of
-two checkouts, with the stability figures under "stability_sides".
+two checkouts, with the stability figures under "stability_sides". Under
+"paired", keyed "LATER/FIRST", each later side is set against the first
+per case: the ratio of its us/step to the first side's in each round (both
+measured in the same round), the median of those ratios, and the number of
+rounds it was faster. Paired ratios cancel the drift between rounds that
+moves the medians of round bests on a shared machine.
 
 Usage: python scripts/bench_layers.py [--rounds 5] [--repeat 5] [--t-end T]
            [--side before=../old/src --side after=src] [--out bench.json]
@@ -184,6 +189,19 @@ def summarize(rounds: list) -> dict:
     return out
 
 
+def pair(first: list, later: list) -> dict:
+    """Per case: the later side's us/step over the first side's in each
+    round, the median ratio, and the rounds the later side was faster
+    (ties count for neither)."""
+    out = {}
+    for case in first[0]:
+        ratios = [b[case]["us_per_step"] / a[case]["us_per_step"] for a, b in zip(first, later)]
+        out[case] = {"ratio_per_round": [round(r, 4) for r in ratios],
+                     "median_ratio": round(statistics.median(ratios), 4),
+                     "rounds_faster": sum(r < 1.0 for r in ratios)}
+    return out
+
+
 def run_side(src, t_end, repeat) -> dict:
     """One round in a fresh process on the docksim under src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
@@ -232,9 +250,12 @@ def main() -> int:
             for label, src in (sides if r % 2 == 0 else sides[::-1]):
                 rounds[label].append(run_side(src, args.t_end, args.repeat))
         report["method"] += "; each round runs each side in a fresh process, alternating which goes first"
-        report["sides"] = {label: summarize([r["cases"] for r in rounds[label]]) for label in rounds}
+        cases = {label: [r["cases"] for r in rounds[label]] for label in rounds}
+        report["sides"] = {label: summarize(cases[label]) for label in rounds}
         report["stability_sides"] = {label: summarize_stability([r["stability"] for r in rounds[label]])
                                      for label in rounds}
+        (first, _), *later = sides
+        report["paired"] = {f"{label}/{first}": pair(cases[first], cases[label]) for label, _ in later}
     else:
         rounds = [(measure(args.t_end, args.repeat), measure_stability(args.repeat)) for _ in range(args.rounds)]
         report["workloads"] = summarize([cases for cases, _ in rounds])

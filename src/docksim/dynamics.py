@@ -47,7 +47,11 @@ rate derivative is that delayed acceleration -- (z, v_z), (theta, omega)
 and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the RK4 increments on
 arrays and an in-place ``np.cumsum``. So a 2D block runs no Python loop per
 step; in 3D the attitude column and omega, whose rates depend on the
-current state, step in a loop over 6 floats driven by the block's torques.
+current state, step in a loop driven by the block's torques, each step
+straight-line arithmetic on 6 floats with no call but numpy's dot product
+of the renormalization. Under one held wrench row that loop stops at a
+step that returns its own 6 floats bit for bit, a fixed point of every
+later step, and fills the rest of its rows with them.
 A zero force is just a value here, so free flight and contact take the same
 path. Each finished block is checked for divergence, which raises at its
 first offending row with the per-step message and t.
@@ -65,11 +69,12 @@ its own stage samples are lerped from the pushed rows and the wrench is
 evaluated there. Step s of a span from row i reads samples 2s, 2s + 1 and
 2s + 2, which lie in rows <= i + s; so while every sample matches the held
 wrench bit for bit, each pushed row is the row the sequential scheme gives,
-and one long in-place cumsum (and, in 3D, one long attitude loop) adds as
-the chained ones do. With the first mismatch at sample m the first
-(m - 1) // 2 steps are committed, their wrench rows recorded and their rows
-screened for divergence; normal blocks resume at the first uncommitted
-step, and a span that commits nothing falls through to a normal block.
+and one long in-place cumsum (and, in 3D, one long attitude loop, cut
+short at a fixed point) adds as the chained ones do. With the first
+mismatch at sample m the first (m - 1) // 2 steps are committed, their
+wrench rows recorded and their rows screened for divergence; normal blocks
+resume at the first uncommitted step, and a span that commits nothing
+falls through to a normal block.
 
 Both paths give the rows of the earlier numpy-array form of the scheme bit
 for bit, because each float operation is the elementwise one of that form,
@@ -86,9 +91,9 @@ Contact-law (``wrench``) calls per run on the bundled scenarios:
 ``table1`` 25 and ``fig7`` 50 in either mode, ``demo3d`` 210.
 ``integrate_dde`` as :func:`simulate` calls it, recording included, best
 of 5 runs (median of 15 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
-2.4.6): about 0.4 µs/step in 2D and 6 µs/step in 3D, where the attitude
-loop takes most of the time (``BENCH_planar_trig.json``, from
-``scripts/bench_layers.py``).
+2.4.6): about 0.4 µs/step in 2D and 3.2 to 5 µs/step in 3D (``table1`` to
+``demo3d``), where the attitude loop takes most of the time
+(``BENCH_attitude_step.json``, from ``scripts/bench_layers.py``).
 
 The contact channels :func:`simulate` records are the force and torque the
 integrator applied, which it leaves on the model as ``model.applied``, one
@@ -107,6 +112,7 @@ The trajectory CSV layout (``_TRAJ_LAYOUT``) is defined once, for the writer
 from __future__ import annotations
 
 import math
+import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -461,13 +467,14 @@ class PlanarModel:
         _advance_pairs(seg, slice(0, 6, 2), slice(1, 6, 2), acc, dt)
 
 
-def _spin_rate(params: BodyParams):
+def _spin_rate(J, J_inv):
     """rate(c0, c1, c2, w0, w1, w2, t0, t1, t2): the derivative of the
     attitude column d_c3 = (c0, c1, c2) and of omega = (w0, w1, w2) under
     the body torque (t0, t1, t2), as a 6-tuple:
-    d_c3' = -omega x d_c3, omega' = J^-1((J omega) x omega + tau)."""
-    (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = params.J.tolist()
-    (I00, I01, I02), (I10, I11, I12), (I20, I21, I22) = np.linalg.inv(params.J).tolist()
+    d_c3' = -omega x d_c3, omega' = J^-1((J omega) x omega + tau). J and
+    J_inv are the 9 entries of J and of its inverse, row by row."""
+    J00, J01, J02, J10, J11, J12, J20, J21, J22 = J
+    I00, I01, I02, I10, I11, I12, I20, I21, I22 = J_inv
 
     def rate(c0, c1, c2, w0, w1, w2, t0, t1, t2):
         # gyroscopic term (J omega) x omega
@@ -505,10 +512,12 @@ class SpatialModel:
 
     ``rhs(y, yd)`` is the scalar form, a closure over the parameters. In
     the block form the pairs (r_j, v_j) advance on arrays; (d_c3, omega),
-    whose rates depend on the current state, step in a loop over 6 floats
-    driven by the block's delayed torques. d_c3 is divided by the square
-    root of numpy's dot product of it with itself, as the per-step loop
-    renormalizes it."""
+    whose rates depend on the current state, step in a loop driven by the
+    block's delayed torques, each step straight-line float arithmetic on
+    the entries of J and J^-1 that the model keeps. d_c3 is divided by the
+    square root of numpy's dot product of it with itself, as the per-step
+    loop renormalizes it. Under one held wrench row the loop ends at a
+    bitwise fixed point (see ``push``)."""
 
     columns = 12
     width = 4  # a wrench row is (f, tau_x, tau_y, tau_z), the body torque
@@ -522,7 +531,10 @@ class SpatialModel:
         self.b_v = b_v = contact.b_v
         self.bilateral = bilateral = contact.activation == "bilateral"
         self.springs = springs = _springs(contact)
-        self.spin = spin = _spin_rate(params)
+        # the entries of J and of its inverse, row by row
+        self.J = tuple(params.J.ravel().tolist())
+        self.J_inv = tuple(np.linalg.inv(params.J).ravel().tolist())
+        spin = _spin_rate(self.J, self.J_inv)
 
         def rhs(y, yd):
             c0, c1, c2 = yd[6], yd[7], yd[8]
@@ -564,30 +576,103 @@ class SpatialModel:
 
     def push(self, seg, w, dt):
         """Steps i..j-1 into seg = Y[i:j+1] under the wrench rows w of
-        their 2 (j - i) + 1 stage samples, or under one held row."""
+        their 2 (j - i) + 1 stage samples, or under one held row.
+
+        A step of (d_c3, omega) is straight-line float arithmetic: the four
+        stage rates p, q, r and s are ``_spin_rate``'s expressions written
+        out, fed the step's start, middle and end torques. d_c3 is then
+        divided by the square root of numpy's dot product of it with
+        itself, as the per-step loop renormalizes it: that dot rounds
+        differently from a plain sum of squares, so it stays. Under one
+        held row a step is a function of its six floats alone, so a step
+        that returns them bit for bit (signed zeros and NaN payloads count)
+        is a fixed point, and the rest of the block is filled with it."""
         tx, ty, tz = np.broadcast_to(w[:, 1:], (2 * len(seg) - 1, 3)).T.tolist()
         acc = np.broadcast_to(np.multiply.outer(self.n_hat, w[:, 0] / self.m), (3, len(tx)))
         _advance_pairs(seg, slice(0, 3), slice(3, 6), acc, dt)
-        spin = self.spin
+        J00, J01, J02, J10, J11, J12, J20, J21, J22 = self.J
+        I00, I01, I02, I10, I11, I12, I20, I21, I22 = self.J_inv
         half = 0.5 * dt
         sixth = dt / 6.0
         c0, c1, c2, w0, w1, w2 = seg[0, 6:12].tolist()
+        held = len(w) == 1
+        bits = struct.pack("6d", c0, c1, c2, w0, w1, w2) if held else None
         col = np.empty(3)
+        dot = col.dot
         rows = []
-        for i in range(0, len(tx) - 1, 2):
-            # stages p, q, r, s of one step from samples i, i + 1, i + 1, i + 2,
-            # written out per component
-            mx, my, mz = tx[i + 1], ty[i + 1], tz[i + 1]
-            p0, p1, p2, p3, p4, p5 = spin(c0, c1, c2, w0, w1, w2, tx[i], ty[i], tz[i])
-            q0, q1, q2, q3, q4, q5 = spin(
-                c0 + half * p0, c1 + half * p1, c2 + half * p2,
-                w0 + half * p3, w1 + half * p4, w2 + half * p5, mx, my, mz)
-            r0, r1, r2, r3, r4, r5 = spin(
-                c0 + half * q0, c1 + half * q1, c2 + half * q2,
-                w0 + half * q3, w1 + half * q4, w2 + half * q5, mx, my, mz)
-            s0, s1, s2, s3, s4, s5 = spin(
-                c0 + dt * r0, c1 + dt * r1, c2 + dt * r2,
-                w0 + dt * r3, w1 + dt * r4, w2 + dt * r5, tx[i + 2], ty[i + 2], tz[i + 2])
+        for a0, a1, a2, b0, b1, b2, e0, e1, e2 in zip(tx[:-1:2], ty[:-1:2], tz[:-1:2], tx[1::2], ty[1::2],
+                                                      tz[1::2], tx[2::2], ty[2::2], tz[2::2]):
+            # p at (c, w) under the start torque a; each stage takes J w,
+            # then g = (J w) x w + torque, then c x w, then J^-1 g
+            Jw0 = J00 * w0 + J01 * w1 + J02 * w2
+            Jw1 = J10 * w0 + J11 * w1 + J12 * w2
+            Jw2 = J20 * w0 + J21 * w1 + J22 * w2
+            g0 = Jw1 * w2 - Jw2 * w1 + a0
+            g1 = Jw2 * w0 - Jw0 * w2 + a1
+            g2 = Jw0 * w1 - Jw1 * w0 + a2
+            p0 = c1 * w2 - c2 * w1
+            p1 = c2 * w0 - c0 * w2
+            p2 = c0 * w1 - c1 * w0
+            p3 = I00 * g0 + I01 * g1 + I02 * g2
+            p4 = I10 * g0 + I11 * g1 + I12 * g2
+            p5 = I20 * g0 + I21 * g1 + I22 * g2
+            # q at (c, w) + dt/2 p under the middle torque b
+            x0 = c0 + half * p0
+            x1 = c1 + half * p1
+            x2 = c2 + half * p2
+            u0 = w0 + half * p3
+            u1 = w1 + half * p4
+            u2 = w2 + half * p5
+            Jw0 = J00 * u0 + J01 * u1 + J02 * u2
+            Jw1 = J10 * u0 + J11 * u1 + J12 * u2
+            Jw2 = J20 * u0 + J21 * u1 + J22 * u2
+            g0 = Jw1 * u2 - Jw2 * u1 + b0
+            g1 = Jw2 * u0 - Jw0 * u2 + b1
+            g2 = Jw0 * u1 - Jw1 * u0 + b2
+            q0 = x1 * u2 - x2 * u1
+            q1 = x2 * u0 - x0 * u2
+            q2 = x0 * u1 - x1 * u0
+            q3 = I00 * g0 + I01 * g1 + I02 * g2
+            q4 = I10 * g0 + I11 * g1 + I12 * g2
+            q5 = I20 * g0 + I21 * g1 + I22 * g2
+            # r at (c, w) + dt/2 q under the middle torque b
+            x0 = c0 + half * q0
+            x1 = c1 + half * q1
+            x2 = c2 + half * q2
+            u0 = w0 + half * q3
+            u1 = w1 + half * q4
+            u2 = w2 + half * q5
+            Jw0 = J00 * u0 + J01 * u1 + J02 * u2
+            Jw1 = J10 * u0 + J11 * u1 + J12 * u2
+            Jw2 = J20 * u0 + J21 * u1 + J22 * u2
+            g0 = Jw1 * u2 - Jw2 * u1 + b0
+            g1 = Jw2 * u0 - Jw0 * u2 + b1
+            g2 = Jw0 * u1 - Jw1 * u0 + b2
+            r0 = x1 * u2 - x2 * u1
+            r1 = x2 * u0 - x0 * u2
+            r2 = x0 * u1 - x1 * u0
+            r3 = I00 * g0 + I01 * g1 + I02 * g2
+            r4 = I10 * g0 + I11 * g1 + I12 * g2
+            r5 = I20 * g0 + I21 * g1 + I22 * g2
+            # s at (c, w) + dt r under the end torque e
+            x0 = c0 + dt * r0
+            x1 = c1 + dt * r1
+            x2 = c2 + dt * r2
+            u0 = w0 + dt * r3
+            u1 = w1 + dt * r4
+            u2 = w2 + dt * r5
+            Jw0 = J00 * u0 + J01 * u1 + J02 * u2
+            Jw1 = J10 * u0 + J11 * u1 + J12 * u2
+            Jw2 = J20 * u0 + J21 * u1 + J22 * u2
+            g0 = Jw1 * u2 - Jw2 * u1 + e0
+            g1 = Jw2 * u0 - Jw0 * u2 + e1
+            g2 = Jw0 * u1 - Jw1 * u0 + e2
+            s0 = x1 * u2 - x2 * u1
+            s1 = x2 * u0 - x0 * u2
+            s2 = x0 * u1 - x1 * u0
+            s3 = I00 * g0 + I01 * g1 + I02 * g2
+            s4 = I10 * g0 + I11 * g1 + I12 * g2
+            s5 = I20 * g0 + I21 * g1 + I22 * g2
             c0 = c0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
             c1 = c1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
             c2 = c2 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
@@ -597,12 +682,17 @@ class SpatialModel:
             col[0], col[1], col[2] = c0, c1, c2
             # a zero column gives NaN here and NaN or inf in numpy's
             # x / 0.0: non-finite either way
-            norm = math.sqrt(col.dot(col)) or math.nan
+            norm = math.sqrt(dot(col)) or math.nan
             c0 /= norm
             c1 /= norm
             c2 /= norm
             rows.append((c0, c1, c2, w0, w1, w2))
-        seg[1:, 6:12] = rows
+            if held:
+                last, bits = bits, struct.pack("6d", c0, c1, c2, w0, w1, w2)
+                if bits == last:
+                    seg[len(rows) + 1:, 6:12] = rows[-1]
+                    break
+        seg[1:len(rows) + 1, 6:12] = rows
 
 
 # --- trajectory recording and contact events ---

@@ -186,8 +186,8 @@ class TestRhsContract:
         spun = []
         spin_rate = dynamics._spin_rate
 
-        def recording_spin_rate(params):
-            rate = spin_rate(params)
+        def recording_spin_rate(*entries):
+            rate = spin_rate(*entries)
 
             def recorded(*args):
                 spun.append(args[6:])

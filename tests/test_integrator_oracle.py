@@ -256,8 +256,12 @@ def spinning_3d_run(activation):
     pytest.param("2d", -0.0, id="2d-still-negative-zero"),
     pytest.param("3d", None, id="3d"),
     # the same approach in 3D, the attitude held still: accepted spans and
-    # a span rejected at contact onset run through the attitude loop
+    # a span rejected at contact onset run through the attitude loop, which
+    # stops each accepted span at a bitwise fixed point
     pytest.param("3d", 0.0, id="3d-still"),
+    # omega = (-0.0, 0.0, -0.0) and a d_c3 whose x component is -0.0:
+    # zeros that equal their flipped signs as floats but not as bits
+    pytest.param("3d", -0.0, id="3d-still-negative-zero"),
 ])
 def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h):
     if omega is None:
@@ -269,6 +273,8 @@ def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h)
         state = ds.ChaserState2D(z=-0.14, v_z=-0.02, theta=math.radians(60.0), omega=omega, v_y=0.01)
         model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
         y0 = model.initial_vector(state)
+        if mode == "3d" and math.copysign(1.0, omega) < 0.0:
+            y0[[6, 9, 11]] = -0.0
     new, ref = run_both(model, y0, 1e-4, 1.2, h, 1e3)
     assert_bitwise_equal(new, ref)
     v_z = ref[1][:, 5 if mode == "3d" else 1]

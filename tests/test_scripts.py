@@ -105,6 +105,17 @@ def test_bench_layers(tmp_path):
     assert set(report["stability_sides"]) == {"a", "b"}
     assert all(side["boundary_us_per_point"]["median"] > 0.0 and side["critical_damping_us"]["median"] > 0.0
                for side in report["stability_sides"].values())
+    # b against a per case: one round's ratio, its median, rounds b won
+    assert set(report["paired"]) == {"b/a"}
+    paired = report["paired"]["b/a"]
+    assert set(paired) == set(steps)
+    for name, case in paired.items():
+        assert set(case) == {"ratio_per_round", "median_ratio", "rounds_faster"}
+        ratio = case["ratio_per_round"][0]
+        assert len(case["ratio_per_round"]) == 1 and case["median_ratio"] == ratio > 0.0
+        assert case["rounds_faster"] == (ratio < 1.0)
+        a, b = (report["sides"][side][name]["best_of_repeat_per_round"][0] for side in "ab")
+        assert ratio == round(b / a, 4)
 
 
 def test_code_lines(tmp_path):
