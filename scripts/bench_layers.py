@@ -10,9 +10,10 @@ kappa = 1000 (fig7's penetration mode, rounded), and microseconds per
 critical_damping(60, 1000, h) call over fixed delays, each the best of
 --repeat calls after one untimed call.
 Short delays, which no bundled scenario runs, come as the cases
-"table1-2d-dt<step>" and "demo3d-3d-dt<step>": the scenario with dt = 1e-2,
-5e-3, 2.5e-3 and 1.25e-3 (h/dt = 1.6, 3.2, 6.4 and 12.8) and every step
-recorded.
+"table1-2d-dt<step>" and "demo3d-3d-dt<step>": the scenario with dt = 1.6e-2
+and 8e-3 (h/dt = 1 and 2, whole) and 1e-2, 5e-3, 2.5e-3 and 1.25e-3
+(h/dt = 1.6, 3.2, 6.4 and 12.8), every step recorded, and t_end rounded to
+a whole number of those steps.
 
 integrate_dde is timed on the very call docksim.dynamics.simulate makes:
 one simulate run per case, with integrate_dde wrapped, captures the call's
@@ -59,7 +60,7 @@ import numpy as np
 CASES = [("table1", "2d", None), ("fig7", "2d", None), ("table1", "3d", None), ("fig7", "3d", None),
          ("demo3d", "3d", None)]
 CASES += [(name, mode, dt) for name, mode in (("table1", "2d"), ("demo3d", "3d"))
-          for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
+          for dt in (1.6e-2, 8e-3, 1e-2, 5e-3, 2.5e-3, 1.25e-3)]
 # the stability layer's inputs, at mu = 60 and kappa = 1000
 BOUNDARY_BETAS = np.linspace(1.0, 200.0, 2000).tolist()
 DAMPING_DELAYS = np.linspace(0.002, 0.04, 20).tolist()
@@ -86,10 +87,10 @@ def measure(t_end, repeat) -> dict:
         path = scenario_path(name)
         body, contact, sim, _ = load_scenario(path)
         load = best_of(repeat, lambda: load_scenario(path))
-        if dt is not None:
-            sim = dataclasses.replace(sim, dt=dt, record_every=1)
         if t_end is not None:
             sim = dataclasses.replace(sim, t_end=t_end)
+        if dt is not None:
+            sim = dataclasses.replace(sim, dt=dt, record_every=1, t_end=round(sim.t_end / dt) * dt)
         integrate_dde = dynamics.integrate_dde
         captured = []
 

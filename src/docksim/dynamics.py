@@ -39,13 +39,16 @@ A model has one path at h > 0, the block path, with the same protocol for
 both modes. The force applied over the next h was sensed h ago, so when the
 run reaches row i the delayed samples of steps i .. i + int(h/dt) - 1 lie
 at fractional rows <= i, in rows that are already final. For such a block,
-one vectorized lerp (:func:`_lerp_rows`) gives the three stage samples of
-every step, ``model.wrench`` gives their wrench as one array with one row
-per sample, (f, tau_x) in 2D and (f, tau_x, tau_y, tau_z) in 3D, and
-``model.push`` steps the block under it: each (position, rate) pair whose
-rate derivative is that delayed acceleration -- (z, v_z), (theta, omega)
-and (y, v_y) in 2D, (r_j, v_j) in 3D -- advances with the RK4 increments on
-arrays and an in-place ``np.cumsum``. So a 2D block runs no Python loop per
+one lookup (:func:`_stage_samples`) gives the three stage samples of every
+step: at a whole h/dt = N, from row N on, each sample is a row or the
+midpoint of two neighbouring rows, built from row slices; otherwise one
+vectorized lerp (:func:`_lerp_rows`) gives them. ``model.wrench`` gives
+their wrench as one array with one row per sample, (f, tau_x) in 2D and
+(f, tau_x, tau_y, tau_z) in 3D, and ``model.push`` steps the block under
+it: each (position, rate) pair whose rate derivative is that delayed
+acceleration -- (z, v_z), (theta, omega) and (y, v_y) in 2D, (r_j, v_j) in
+3D -- advances with the RK4 increments on arrays and an in-place
+``np.cumsum``. So a 2D block runs no Python loop per
 step; in 3D the attitude column and omega, whose rates depend on the
 current state, step in a loop driven by the block's torques, each step
 straight-line arithmetic on 6 floats with no call but numpy's dot product
@@ -65,7 +68,7 @@ there. After a block whose wrench rows are all bitwise equal (signed zeros
 count, and a row matches only if all its components do; one int64 compare
 of the array finds the first row that does not), the next span of
 ``SPECULATIVE_BLOCKS`` blocks is pushed under that one held row first, then
-its own stage samples are lerped from the pushed rows and the wrench is
+its own stage samples are looked up in the pushed rows and the wrench is
 evaluated there. Step s of a span from row i reads samples 2s, 2s + 1 and
 2s + 2, which lie in rows <= i + s; so while every sample matches the held
 wrench bit for bit, each pushed row is the row the sequential scheme gives,
@@ -90,10 +93,10 @@ differently from a plain sum of squares.
 Contact-law (``wrench``) calls per run on the bundled scenarios:
 ``table1`` 25 and ``fig7`` 50 in either mode, ``demo3d`` 210.
 ``integrate_dde`` as :func:`simulate` calls it, recording included, best
-of 5 runs (median of 15 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
-2.4.6): about 0.4 µs/step in 2D and 3.2 to 5 µs/step in 3D (``table1`` to
-``demo3d``), where the attitude loop takes most of the time
-(``BENCH_attitude_step.json``, from ``scripts/bench_layers.py``).
+of 5 runs (median of 20 rounds) on a shared 2-vCPU VM (Python 3.11.7, numpy
+2.4.6): about 0.26 to 0.29 µs/step in 2D and 2.9 to 4.5 µs/step in 3D
+(``table1`` to ``demo3d``), where the attitude loop takes most of the time
+(``BENCH_delayed_rows.json``, from ``scripts/bench_layers.py``).
 
 The contact channels :func:`simulate` records are the force and torque the
 integrator applied, which it leaves on the model as ``model.applied``, one
@@ -254,16 +257,19 @@ def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> np
     built per block (m/2 is exact, so each is the bits of k - ratio or
     (k + 0.5) - ratio). Steps i..j-1 with j - i <= span = int(ratio) read
     delayed samples at fractional rows <= j - ratio <= i, so rows <= i,
-    which are final: one lerp and one ``wrench`` call give the wrench at
-    every stage sample of the block, one row per sample, and ``push``
-    steps the block under it. The even samples, m = 2k for k = i..j, are
-    the delayed samples of rows i..j, so their wrench rows are the ones
-    recorded.
+    which are final: one lookup (:func:`_stage_samples`) and one
+    ``wrench`` call give the wrench at every stage sample of the block,
+    one row per sample, and ``push`` steps the block under it. At a whole
+    ratio the lookup of a block from row ratio on is two row slices, each
+    sample a row or the midpoint of two; the first blocks and every ratio
+    that is not whole, near-whole ones included, lerp. The even samples,
+    m = 2k for k = i..j, are the delayed samples of rows i..j, so their
+    wrench rows are the ones recorded.
 
     After a block whose wrench rows are all bitwise equal, a span of
     SPECULATIVE_BLOCKS blocks runs on a guess: ``push`` steps the span's
     rows under that one held row, then the span's own stage samples are
-    lerped from them and ``wrench`` is evaluated there. Step s reads
+    looked up in them and ``wrench`` is evaluated there. Step s reads
     samples 2s, 2s + 1 and 2s + 2, which read rows <= i + s only, so while
     every sample so far equals the held row the pushed rows are the
     sequential ones: with the first mismatch at sample m, the first
@@ -275,7 +281,7 @@ def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> np
     divergence, which raises at its first offending row."""
     n = len(Y) - 1
     span = int(ratio)
-    history = Y[:, :model.columns]
+    columns = model.columns
     applied = np.empty((n + 1, model.width))
     held = None  # the steady wrench of the last block, one row
     i = 0
@@ -283,14 +289,14 @@ def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> np
         while i < n:
             if held is None:
                 j = min(n, i + span)
-                w = model.wrench(_lerp_rows(history, np.arange(2 * i, 2 * j + 1) * 0.5 - ratio).T)
+                w = model.wrench(_stage_samples(Y, i, j, ratio, columns).T)
                 model.push(Y[i:j + 1], w, dt)
                 if _first_change(w, w[:1]) == len(w):
                     held = w[:1]
             else:
                 j = min(n, i + SPECULATIVE_BLOCKS * span)
                 model.push(Y[i:j + 1], held, dt)
-                w = model.wrench(_lerp_rows(history, np.arange(2 * i, 2 * j + 1) * 0.5 - ratio).T)
+                w = model.wrench(_stage_samples(Y, i, j, ratio, columns).T)
                 m = _first_change(w, held)
                 if m < len(w):
                     held = None
@@ -336,19 +342,45 @@ def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None
         )
 
 
-def _lerp_rows(Y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows of Y at the fractional indices q: row 0 for q <= 0 (the
-    constant pre-history), the exact row when q is whole, else
-    (1 - w) x0 + w x1 with its own w. Reads no row past ceil(q), so q may
-    be the latest final row."""
+def _stage_samples(Y: np.ndarray, i: int, j: int, ratio: float, columns: int) -> np.ndarray:
+    """The delayed stage samples of steps i..j-1, the first ``columns``
+    columns of Y at the fractional rows m/2 - ratio for m = 2i..2j, one
+    row per sample. At a whole ratio N = h/dt, with i >= N, each sample is
+    a row or the midpoint of two neighbours: m/2 - N is exact, so the lerp
+    takes w = 0 at even m and w = 0.5 at odd m, and no sample reaches the
+    clamped pre-history. The even samples are then the rows i - N .. j - N
+    copied, the odd ones (1 - 0.5) x_k + 0.5 x_(k+1) on two slices, the
+    bits of :func:`_lerp_rows`. Every other block, with i < N or a ratio
+    that is not whole (a near-whole one, such as 0.0003/1e-4 =
+    2.9999999999999996, included), takes :func:`_lerp_rows`."""
+    lag = int(ratio)
+    if lag != ratio or i < lag:
+        return _lerp_rows(Y, np.arange(2 * i, 2 * j + 1) * 0.5 - ratio, columns)
+    rows = Y[i - lag:j - lag + 1, :columns]
+    # out[k] holds samples 2k and 2k + 1; 1.0 - 0.5 is exactly 0.5, the
+    # weight of both neighbours
+    out = np.empty((len(rows), 2, columns))
+    out[:, 0] = rows
+    half = 0.5 * rows
+    np.add(half[:-1], half[1:], out=out[:-1, 1])
+    return out.reshape(-1, columns)[:-1]
+
+
+def _lerp_rows(Y: np.ndarray, q: np.ndarray, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of the rows of Y at the fractional
+    indices q: row 0 for q <= 0 (the constant pre-history), the exact row
+    when q is whole, else (1 - w) x0 + w x1 with its own w. Reads no row
+    past ceil(q), so q may be the latest final row. Both gathers take
+    whole rows of Y, which is contiguous, and then keep the columns: numpy
+    gathers contiguous rows faster than strided ones."""
     q = np.maximum(q, 0.0)
     i0 = q.astype(np.intp)
     w = q - i0
-    rows = Y[i0]
+    rows = Y.take(i0, axis=0)[:, :columns]
     mixed = np.flatnonzero(w)
     if len(mixed):
         w = w[mixed, None]
-        rows[mixed] = (1.0 - w) * rows[mixed] + w * Y[i0[mixed] + 1]
+        rows[mixed] = (1.0 - w) * rows[mixed] + w * Y.take(i0[mixed] + 1, axis=0)[:, :columns]
     return rows
 
 

@@ -29,7 +29,7 @@ class TestDelayLine:
 
     def test_constant_prehistory(self):
         Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(_lerp_rows(Y, np.array([-5.0, 0.0])), [[1.0, 2.0], [1.0, 2.0]])
+        assert np.array_equal(_lerp_rows(Y, np.array([-5.0, 0.0]), 2), [[1.0, 2.0], [1.0, 2.0]])
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])] * 3),
@@ -42,7 +42,7 @@ class TestDelayLine:
         Y = np.array(rows)
         latest = len(Y) - 1
         q = np.minimum(q, latest)
-        block = _lerp_rows(Y, q)
+        block = _lerp_rows(Y, q, 3)
         for qi, row in zip(q, block):
             assert row.tobytes() == numpy_lerp_history(Y, latest, float(qi)).tobytes()
 
@@ -50,7 +50,7 @@ class TestDelayLine:
         Y = np.array([[2.0 * i * 0.1] for i in range(8)])
         # a linear signal is reproduced exactly by linear interpolation
         t = np.array([0.05, 0.12, 0.33, 0.61])
-        assert _lerp_rows(Y, t / 0.1)[:, 0] == pytest.approx(2.0 * t, abs=1e-15)
+        assert _lerp_rows(Y, t / 0.1, 1)[:, 0] == pytest.approx(2.0 * t, abs=1e-15)
 
 
 class TestRhs2D:
@@ -381,6 +381,21 @@ class TestStep:
             integrate_dde(free_flight_model(), y0, 0.1, 0.1, 0.0)
 
 
+def record_lookups(monkeypatch):
+    """Make the block path's two history lookups record their calls:
+    returns {name: [(args, result), ...]} for ``_stage_samples`` (the
+    per-block lookup) and ``_lerp_rows`` (its general path)."""
+    calls = {}
+    for name in ("_stage_samples", "_lerp_rows"):
+        def recorded(*args, _fn=getattr(dynamics, name), _log=calls.setdefault(name, [])):
+            out = _fn(*args)
+            _log.append((args, out))
+            return out
+
+        monkeypatch.setattr(dynamics, name, recorded)
+    return calls
+
+
 def count_scalar_rhs_calls(monkeypatch, mode):
     """Make simulate build models whose scalar form ``rhs`` counts its
     calls; returns the list of models built and the call counter."""
@@ -458,22 +473,33 @@ class TestSimulate:
         # simulate hands integrate_dde one model, which at every delay
         # advances whole blocks on arrays, even blocks of one step, and
         # never calls its scalar form; it records the applied wrench as it
-        # goes, so no lerp over all the grid's rows runs afterwards
+        # goes, so no lookup over all the grid's rows runs afterwards
         models, calls = count_scalar_rhs_calls(monkeypatch, mode)
-        lerped = []
-        lerp_rows = dynamics._lerp_rows
-
-        def counted_lerp(Y, q):
-            lerped.append(len(q))
-            return lerp_rows(Y, q)
-
-        monkeypatch.setattr(dynamics, "_lerp_rows", counted_lerp)
+        looked_up = record_lookups(monkeypatch)
         cfg = approach_config(h=h)
         traj, events = ds.simulate(cfg, body, table1_contact(b_v=50.0, activation=activation), mode=mode)
         assert len(models) == 1 and calls[0] == 0
         assert events and traj.f.max() > 0.0
         rows = round(cfg.t_end / cfg.dt) + 1
-        assert len(traj.times) == rows and lerped and rows not in lerped
+        samples = [len(out) for _, out in looked_up["_stage_samples"] + looked_up["_lerp_rows"]]
+        assert len(traj.times) == rows and samples and rows not in samples
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_whole_delay_ratio_takes_row_slices(self, monkeypatch, mode):
+        # table1's h/dt is a whole 160: every block from row 160 on takes
+        # its stage samples as row slices, and only the first block, whose
+        # samples reach the pre-history, takes the general lerp; a silent
+        # fallback to the lerp fails here
+        body, contact, sim, _ = load_scenario(scenario_path("table1"))
+        looked_up = record_lookups(monkeypatch)
+        ds.simulate(sim, body, contact, mode=mode)
+        lag = sim.h / sim.dt
+        assert lag == 160.0
+        starts = [args[1] for args, _ in looked_up["_stage_samples"]]
+        lerped = [args[1] for args, _ in looked_up["_lerp_rows"]]
+        assert len(starts) == 25 and starts[0] == 0 and min(starts[1:]) >= lag
+        # one lerp, of the first block: its first sample is row -160
+        assert len(lerped) == 1 and lerped[0][0] == -lag
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_per_step_path_calls_the_scalar_rhs_of_the_model(self, body, monkeypatch, mode):
@@ -608,7 +634,7 @@ class TestSimulate:
         traj, _ = ds.simulate(cfg, body, contact, mode=mode)
         rhs = (make_rhs_2d if mode == "2d" else make_rhs_3d)(body, contact)
         Y = traj.states
-        Yd = _lerp_rows(Y, np.arange(len(Y)) - cfg.h / cfg.dt)
+        Yd = _lerp_rows(Y, np.arange(len(Y)) - cfg.h / cfg.dt, Y.shape[1])
         dY = np.array([rhs(y, yd) for y, yd in zip(Y, Yd)])
         assert np.any(traj.f != 0.0)
         if mode == "2d":
@@ -632,7 +658,7 @@ class TestSimulate:
         traj, _ = ds.simulate(cfg, body, contact, mode=mode)
         model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
         back = np.arange(len(traj.states)) - cfg.h / cfg.dt
-        w = model.wrench(_lerp_rows(traj.states, back).T)
+        w = model.wrench(_lerp_rows(traj.states, back, model.columns).T)
         assert np.any(w[:, 0] != 0.0)
         # the wrench rows split into f and tau, which is 1-D in 2D
         assert traj.tau.ndim == (1 if mode == "2d" else 2)

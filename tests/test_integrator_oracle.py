@@ -25,6 +25,7 @@ from docksim.dynamics import (
     DivergenceError,
     PlanarModel,
     SpatialModel,
+    _stage_samples,
     extract_events,
     integrate_dde,
 )
@@ -128,6 +129,56 @@ def assert_bitwise_equal(new, ref):
     assert new[1].tobytes() == ref[1].tobytes()
 
 
+# the delays of k x 0.1 ms, written as decimal literals, over dt = 1e-4
+# that land just off the whole k: 112 of k = 1..399, such as
+# 0.0003/1e-4 = 2.9999999999999996
+NEAR_WHOLE_RATIOS = [r for r in (float(f"{k}e-4") / 1e-4 for k in range(1, 400)) if r != int(r)]
+
+
+@st.composite
+def block_lookups(draw):
+    """A state history and one block of steps i..j-1 at a delay ratio:
+    a whole N in 1..200 or a ratio that is not whole (near-whole ones
+    included); the block starts before, at or after row int(ratio) and
+    spans int(ratio) steps, SPECULATIVE_BLOCKS of them, or fewer (the last
+    block of a run, or a span cut short). The rows hold random values,
+    some of them +0.0 and -0.0."""
+    kind = draw(st.sampled_from(["whole", "off-grid", "near-whole"]))
+    if kind == "whole":
+        ratio = float(draw(st.integers(1, 200)))
+    elif kind == "off-grid":
+        ratio = draw(st.floats(1.0, 200.0).filter(lambda r: r != int(r)))
+    else:
+        ratio = draw(st.sampled_from(NEAR_WHOLE_RATIOS))
+    lag = int(ratio)
+    i = draw(st.integers(0, lag - 1) | st.just(lag) | st.integers(lag + 1, 3 * lag))
+    j = i + draw(st.sampled_from([lag, SPECULATIVE_BLOCKS * lag]) | st.integers(1, lag))
+    width = draw(st.sampled_from([6, 12]))
+    columns = draw(st.sampled_from([4, width]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # magnitudes from subnormal, where halving rounds, to 1e300
+    Y = rng.standard_normal((j + 1, width)) * 10.0 ** rng.integers(-320, 300, (j + 1, width))
+    zeros = rng.random(Y.shape) < 0.2
+    Y[zeros] = np.where(rng.random(Y.shape) < 0.5, 0.0, -0.0)[zeros]
+    return Y, i, j, ratio, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=block_lookups())
+def test_block_lookup_matches_scalar_lerp_bitwise(case):
+    # the block path's lookup of a block's stage samples, row slices at a
+    # whole ratio from row N on and the general lerp elsewhere, gives the
+    # reference's three samples of every step k - ratio, k + 0.5 - ratio
+    # and k + 1.0 - ratio; the step's last sample is the next one's first
+    Y, i, j, ratio, columns = case
+    block = _stage_samples(Y, i, j, ratio, columns)
+    assert block.shape == (2 * (j - i) + 1, columns)
+    # in a speculative span the pushed rows up to j are the latest
+    ref = [numpy_lerp_history(Y, j, q) for k in range(i, j) for q in (k - ratio, k + 0.5 - ratio)]
+    ref.append(numpy_lerp_history(Y, j, j - 1 + 1.0 - ratio))
+    assert block.tobytes() == np.array(ref)[:, :columns].tobytes()
+
+
 unit = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.2, 1)).map(
     lambda v: np.asarray(v) / np.linalg.norm(v))
 springs = st.lists(st.tuples(st.floats(0.0, 5000.0), unit), max_size=3).map(tuple)
@@ -217,7 +268,9 @@ def test_divergence_is_reported_identically(mode, bound, message):
 
 
 @pytest.mark.parametrize("mode", ["2d", "3d"])
-@pytest.mark.parametrize("h", [0.0, 0.0163])
+# h = 0 (the per-step loop), h = dt and 2 dt (blocks of one and two steps,
+# their stage samples row slices from row h/dt on) and off the dt grid
+@pytest.mark.parametrize("h", [0.0, 1e-4, 2e-4, 0.0163])
 def test_long_contact_run_matches_numpy_scheme_bitwise(mode, h):
     body = ds.BodyParams(m=60.0, J=np.diag([1.43, 1.43, 1.43]), a_B=[0.0, 0.0, 0.3])
     contact = ds.ContactParams(k_v=3000.0, b_v=20.0, alpha=math.radians(30.0),
@@ -228,6 +281,9 @@ def test_long_contact_run_matches_numpy_scheme_bitwise(mode, h):
     model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
     new, ref = run_both(model, model.initial_vector(state), 1e-4, 1.2, h, 1e3)
     assert_bitwise_equal(new, ref)
+    # the probe reached the wall, which slowed it
+    v_z = ref[1][:, 5 if mode == "3d" else 1]
+    assert v_z[0] < v_z.max()
 
 
 def spinning_3d_run(activation):

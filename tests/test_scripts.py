@@ -73,8 +73,9 @@ def test_run_demo3d(tmp_path):
 
 def test_bench_layers(tmp_path):
     # the bundled scenarios at their own dt, and table1 and demo3d at
-    # steps that make h/dt = 1.6, 3.2, 6.4 and 12.8
-    short = {"dt0.01": 5, "dt0.005": 10, "dt0.0025": 20, "dt0.00125": 40}
+    # steps that make h/dt = 1 and 2 (t_end rounded to 0.048 s), and 1.6,
+    # 3.2, 6.4 and 12.8
+    short = {"dt0.016": 3, "dt0.008": 6, "dt0.01": 5, "dt0.005": 10, "dt0.0025": 20, "dt0.00125": 40}
     steps = {"table1-2d": 500, "fig7-2d": 500, "table1-3d": 500, "fig7-3d": 500, "demo3d-3d": 500}
     steps.update({f"{case}-{dt}": n for case in ("table1-2d", "demo3d-3d") for dt, n in short.items()})
     out = tmp_path / "bench.json"
