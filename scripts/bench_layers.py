@@ -28,10 +28,16 @@ file and read it back, best of --repeat each after one untimed write. The
 JSON holds each round's best and the median of the round bests, the
 stability figures under "stability".
 
+Each round runs the cases in its own order, CASES shuffled by
+random.Random(round), and the JSON records each round's order under
+"case_order_per_round": a case's figure then does not depend on the one
+fixed set of cases run before it in the process.
+
 Without --side, every round runs in this process on the docksim it
 imports. With --side LABEL=SRC (repeatable), every round runs each side in
-a fresh Python process with PYTHONPATH=SRC, alternating which side goes
-first, and the JSON holds one entry per side: a before/after comparison of
+a fresh Python process with PYTHONPATH=SRC (``--raw ROUND``, so both sides
+of a round run the same order), alternating which side goes first, and the
+JSON holds one entry per side: a before/after comparison of
 two checkouts, with the stability figures under "stability_sides". Under
 "paired", keyed "LATER/FIRST", each later side is set against the first
 per case: the ratio of its us/step to the first side's in each round (both
@@ -48,6 +54,7 @@ import dataclasses
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -75,15 +82,24 @@ def best_of(repeat, fn) -> float:
     return best
 
 
-def measure(t_end, repeat) -> dict:
-    """One round: {case: {load_us, steps, wrench_calls, us_per_step,
-    csv_rows, csv_columns, write_us_per_row, read_us_per_row}}."""
+def case_name(name, mode, dt) -> str:
+    return f"{name}-{mode}" + (f"-dt{dt:g}" if dt else "")
+
+
+def measure(t_end, repeat, round_number) -> tuple[dict, list]:
+    """One round, its cases in the order random.Random(round_number)
+    shuffles CASES into: ({case: {load_us, steps, wrench_calls,
+    us_per_step, csv_rows, csv_columns, write_us_per_row,
+    read_us_per_row}} in the order of CASES, [case, ...] in the order
+    run)."""
     from docksim import dynamics
     from docksim.cli import load_scenario, scenario_path
 
-    result = {}
-    for name, mode, dt in CASES:
-        case = f"{name}-{mode}" + (f"-dt{dt:g}" if dt else "")
+    order = list(CASES)
+    random.Random(round_number).shuffle(order)
+    result = dict.fromkeys(case_name(*c) for c in CASES)
+    for name, mode, dt in order:
+        case = case_name(name, mode, dt)
         path = scenario_path(name)
         body, contact, sim, _ = load_scenario(path)
         load = best_of(repeat, lambda: load_scenario(path))
@@ -136,7 +152,7 @@ def measure(t_end, repeat) -> dict:
                         "csv_rows": rows, "csv_columns": columns,
                         "write_us_per_row": round(write / rows * 1e6, 4),
                         "read_us_per_row": round(read / rows * 1e6, 4)}
-    return result
+    return result, [case_name(*c) for c in order]
 
 
 def measure_stability(repeat) -> dict:
@@ -203,10 +219,10 @@ def pair(first: list, later: list) -> dict:
     return out
 
 
-def run_side(src, t_end, repeat) -> dict:
-    """One round in a fresh process on the docksim under src."""
+def run_side(src, t_end, repeat, round_number) -> dict:
+    """Round round_number in a fresh process on the docksim under src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, os.path.abspath(__file__), "--raw", "--repeat", str(repeat)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--raw", str(round_number), "--repeat", str(repeat)]
     if t_end is not None:
         cmd += ["--t-end", repr(t_end)]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
@@ -220,13 +236,15 @@ def main() -> int:
     ap.add_argument("--t-end", type=float, default=None, help="run length [s] (default: each scenario's)")
     ap.add_argument("--side", action="append", default=[], metavar="LABEL=SRC",
                     help="measure the docksim under SRC in fresh processes (repeatable)")
-    ap.add_argument("--raw", action="store_true", help="print one round's raw JSON and exit")
+    ap.add_argument("--raw", type=int, default=None, metavar="ROUND",
+                    help="print the raw JSON of round ROUND (its case order) and exit")
     ap.add_argument("--out", default=None, help="write the JSON here instead of stdout")
     args = ap.parse_args()
     if args.rounds < 1 or args.repeat < 1:
         ap.error("--rounds and --repeat must be >= 1")
-    if args.raw:
-        print(json.dumps({"cases": measure(args.t_end, args.repeat), "stability": measure_stability(args.repeat)}))
+    if args.raw is not None:
+        cases, order = measure(args.t_end, args.repeat, args.raw)
+        print(json.dumps({"cases": cases, "order": order, "stability": measure_stability(args.repeat)}))
         return 0
 
     report = {
@@ -249,18 +267,20 @@ def main() -> int:
         rounds = {label: [] for label, _ in sides}
         for r in range(args.rounds):
             for label, src in (sides if r % 2 == 0 else sides[::-1]):
-                rounds[label].append(run_side(src, args.t_end, args.repeat))
+                rounds[label].append(run_side(src, args.t_end, args.repeat, r))
         report["method"] += "; each round runs each side in a fresh process, alternating which goes first"
         cases = {label: [r["cases"] for r in rounds[label]] for label in rounds}
         report["sides"] = {label: summarize(cases[label]) for label in rounds}
         report["stability_sides"] = {label: summarize_stability([r["stability"] for r in rounds[label]])
                                      for label in rounds}
+        report["case_order_per_round"] = {label: [r["order"] for r in rounds[label]] for label in rounds}
         (first, _), *later = sides
         report["paired"] = {f"{label}/{first}": pair(cases[first], cases[label]) for label, _ in later}
     else:
-        rounds = [(measure(args.t_end, args.repeat), measure_stability(args.repeat)) for _ in range(args.rounds)]
-        report["workloads"] = summarize([cases for cases, _ in rounds])
+        rounds = [(measure(args.t_end, args.repeat, r), measure_stability(args.repeat)) for r in range(args.rounds)]
+        report["workloads"] = summarize([cases for (cases, _), _ in rounds])
         report["stability"] = summarize_stability([stab for _, stab in rounds])
+        report["case_order_per_round"] = [order for (_, order), _ in rounds]
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -8,7 +8,9 @@ printed table.
 
 Each damping value goes through the scenario reader as the override
 contact.b_v, so one that is not a valid damping (negative, NaN, not a
-number) exits 1 with one error line before any run.
+number) exits 1 with one error line before any run. A run that trips the
+divergence guard exits 2, as ``docksim simulate`` does, with one line
+naming its damping, and writes no CSV.
 
 Usage: python scripts/run_table1.py [--out results/table1_results.csv] [--betas 0,45,50]
 """
@@ -20,7 +22,7 @@ import time
 from pathlib import Path
 
 import docksim as ds
-from docksim.cli import load_scenario, scenario_path
+from docksim.cli import EXIT_DIVERGED, load_scenario, scenario_path
 from docksim.core import write_csv
 
 
@@ -50,8 +52,12 @@ def main() -> int:
     t0 = time.perf_counter()
     for body, contact, sim, options in cases:
         beta = contact.b_v
-        _, events = ds.simulate(sim, body, contact, mode="2d",
-                                event_window=options["averaging_window"])
+        try:
+            _, events = ds.simulate(sim, body, contact, mode="2d",
+                                    event_window=options["averaging_window"])
+        except ds.DivergenceError as exc:
+            print(f"divergence guard: beta = {beta:g} N*s/m: {exc}", file=sys.stderr)
+            return EXIT_DIVERGED
         res = ds.restitution(events[0], band=options["neutrality_band"])
         verdict = ds.verdict_4th_order(body, contact, sim.h,
                                        band=options["neutrality_band"]).verdict

@@ -180,6 +180,12 @@ def streams_from_trajectories(
     the torque about x; in 3D the recorded intensity is expanded along
     n_hat and the recorded torque used as-is. dt must be finite, > 0 and
     no longer than that run (ValidationError).
+
+    A 3D trajectory CSV holds only the force intensity ``f``, not the wall
+    normal, and ``docksim energy`` passes no n_hat: there the force is
+    always taken along (0, 0, 1), so a run whose scenario sets another
+    ``contact.n_hat`` gets the wrong power, with no warning. Call this
+    function with that scenario's ``n_hat=`` instead.
     """
     require("measured and commanded trajectories must share a mode" if measured.mode != commanded.mode else None,
             positive_problem("dt", dt))

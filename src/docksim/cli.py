@@ -412,6 +412,13 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    """Observed-energy monitor over a measured/commanded trajectory pair,
+    resampled to the monitor sample time. A 3D trajectory CSV holds only
+    the force intensity f, so the force is taken along the wall normal
+    (0, 0, 1): for a scenario with another contact.n_hat the power is
+    wrong, with no warning. For those, call
+    docksim.analysis.streams_from_trajectories(measured, commanded,
+    n_hat=...) from Python."""
     measured = _dynamics.read_trajectory_csv(args.measured)
     commanded = _dynamics.read_trajectory_csv(args.commanded)
     if len(measured.times) != len(commanded.times):
@@ -479,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_linearize)
 
-    p = sub.add_parser("energy", help="observed-energy monitor over a measured/commanded pair")
+    p = sub.add_parser("energy", help="observed-energy monitor over a measured/commanded pair",
+                       description=cmd_energy.__doc__)
     p.add_argument("--measured", required=True, help="measured trajectory CSV")
     p.add_argument("--commanded", required=True, help="commanded trajectory CSV")
     p.add_argument("--dt", type=float, default=_analysis.DEFAULT_SAMPLE_TIME,

@@ -157,8 +157,8 @@ Rhs = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 # length of a speculative span of free flight, in blocks of int(h/dt)
 # steps (measured on planar runs: 4 to 16 all pay, 8 most)
 SPECULATIVE_BLOCKS = 8
-# simulate's divergence bound, in multiples of the initial state's largest
-# component (at least 1)
+# integrate_dde's divergence bound, in multiples of the initial state's
+# largest component (at least 1)
 DIVERGENCE_FACTOR = 1e3
 # span [s] over which extract_events averages the entry and exit rates,
 # unless given (the scenario key analysis.averaging_window)
@@ -179,7 +179,6 @@ def integrate_dde(
     dt: float,
     t_end: float,
     h: float,
-    divergence_bound: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y'(t) = model.rhs(y(t), y(t-h)) on the fixed grid.
 
@@ -190,6 +189,11 @@ def integrate_dde(
 
     h must be 0 or a finite delay >= dt (:func:`docksim.core.delay_problem`),
     else ValidationError.
+
+    Every run has the divergence guard: a state that turns non-finite, or
+    whose largest component passes DIVERGENCE_FACTOR times the initial
+    state's largest component (at least 1), ends the run in
+    DivergenceError at the first such row, with its t.
 
     ``model`` is a :class:`PlanarModel` or :class:`SpatialModel`, which
     brings its scalar ``rhs`` and the ``unit_slice`` of columns
@@ -210,13 +214,14 @@ def integrate_dde(
     Y = allocate(f"t_end/dt = {n:.9g} steps", np.empty, (n + 1, y0.size))
     Y[0] = y0
     times = np.arange(n + 1) * dt
-    # sum(|y|) of a step, or max |y| of a block, bounds every |y_j|, and a
-    # NaN or inf component makes the comparison with the finite limit fail,
-    # so one pass screens each step or block; _check_divergence then decides
-    # exactly
-    limit = sys.float_info.max if divergence_bound is None else min(divergence_bound, sys.float_info.max)
+    # the divergence bound, capped at the largest float: the same decision
+    # for every finite state. sum(|y|) of a step, or max |y| of a block,
+    # bounds every |y_j|, and a NaN or inf component makes the comparison
+    # with the finite bound fail, so one pass screens each step or block;
+    # _check_divergence then decides exactly
+    bound = min(DIVERGENCE_FACTOR * max(float(np.abs(y0).max()), 1.0), sys.float_info.max)
     if h:
-        model.applied = _integrate_blocks(model, Y, times, h / dt, dt, limit, divergence_bound)
+        model.applied = _integrate_blocks(model, Y, h / dt, dt, bound)
         return times, Y
     rhs, unit_slice = model.rhs, model.unit_slice
     half = 0.5 * dt
@@ -241,14 +246,14 @@ def integrate_dde(
                 block = row[unit_slice]
                 block /= math.sqrt(float(block @ block))
                 y = row.tolist()
-            if not sum(map(abs, y)) <= limit:
-                _check_divergence(y, float(times[i + 1]), divergence_bound)
+            if not sum(map(abs, y)) <= bound:
+                _check_divergence(y, float(times[i + 1]), bound)
     # each row is its own delayed sample
     model.applied = model.wrench(Y[:, :model.columns].T)
     return times, Y
 
 
-def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> np.ndarray:
+def _integrate_blocks(model, Y, ratio, dt, bound) -> np.ndarray:
     """Fill Y block by block with the model's ``wrench`` and ``push``, and
     return the wrench applied at every row, one row each; ratio = h/dt >= 1.
     The delayed stage samples of step k lie at the fractional rows
@@ -305,10 +310,10 @@ def _integrate_blocks(model, Y, times, ratio, dt, limit, divergence_bound) -> np
                         continue
             applied[i:j + 1] = w[:2 * (j - i) + 1:2]
             seg = Y[i + 1:j + 1]
-            if not np.abs(seg).max() <= limit:
-                bad = np.flatnonzero(~(np.abs(seg).max(axis=1) <= limit))
+            if not np.abs(seg).max() <= bound:
+                bad = np.flatnonzero(~(np.abs(seg).max(axis=1) <= bound))
                 row = i + 1 + int(bad[0])
-                _check_divergence(Y[row].tolist(), float(times[row]), divergence_bound)
+                _check_divergence(Y[row].tolist(), row * dt, bound)
             i = j
     return applied
 
@@ -329,14 +334,14 @@ def _first_change(w: np.ndarray, w0: np.ndarray) -> int:
     return first // width if changed[first] else len(w)
 
 
-def _check_divergence(y: list, t: float, divergence_bound: float | None) -> None:
+def _check_divergence(y: list, t: float, bound: float) -> None:
     """Raise DivergenceError if y is non-finite or beyond the bound;
     return if neither (the screen in integrate_dde is conservative)."""
     if not all(map(math.isfinite, y)):
         raise DivergenceError(f"non-finite state at t = {t:.9g} s", t)
-    if divergence_bound is not None and max(map(abs, y)) > divergence_bound:
+    if max(map(abs, y)) > bound:
         raise DivergenceError(
-            f"state magnitude exceeded divergence bound {divergence_bound:.3g} "
+            f"state magnitude exceeded divergence bound {bound:.3g} "
             f"at t = {t:.9g} s (instability)",
             t,
         )
@@ -846,9 +851,8 @@ def simulate(
     state in 3D, or projects a 3D one that lies in the plane onto 2D.
 
     The model goes to :func:`integrate_dde` once; its ``applied`` wrench
-    becomes the ``f`` and ``tau`` channels. The divergence guard aborts
-    (DivergenceError) when a state component exceeds DIVERGENCE_FACTOR
-    times the initial magnitude (at least 1), signaling instability.
+    becomes the ``f`` and ``tau`` channels, and its divergence guard ends an
+    unstable run in DivergenceError.
     Contact events are segmented on the full integration grid regardless
     of the recording decimation.
     """
@@ -859,8 +863,7 @@ def simulate(
     model = _MODELS[mode](params, contact)
     y0 = model.initial_vector(config.initial)
 
-    bound = DIVERGENCE_FACTOR * max(float(np.abs(y0).max()), 1.0)
-    times, Y = integrate_dde(model, y0, config.dt, config.t_end, config.h, divergence_bound=bound)
+    times, Y = integrate_dde(model, y0, config.dt, config.t_end, config.h)
 
     # Contact channels on the whole grid: d and d_dot of the undelayed
     # state; f and tau as the integrator applied them, split from its

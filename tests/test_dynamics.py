@@ -364,15 +364,21 @@ class TestStep:
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert all(low <= r <= high for r in ratios), ratios
 
-    def test_divergence_bound_applies_per_component(self):
-        # |y| sums past the bound while every component stays inside it: a
-        # probe at rest off the wall
+    def test_divergence_bound_applies_per_component(self, monkeypatch):
+        # with DIVERGENCE_FACTOR = 1 the bound is 1.0, the initial maximum
+        # (0.6) being raised to 1: |y| sums past it while every component
+        # stays inside it, a probe at rest off the wall
+        monkeypatch.setattr(dynamics, "DIVERGENCE_FACTOR", 1.0)
         at_rest = ds.ChaserState2D(z=0.6, v_z=0.0, theta=0.6, omega=0.0, y=-0.6)
-        _, Y = integrate_dde(free_flight_model(), at_rest.as_vector(), 0.1, 0.3, 0.0, divergence_bound=1.0)
+        _, Y = integrate_dde(free_flight_model(), at_rest.as_vector(), 0.1, 0.3, 0.0)
         assert np.array_equal(Y[-1], at_rest.as_vector())
-        beyond = ds.ChaserState2D(z=0.6, v_z=0.0, theta=0.6, omega=0.0, y=-1.5)
-        with pytest.raises(ds.DivergenceError, match="divergence bound"):
-            integrate_dde(free_flight_model(), beyond.as_vector(), 0.1, 0.3, 0.0, divergence_bound=1.0)
+        # a free drift along y from -0.57 at -0.5 m/s passes -1.0 between
+        # the rows at t = 0.8 and 0.9 s: it stops at the row at 0.9 s
+        drift = ds.ChaserState2D(z=0.6, v_z=0.0, theta=0.6, omega=0.0, y=-0.57, v_y=-0.5)
+        with pytest.raises(ds.DivergenceError) as raised:
+            integrate_dde(free_flight_model(), drift.as_vector(), 0.1, 1.5, 0.0)
+        assert str(raised.value) == "state magnitude exceeded divergence bound 1 at t = 0.9 s (instability)"
+        assert raised.value.t == 9 * 0.1
 
     def test_rejects_non_finite(self):
         # a rate so large that the first step's RK4 sum overflows
@@ -444,6 +450,18 @@ class TestSimulate:
         # RK4 is exact for constant-velocity drift
         assert traj.states[-1, 0] == pytest.approx(-0.14 - 0.02 * 0.4, abs=1e-12)
         assert traj.states[-1, 2] == pytest.approx(math.radians(60), abs=1e-15)
+
+    def test_direct_call_has_the_divergence_guard_of_simulate(self):
+        # integrate_dde owns the bound: called directly on table1's model
+        # with b_v = 1e7 it stops where simulate does, with the same message
+        body, contact, sim, _ = load_scenario(scenario_path("table1"), ["contact.b_v=1e7"])
+        with pytest.raises(ds.DivergenceError) as through_simulate:
+            ds.simulate(sim, body, contact, mode="2d")
+        with pytest.raises(ds.DivergenceError) as direct:
+            integrate_dde(PlanarModel(body, contact), sim.initial.as_vector(), sim.dt, sim.t_end, sim.h)
+        assert str(direct.value) == str(through_simulate.value)
+        assert direct.value.t == through_simulate.value.t
+        assert str(direct.value).startswith("state magnitude exceeded divergence bound 1.05e+03 at t = 0.545 s")
 
     def test_divergence_guard_trips(self, body, monkeypatch):
         contact = table1_contact(b_v=0.0, activation="bilateral")
@@ -546,9 +564,10 @@ class TestSimulate:
         model = dynamics._MODELS[mode](body, table1_contact(b_v=50.0, activation=activation))
         cfg = approach_config(h=h, t_end=1.0)
         y0 = model.initial_vector(cfg.initial)
-        times, Y = integrate_dde(model, y0, cfg.dt, cfg.t_end, h, divergence_bound=1e3)
+        times, Y = integrate_dde(model, y0, cfg.dt, cfg.t_end, h)
+        bound = dynamics.DIVERGENCE_FACTOR * max(float(np.abs(y0).max()), 1.0)
         ref_times, ref = numpy_integrate_dde(model.rhs, y0, cfg.dt, cfg.t_end, h,
-                                             unit_slice=model.unit_slice, divergence_bound=1e3)
+                                             unit_slice=model.unit_slice, divergence_bound=bound)
         assert times.tobytes() == ref_times.tobytes()
         assert Y.tobytes() == ref.tobytes()
         assert model.applied[:, 0].max() > 0.0

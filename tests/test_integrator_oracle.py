@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import docksim as ds
+from docksim import dynamics
 from docksim.contact import depth_2d
 from docksim.dynamics import (
     SPECULATIVE_BLOCKS,
@@ -88,12 +89,15 @@ def numpy_lerp_history(Y, latest, q):
     return (1.0 - w) * Y[i0] + w * Y[i0 + 1]
 
 
-def run_both(model, y0, dt, t_end, h, bound):
+def run_both(model, y0, dt, t_end, h, factor):
     """Run both integrators; each result is (times, Y) or the
     DivergenceError. ``integrate_dde`` is handed the model, its ``rhs``
-    swapped for a counting wrapper; the reference steps the model's own
-    ``rhs`` and renormalizes its ``unit_slice``. At h > 0 the block path
-    must not call the right-hand side."""
+    swapped for a counting wrapper, and runs with ``DIVERGENCE_FACTOR`` set
+    to ``factor`` (``math.inf`` for no bound short of overflow); the
+    reference steps the model's own ``rhs``, renormalizes its
+    ``unit_slice`` and is handed the bound derived from ``factor``. At
+    h > 0 the block path must not call the right-hand side."""
+    bound = factor * max(float(np.abs(y0).max()), 1.0)
     rhs = model.rhs
     calls = [0]
 
@@ -104,7 +108,9 @@ def run_both(model, y0, dt, t_end, h, bound):
     model.rhs = counted
     results = []
     try:
-        results.append(integrate_dde(model, y0, dt, t_end, h, divergence_bound=bound))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "DIVERGENCE_FACTOR", factor)
+            results.append(integrate_dde(model, y0, dt, t_end, h))
     except DivergenceError as exc:
         results.append(exc)
     try:
@@ -241,8 +247,8 @@ def cases(draw):
                               omega=[draw(signed_zero | st.floats(-0.5, 0.5)) for _ in range(3)])
         model, y0 = SpatialModel(body, contact), s3.as_vector()
     steps = draw(st.integers(1, 300))
-    bound = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
-    return model, y0, dt, steps * dt, h, bound
+    factor = draw(st.just(math.inf) | st.floats(1.0, 50.0))
+    return model, y0, dt, steps * dt, h, factor
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,15 +260,16 @@ def test_block_path_matches_numpy_scheme_bitwise(case):
 
 
 @pytest.mark.parametrize("mode", ["2d", "3d"])
-@pytest.mark.parametrize("bound, message", [(2.0, "divergence bound"), (None, "non-finite")])
-def test_divergence_is_reported_identically(mode, bound, message):
+@pytest.mark.parametrize("factor, message", [(2.0, "divergence bound"), (math.inf, "non-finite")])
+def test_divergence_is_reported_identically(mode, factor, message):
     # a bilateral contact far too stiff for the step: the state grows
-    # without limit, past the bound or, without one, to overflow
+    # without limit, past the bound (twice the initial maximum, 1.0) or,
+    # without one, to overflow
     body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
     contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
     state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
     model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
-    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 5e-3, bound)
+    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 5e-3, factor)
     assert isinstance(ref, DivergenceError) and message in str(ref)
     assert_bitwise_equal(new, ref)
 
@@ -345,15 +352,15 @@ def test_long_block_run_matches_numpy_scheme_bitwise(mode, omega, activation, h)
 
 
 @pytest.mark.parametrize("mode", ["2d", "3d"])
-@pytest.mark.parametrize("bound, message", [(2.0, "divergence bound"), (None, "non-finite")])
-def test_divergence_inside_a_block_is_reported_identically(mode, bound, message):
+@pytest.mark.parametrize("factor, message", [(2.0, "divergence bound"), (math.inf, "non-finite")])
+def test_divergence_inside_a_block_is_reported_identically(mode, factor, message):
     # as test_divergence_is_reported_identically, with h/dt = 17: the state
     # leaves the bound, or overflows, in the middle of a block
     body = ds.BodyParams(m=1.0, J=np.eye(3), a_B=[0.0, 0.0, 0.3])
     contact = ds.ContactParams(k_v=1e9, b_v=0.0, alpha=0.5, activation="bilateral")
     state = ds.ChaserState2D(z=-0.2, v_z=-0.01, theta=1.0, omega=0.0)
     model = (PlanarModel if mode == "2d" else SpatialModel)(body, contact)
-    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 0.017, bound)
+    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 0.017, factor)
     assert isinstance(ref, DivergenceError) and message in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)
@@ -371,9 +378,9 @@ SPIN_BODY = ds.BodyParams(m=20.0, J=np.diag([0.2, 0.2, 0.2]), a_B=[0.0, 0.0, 0.3
 SPIN_CONTACT = ds.ContactParams(k_v=3000.0, b_v=2.0, alpha=0.5)
 
 
-def run_planar(body, contact, state, dt, t_end, h, bound):
+def run_planar(body, contact, state, dt, t_end, h, factor):
     """run_both for a 2D run given the planar model."""
-    return run_both(PlanarModel(body, contact), state.as_vector(), dt, t_end, h, bound)
+    return run_both(PlanarModel(body, contact), state.as_vector(), dt, t_end, h, factor)
 
 
 def contact_events(result, a):
@@ -402,8 +409,8 @@ def free_flight_cases(draw):
         v_y=draw(st.floats(-0.05, 0.05)),
     )
     steps = draw(st.integers(1, 1500))
-    bound = draw(st.one_of(st.none(), st.floats(1.0, 50.0)))
-    return body, contact, state, dt, steps * dt, h, bound
+    factor = draw(st.just(math.inf) | st.floats(1.0, 50.0))
+    return body, contact, state, dt, steps * dt, h, factor
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,20 +457,21 @@ def test_fast_forward_signed_zeros_match_numpy_scheme_bitwise(theta, omega, v_y)
     assert contact_events(ref, SPIN_BODY.a)
 
 
-@pytest.mark.parametrize("mode, bound", [
+@pytest.mark.parametrize("mode, factor", [
     pytest.param("2d", 1.5, id="1.5"),
     pytest.param("2d", 1.2345, id="1.2345"),
     pytest.param("3d", 1.5, id="3d-1.5"),
     pytest.param("3d", 1.2345, id="3d-1.2345"),
 ])
-def test_fast_forward_reports_divergence_identically(mode, bound):
-    # a free drift away from the wall crosses the bound inside a committed
-    # speculative span: the delayed force is zero and the torque steady
-    # from the first block of 16 steps on, so spans of SPECULATIVE_BLOCKS
-    # blocks start at step 16 and commit whole
+def test_fast_forward_reports_divergence_identically(mode, factor):
+    # a free drift away from the wall crosses the bound (factor times the
+    # initial maximum, 1.0) inside a committed speculative span: the
+    # delayed force is zero and the torque steady from the first block of
+    # 16 steps on, so spans of SPECULATIVE_BLOCKS blocks start at step 16
+    # and commit whole
     state = ds.ChaserState2D(z=0.0, v_z=1.0, theta=1.0, omega=0.1)
     model = (PlanarModel if mode == "2d" else SpatialModel)(SPIN_BODY, SPIN_CONTACT)
-    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 0.0163, bound)
+    new, ref = run_both(model, model.initial_vector(state), 1e-3, 2.0, 0.0163, factor)
     assert isinstance(ref, DivergenceError) and "divergence bound" in str(ref)
     assert_bitwise_equal(new, ref)
     steps = round(ref.t / 1e-3)

@@ -57,6 +57,16 @@ def test_run_table1_rejects_a_bad_beta(tmp_path, betas, message):
     assert not out.exists()
 
 
+def test_run_table1_reports_a_divergence(tmp_path):
+    # a damping this stiff for the step diverges: the divergence guard's
+    # exit 2 and one line naming the damping, not a traceback and exit 1
+    out = tmp_path / "table1.csv"
+    err = run_script("run_table1.py", "--betas", "50,1e7", "--out", str(out), code=2)
+    assert err == ("divergence guard: beta = 1e+07 N*s/m: state magnitude exceeded divergence "
+                   "bound 1.05e+03 at t = 0.545 s (instability)\n")
+    assert not out.exists()
+
+
 def test_run_demo3d(tmp_path):
     run_script("run_demo3d.py", "--out-dir", str(tmp_path))
     for label in ("damped", "undamped"):
@@ -95,13 +105,18 @@ def test_bench_layers(tmp_path):
         assert case["write_trajectory_csv_us_per_row"] > 0.0
         assert case["read_trajectory_csv_us_per_row"] > 0.0
         assert case["load_scenario_us"] > 0.0
+    # the round ran the cases in a shuffled order, recorded
+    order, = json.loads(out.read_text())["case_order_per_round"]
+    assert sorted(order) == sorted(steps) and order != list(workloads)
     stability = json.loads(out.read_text())["stability"]
     assert set(stability) == {"boundary_us_per_point", "critical_damping_us"}
     assert all(figure["median"] > 0.0 for figure in stability.values())
-    # one round of each side in its own process
+    # one round of each side in its own process, both in the round's order
     report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
     assert set(report["sides"]) == {"a", "b"}
+    orders = report["case_order_per_round"]
+    assert set(orders) == {"a", "b"} and orders["a"] == orders["b"] == [order]
     assert all(set(side) == set(steps) for side in report["sides"].values())
     assert set(report["stability_sides"]) == {"a", "b"}
     assert all(side["boundary_us_per_point"]["median"] > 0.0 and side["critical_damping_us"]["median"] > 0.0
