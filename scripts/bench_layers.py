@@ -43,7 +43,13 @@ two checkouts, with the stability figures under "stability_sides". Under
 per case: the ratio of its us/step to the first side's in each round (both
 measured in the same round), the median of those ratios, and the number of
 rounds it was faster. Paired ratios cancel the drift between rounds that
-moves the medians of round bests on a shared machine.
+moves the medians of round bests on a shared machine. Each side's docksim
+runs this script's --raw child, so it must provide docksim.cli.Parser and
+docksim.cli.exit_code, which every checkout since their introduction does.
+
+Exit codes and error lines are docksim.cli.exit_code's: 1 a usage error
+(--rounds or --repeat below 1, a --side without "="), 3 an internal fault
+(a side's child process failing included).
 
 Usage: python scripts/bench_layers.py [--rounds 5] [--repeat 5] [--t-end T]
            [--side before=../old/src --side after=src] [--out bench.json]
@@ -62,6 +68,8 @@ import tempfile
 import time
 
 import numpy as np
+
+from docksim.cli import Parser, exit_code
 
 # (scenario, mode, dt or None for the scenario's own)
 CASES = [("table1", "2d", None), ("fig7", "2d", None), ("table1", "3d", None), ("fig7", "3d", None),
@@ -230,7 +238,7 @@ def run_side(src, t_end, repeat, round_number) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--repeat", type=int, default=5, help="timed runs per case and round")
     ap.add_argument("--t-end", type=float, default=None, help="run length [s] (default: each scenario's)")
@@ -291,4 +299,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -5,7 +5,8 @@ A code line is a physical line that holds part of a token other than a
 comment or a line break, outside every docstring (the leading string
 statement of a module, class or function body, found with ast). Blank
 lines, comment lines and docstrings do not count; a multi-line string that
-is not a docstring counts every line it spans.
+is not a docstring counts every line it spans. A usage error exits 1, as
+docksim.cli.exit_code maps it; docksim must be importable.
 
 Usage: python scripts/code_lines.py [package directory, default src/docksim]
 """
@@ -16,6 +17,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+from docksim.cli import Parser, exit_code
 
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -44,7 +47,7 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("package", nargs="?", default="src/docksim")
     args = ap.parse_args()
     root = Path(args.package)
@@ -58,4 +61,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -3,12 +3,15 @@
 
 Runs the bundled demo3d scenario twice (with and without virtual damping),
 writes both trajectories, the contact events and the observed-energy monitor
-of the damped run against its spring-only command stream.
+of the damped run against its spring-only command stream. Each run's
+.traj.csv and .events.json are written by docksim.cli.write_run, so the
+damped run's files are the bytes ``docksim simulate demo3d`` writes. Exit
+codes and error lines are docksim.cli.exit_code's: 1 bad input or usage
+(an --out-dir that cannot be made), 2 divergence, 3 an internal fault.
 
 Usage: python scripts/run_demo3d.py [--out-dir results/demo3d]
 """
 
-import argparse
 import dataclasses
 import sys
 from pathlib import Path
@@ -16,17 +19,14 @@ from pathlib import Path
 import numpy as np
 
 import docksim as ds
-from docksim.analysis import events_payload, observed_energy, streams_from_trajectories, write_energy_csv
-from docksim.cli import _write_json, load_scenario, scenario_path
-from docksim.dynamics import write_trajectory_csv
+from docksim.analysis import observed_energy, streams_from_trajectories, write_energy_csv
+from docksim.cli import Parser, exit_code, load_scenario, scenario_path, write_run
 
 
 def run(body, contact, sim, options, label, out):
     traj, events = ds.simulate(sim, body, contact, mode="3d",
                                event_window=options["averaging_window"])
-    write_trajectory_csv(traj, out / f"{label}.traj.csv")
-    payload = events_payload(events, options["neutrality_band"])
-    _write_json({"events": payload}, str(out / f"{label}.events.json"))
+    payload = write_run(str(out / label), traj, events, options["neutrality_band"])
     print(f"{label}: {len(events)} contact(s)")
     for entry in payload:
         eps = "-" if entry["epsilon"] is None else f"{entry['epsilon']:.3f}"
@@ -35,7 +35,7 @@ def run(body, contact, sim, options, label, out):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--out-dir", default="results/demo3d")
     args = ap.parse_args()
     out = Path(args.out_dir)
@@ -62,4 +62,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -5,24 +5,29 @@ mu = 60 kg, kappa = 1000 N/m, beta = 50 N*s/m.
 Emits the three base curves (critical delay as a function of damping,
 stiffness and mass) plus the sensitivity families (each base curve repeated
 for a spread of the held-fixed coefficients). All output is plot-ready CSV.
+--points, the grid size of every curve, must be at least 1. Exit codes and
+error lines are docksim.cli.exit_code's: 1 bad input or usage, 3 an
+internal fault.
 
 Usage: python scripts/run_stability_maps.py [--out-dir results/maps]
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from docksim import stability
+from docksim import ValidationError, stability
+from docksim.cli import Parser, exit_code
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--out-dir", default="results/maps")
     ap.add_argument("--points", type=int, default=120)
     args = ap.parse_args()
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -56,4 +61,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

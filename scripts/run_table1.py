@@ -10,24 +10,25 @@ Each damping value goes through the scenario reader as the override
 contact.b_v, so one that is not a valid damping (negative, NaN, not a
 number) exits 1 with one error line before any run. A run that trips the
 divergence guard exits 2, as ``docksim simulate`` does, with one line
-naming its damping, and writes no CSV.
+naming its damping, and writes no CSV. Exit codes and error lines are
+docksim.cli.exit_code's: 1 bad input or usage, 2 divergence, 3 an
+internal fault.
 
 Usage: python scripts/run_table1.py [--out results/table1_results.csv] [--betas 0,45,50]
 """
 
-import argparse
 import json
 import sys
 import time
 from pathlib import Path
 
 import docksim as ds
-from docksim.cli import EXIT_DIVERGED, load_scenario, scenario_path
-from docksim.core import write_csv
+from docksim.cli import Parser, exit_code, load_scenario, scenario_path
+from docksim.core import ValidationError, write_csv
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--out", default="results/table1_results.csv")
     ap.add_argument("--betas", default="0,45,50,55,60,70",
                     help="comma-separated damping values [N*s/m]")
@@ -38,8 +39,7 @@ def main() -> int:
         cases = [load_scenario(path, [f"contact.b_v={json.dumps(float(text))}"])
                  for text in args.betas.split(",")]
     except ValueError as exc:  # a ValidationError, or text that is not a number
-        print(f"error: --betas: {exc}", file=sys.stderr)
-        return 1
+        raise ValidationError(f"--betas: {exc}") from None
     # the operating point does not depend on the damping
     body, contact, sim, _ = cases[0]
     mu, _, kappa = ds.penetration_dde_coeffs(body, contact)
@@ -56,8 +56,7 @@ def main() -> int:
             _, events = ds.simulate(sim, body, contact, mode="2d",
                                     event_window=options["averaging_window"])
         except ds.DivergenceError as exc:
-            print(f"divergence guard: beta = {beta:g} N*s/m: {exc}", file=sys.stderr)
-            return EXIT_DIVERGED
+            raise ds.DivergenceError(f"beta = {beta:g} N*s/m: {exc}", exc.t) from None
         res = ds.restitution(events[0], band=options["neutrality_band"])
         verdict = ds.verdict_4th_order(body, contact, sim.h,
                                        band=options["neutrality_band"]).verdict
@@ -76,4 +75,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

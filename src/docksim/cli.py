@@ -24,12 +24,18 @@ and JSON, and --out writes the JSON to a file with or without --json;
 --set paths may step into lists by index (contact.springs.0.k), and --set
 without --from-scenario is an input error.
 
-Exit codes: 0 success, 1 invalid input (a ValidationError, or an OSError
-for a file that cannot be read or written), 2 numerical divergence, 3 an
-internal fault (any other exception, an internal ValueError, TypeError or
-AttributeError included, reported on one line). A reader that closes
-stdout early (docksim ... | head) is not bad input: the run ends with 0
-and no error line.
+Exit codes: 0 success, 1 invalid input (a ValidationError, an OSError
+for a file that cannot be read or written, or a usage error), 2 numerical
+divergence, 3 an internal fault (any other exception, an internal
+ValueError, TypeError or AttributeError included, reported on one line). A
+reader that closes stdout early (docksim ... | head) is not bad input: the
+run ends with 0 and no error line.
+
+Three policies here are public so that the experiment scripts under
+scripts/ share them rather than copy them: exit_code (the exception to exit
+code map above, which ends main and every script), Parser (argparse with
+usage errors remapped to 1) and write_run (the .traj.csv and .events.json
+pair that simulate writes).
 """
 
 from __future__ import annotations
@@ -181,10 +187,11 @@ def _either(section: str, values: dict, key: str, other: str, convert):
 
 
 def scenario_path(name: str) -> Path:
-    """Resolve a scenario reference: an existing file path wins, otherwise
-    the bundled scenario of that name (with or without .json)."""
+    """Resolve a scenario reference: an existing path that is not a
+    directory wins (a file, or a pipe such as <(cat table1.json)),
+    otherwise the bundled scenario of that name (with or without .json)."""
     p = Path(name)
-    if p.exists():
+    if p.exists() and not p.is_dir():
         return p
     base = resources.files("docksim") / "scenarios"
     for candidate in (name, name + ".json"):
@@ -278,9 +285,9 @@ def _parse_scenario(doc, overrides: list[str]):
     return body, contact, sim, options
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit code 2; this CLI reserves 2 for
-    numerical divergence, so remap command-line problems to 1."""
+class Parser(argparse.ArgumentParser):
+    """argparse maps usage errors to exit code 2; this CLI and the scripts
+    reserve 2 for numerical divergence, so remap command-line problems to 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -315,17 +322,23 @@ def _write_json(obj, out: str | None) -> None:
         print(text)
 
 
+def write_run(prefix: str, traj, events, band: float) -> list:
+    """Write a run's data files, <prefix>.traj.csv and <prefix>.events.json
+    (the events judged against the neutrality band), and return the events
+    payload."""
+    _dynamics.write_trajectory_csv(traj, f"{prefix}.traj.csv")
+    payload = _analysis.events_payload(events, band)
+    _write_json({"events": payload}, f"{prefix}.events.json")
+    return payload
+
+
 def cmd_simulate(args) -> int:
     path = scenario_path(args.scenario)
     body, contact, sim, options = load_scenario(path, args.set)
     traj, events = _dynamics.simulate(sim, body, contact, mode=args.mode,
                                       event_window=options["averaging_window"])
     prefix = args.out
-    _dynamics.write_trajectory_csv(traj, f"{prefix}.traj.csv")
-    _write_json(
-        {"events": _analysis.events_payload(events, options["neutrality_band"])},
-        f"{prefix}.events.json",
-    )
+    write_run(prefix, traj, events, options["neutrality_band"])
     meta = {
         "command": "simulate",
         "scenario": str(path),
@@ -435,7 +448,7 @@ def cmd_energy(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="docksim",
         description="Delayed contact-dynamics docking simulator and stability analysis. "
                     "Units are SI (kg, m, s, N, rad); scenario keys suffixed _deg take degrees.",
@@ -499,16 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one command and map its outcome to the exit code: the one place
-    that turns an exception into a status and a stderr line."""
+def exit_code(command) -> int:
+    """Run command(), which takes no arguments and returns an exit code,
+    and map its outcome to the exit code: the one place that turns an
+    exception into a status and a stderr line, for main and the scripts."""
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        code = command()
         sys.stdout.flush()
         return code
     except SystemExit as exc:
-        # argparse's own exit: --help (0) or a usage error (_Parser.error)
+        # argparse's own exit: --help (0) or a usage error (Parser.error)
         return exc.code
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the
@@ -524,3 +537,12 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def main(argv=None) -> int:
+    """Run one docksim command under :func:`exit_code`."""
+    def command():
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    return exit_code(command)

@@ -318,11 +318,13 @@ def sample_count(span: float, dt: float) -> int:
 
 def allocate(what: str, make, *args):
     """make(*args), a numpy allocation sized by a count from the input;
-    numpy's ValueError for a size beyond what its arrays can index becomes
-    a ValidationError that names ``what``, the count asked for."""
+    numpy's ValueError for a size beyond what its arrays can index, and its
+    MemoryError for one the process cannot get, become a ValidationError
+    that names ``what``, the count asked for. An allocation that succeeds
+    and runs out of memory only as it is filled is not caught here."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValidationError(f"{what} is too large: {exc}") from None
 
 

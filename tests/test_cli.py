@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -10,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from docksim.cli import _write_json, load_scenario, main, scenario_path
+import docksim
+from docksim.cli import _write_json, exit_code, load_scenario, main, scenario_path
+from docksim.core import ValidationError
+from docksim.dynamics import DivergenceError
 from docksim.linear import penetration_dde_coeffs
 
 BUNDLED = ["table1.json", "fig7.json", "fig9.json", "demo3d.json"]
@@ -414,6 +419,36 @@ def test_bundled_name_resolution_prefers_local_files(tmp_path, monkeypatch):
     local = tmp_path / "table1.json"
     local.write_text("{}")
     assert scenario_path("table1.json").resolve() == local.resolve()
+
+
+def test_a_directory_does_not_shadow_a_bundled_scenario(tmp_path, monkeypatch, capsys):
+    # a directory named like a bundled scenario used to win the lookup, and
+    # both runs exited 1 with "error: [Errno 21] Is a directory: 'demo3d'"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo3d").mkdir()
+    assert scenario_path("demo3d") == scenario_path("demo3d.json")
+    assert scenario_path("demo3d").is_file()
+    assert run("simulate", "demo3d", "--out", "demo3d/run") == 0
+    assert (tmp_path / "demo3d" / "run.traj.csv").is_file()
+    assert run("stability", "--from-scenario", "demo3d") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_pipe_is_read_as_a_scenario(capsys):
+    # as --from-scenario <(cat table1.json) passes it: a path that exists
+    # and is not a regular file
+    r, w = os.pipe()
+    os.write(w, scenario_path("table1").read_bytes())
+    os.close(w)
+    try:
+        assert run("stability", "--from-scenario", f"/dev/fd/{r}", "--json") == 0
+    finally:
+        os.close(r)
+    piped = json.loads(capsys.readouterr().out)
+    assert run("stability", "--from-scenario", "table1", "--json") == 0
+    bundled = json.loads(capsys.readouterr().out)
+    assert piped.pop("scenario") == f"/dev/fd/{r}" and bundled.pop("scenario").endswith("table1.json")
+    assert piped == bundled
 
 
 class TestSimulate:
@@ -846,3 +881,48 @@ def test_closed_stdout_is_not_an_input_error():
 
 def test_help_exits_zero():
     assert run("--help") == 0
+
+
+def raising(exc):
+    def command():
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("command, code, err", [
+    (lambda: 0, 0, ""),
+    (raising(SystemExit(0)), 0, ""),
+    (raising(ValidationError("b_v must be finite and >= 0, got -5.0")), 1,
+     "error: b_v must be finite and >= 0, got -5.0\n"),
+    (raising(FileNotFoundError(2, "No such file or directory", "x.json")), 1,
+     "error: [Errno 2] No such file or directory: 'x.json'\n"),
+    (raising(DivergenceError("state magnitude exceeded divergence bound 1.05e+03", 0.545)), 2,
+     "divergence guard: state magnitude exceeded divergence bound 1.05e+03\n"),
+    (lambda: 1 / 0, 3, "internal error: ZeroDivisionError: division by zero\n"),
+], ids=["ok", "help", "input", "file", "divergence", "fault"])
+def test_exit_code_maps_each_outcome_to_one_line(capsys, command, code, err):
+    assert exit_code(command) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("simulate", "table1", "--set", "sim.t_end=1000000.0", "--out", "big"),
+     "error: t_end/dt = 1e+10 steps is too large: Unable to allocate "),
+    (("boundary", "--axis", "beta", "--mu", "60", "--kappa", "1000",
+      "--grid", "0:1:10000000000000", "--out", "b.csv"),
+     "error: grid count 10000000000000 is too large: Unable to allocate "),
+], ids=["steps", "grid"])
+def test_count_beyond_the_address_space_exits_1(tmp_path, args, message):
+    # a child process limited to 4 GiB of address space, so that numpy's
+    # allocation of 447 GiB of rows or 73 TiB of grid fails there whatever
+    # the machine has; its MemoryError used to exit 3 as an internal error
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(docksim.__file__))))
+    proc = subprocess.run([sys.executable, "-m", "docksim", *args], cwd=tmp_path, env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

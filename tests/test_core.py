@@ -16,7 +16,7 @@ from docksim import (
     nominal_state_2d,
     validate,
 )
-from docksim.core import _CSV_CHUNK_ROWS, delay_problem, require, step_count, write_csv
+from docksim.core import _CSV_CHUNK_ROWS, allocate, delay_problem, require, step_count, write_csv
 
 from conftest import depth_and_rate_2d, table1_body, table1_contact
 
@@ -310,6 +310,22 @@ class TestStepCount:
     def test_rejects_non_finite_ratio(self, t_end, dt):
         with pytest.raises(ValueError, match="not a whole number of steps"):
             step_count(t_end, dt)
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("Maximum allowed dimension exceeded"),
+    # what numpy raises for an array the process cannot get; it used to
+    # pass through and exit 3 as an internal error
+    MemoryError("Unable to allocate 447. GiB for an array with shape (10000000001, 6) and data type float64"),
+], ids=["beyond-numpy", "beyond-memory"])
+def test_allocate_reports_a_refused_allocation_as_bad_input(error):
+    def make(shape):
+        raise error
+
+    with pytest.raises(ValidationError) as info:
+        allocate("t_end/dt = 1e+10 steps", make, (10000000001, 6))
+    assert str(info.value) == f"t_end/dt = 1e+10 steps is too large: {error}"
+    assert allocate("three rows", np.zeros, 3).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_write_csv_format(tmp_path):

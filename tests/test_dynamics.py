@@ -668,7 +668,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("activation", ["unilateral", "bilateral"])
-    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016])  # h = 0 (per-step loop), 5 dt and 160 dt (blocks)
+    # h = 0 (per-step loop); 1 dt (one-step blocks), 5 dt and 160 dt
+    # (blocks, row slices after the first); 3e-4/1e-4 = 2.9999999999999996
+    # dt and 163.7 dt (blocks, every one on the lerp)
+    @pytest.mark.parametrize("h", [0.0, 5e-4, 0.016, 1e-4, 3e-4, 0.01637])
     def test_recorded_channels_are_the_wrench_of_the_delayed_rows(self, body, mode, activation, h):
         # whichever path ran, f and tau are the model's wrench on the grid
         # sampled one delay back, as a whole-grid lerp gives it, bit for bit

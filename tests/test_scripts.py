@@ -35,6 +35,26 @@ def test_run_stability_maps(tmp_path):
         assert lines[0] == "x_value,h_critical,omega_c,sigma" and len(lines) == 6
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_run_stability_maps_rejects_an_empty_grid(tmp_path, points):
+    # both used to end in a traceback: an empty grid, or numpy's negative
+    # sample count
+    out = tmp_path / "maps"
+    err = run_script("run_stability_maps.py", "--points", points, "--out-dir", str(out), code=1)
+    assert err == f"error: --points must be >= 1, got {points}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["run_table1.py", "run_demo3d.py", "run_stability_maps.py",
+                                  "bench_layers.py", "code_lines.py"])
+def test_unknown_flag_is_a_usage_error(name):
+    # argparse's own usage exit is 2, the code of a divergence; the scripts
+    # exit 1, as docksim does
+    err = run_script(name, "--bogus", code=1)
+    assert err.startswith(f"usage: {name} ")
+    assert err.endswith(f"\n{name}: error: unrecognized arguments: --bogus\n")
+
+
 def test_run_table1(tmp_path):
     out = tmp_path / "table1.csv"
     run_script("run_table1.py", "--betas", "50", "--out", str(out))
@@ -79,6 +99,13 @@ def test_run_demo3d(tmp_path):
     assert digest == DEMO3D_TRAJ_SHA
     digest = hashlib.sha256((tmp_path / "damped.events.json").read_bytes()).hexdigest()
     assert digest == DEMO3D_EVENTS_SHA
+
+
+def test_run_demo3d_out_dir_that_is_a_file(tmp_path):
+    out = tmp_path / "results"
+    out.write_text("")
+    err = run_script("run_demo3d.py", "--out-dir", str(out), code=1)
+    assert err == f"error: [Errno 17] File exists: '{out}'\n"
 
 
 def test_bench_layers(tmp_path):
