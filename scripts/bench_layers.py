@@ -15,41 +15,37 @@ and 8e-3 (h/dt = 1 and 2, whole) and 1e-2, 5e-3, 2.5e-3 and 1.25e-3
 (h/dt = 1.6, 3.2, 6.4 and 12.8), every step recorded, and t_end rounded to
 a whole number of those steps.
 
-integrate_dde is timed on the very call docksim.dynamics.simulate makes:
-one simulate run per case, with integrate_dde wrapped, captures the call's
-arguments (so the recorded wrench is included, and the script runs against
-any integrate_dde signature), and those arguments are replayed. The replay
-gets one untimed warm-up run, which also counts the model class's wrench
-calls, then --repeat timed runs (time.perf_counter); a round keeps the best
-of them. load_scenario is timed on the case's scenario file, best of
---repeat calls after the case's own untimed load. The CSV timings write
-that simulate run's trajectory (rows and columns stated) to a temporary
-file and read it back, best of --repeat each after one untimed write. The
-JSON holds each round's best and the median of the round bests, the
-stability figures under "stability".
+integrate_dde is timed on the call docksim.dynamics.simulate makes, built
+the way simulate builds it: the mode's model on the scenario's body and
+contact, and its initial_vector of the initial state. The call gets one
+untimed warm-up run, which also counts the model's wrench calls, then
+--repeat timed runs (time.perf_counter); a round keeps the best of them.
+load_scenario is timed on the case's scenario file, best of --repeat calls
+after the case's own untimed load. The CSV timings write the case's
+simulate trajectory (rows and columns stated) to a temporary file and read
+it back, best of --repeat each after one untimed write.
 
-Each round runs the cases in its own order, CASES shuffled by
-random.Random(round), and the JSON records each round's order under
-"case_order_per_round": a case's figure then does not depend on the one
-fixed set of cases run before it in the process.
-
-Without --side, every round runs in this process on the docksim it
-imports. With --side LABEL=SRC (repeatable), every round runs each side in
-a fresh Python process with PYTHONPATH=SRC (``--raw ROUND``, so both sides
-of a round run the same order), alternating which side goes first, and the
-JSON holds one entry per side: a before/after comparison of
-two checkouts, with the stability figures under "stability_sides". Under
-"paired", keyed "LATER/FIRST", each later side is set against the first
-per case: the ratio of its us/step to the first side's in each round (both
-measured in the same round), the median of those ratios, and the number of
-rounds it was faster. Paired ratios cancel the drift between rounds that
-moves the medians of round bests on a shared machine. Each side's docksim
-runs this script's --raw child, so it must provide docksim.cli.Parser and
-docksim.cli.exit_code, which every checkout since their introduction does.
+Every round of every side runs in a fresh Python process with
+PYTHONPATH=SRC (``--raw ROUND``), alternating which side goes first. A side
+is a --side LABEL=SRC (repeatable); without --side there is one, "docksim",
+the directory the docksim this script imports comes from. Each round runs
+the cases in its own order, CASES shuffled by random.Random(round), the
+same for every side, and the JSON records each side's orders under
+"case_order_per_round". Under "sides" the JSON holds per side its "cases"
+and its "stability" figures: each count as measured, and each timing as its
+round bests and their median. With two or more sides, "paired", keyed
+"LATER/FIRST", sets each later side against the first per case: the ratio
+of its us/step to the first side's in each round (both measured in the same
+round), the median of those ratios, and the number of rounds it was faster.
+Paired ratios cancel the drift between rounds that moves the medians of
+round bests on a shared machine. Each side's docksim runs this script's
+--raw child, so it must provide docksim.cli.Parser and docksim.cli.exit_code,
+which every checkout since their introduction does.
 
 Exit codes and error lines are docksim.cli.exit_code's: 1 a usage error
-(--rounds or --repeat below 1, a --side without "="), 3 an internal fault
-(a side's child process failing included).
+(--rounds or --repeat below 1, a --side without "=" or whose SRC holds no
+docksim package, named on one line before any round runs), 3 an internal
+fault (a side's child process failing, with the last line of its stderr).
 
 Usage: python scripts/bench_layers.py [--rounds 5] [--repeat 5] [--t-end T]
            [--side before=../old/src --side after=src] [--out bench.json]
@@ -69,7 +65,9 @@ import time
 
 import numpy as np
 
-from docksim.cli import Parser, exit_code
+import docksim
+from docksim import ValidationError, dynamics, stability
+from docksim.cli import Parser, exit_code, load_scenario, scenario_path
 
 # (scenario, mode, dt or None for the scenario's own)
 CASES = [("table1", "2d", None), ("fig7", "2d", None), ("table1", "3d", None), ("fig7", "3d", None),
@@ -96,18 +94,14 @@ def case_name(name, mode, dt) -> str:
 
 def measure(t_end, repeat, round_number) -> tuple[dict, list]:
     """One round, its cases in the order random.Random(round_number)
-    shuffles CASES into: ({case: {load_us, steps, wrench_calls,
-    us_per_step, csv_rows, csv_columns, write_us_per_row,
-    read_us_per_row}} in the order of CASES, [case, ...] in the order
+    shuffles CASES into: ({case: {steps, wrench_calls_per_run, csv_rows,
+    csv_columns, us_per_step, load_scenario_us, write_csv_us_per_row,
+    read_csv_us_per_row}} in the order of CASES, [case, ...] in the order
     run)."""
-    from docksim import dynamics
-    from docksim.cli import load_scenario, scenario_path
-
     order = list(CASES)
     random.Random(round_number).shuffle(order)
     result = dict.fromkeys(case_name(*c) for c in CASES)
     for name, mode, dt in order:
-        case = case_name(name, mode, dt)
         path = scenario_path(name)
         body, contact, sim, _ = load_scenario(path)
         load = best_of(repeat, lambda: load_scenario(path))
@@ -115,36 +109,18 @@ def measure(t_end, repeat, round_number) -> tuple[dict, list]:
             sim = dataclasses.replace(sim, t_end=t_end)
         if dt is not None:
             sim = dataclasses.replace(sim, dt=dt, record_every=1, t_end=round(sim.t_end / dt) * dt)
-        integrate_dde = dynamics.integrate_dde
-        captured = []
-
-        def capture(*args, **kwargs):
-            captured.append((args, kwargs))
-            return integrate_dde(*args, **kwargs)
-
-        dynamics.integrate_dde = capture
-        try:
-            traj, _ = dynamics.simulate(sim, body, contact, mode=mode)
-        finally:
-            dynamics.integrate_dde = integrate_dde
-        (args, kwargs), = captured
+        traj, _ = dynamics.simulate(sim, body, contact, mode=mode)
+        model = dynamics._MODELS[mode](body, contact)
+        y0 = model.initial_vector(sim.initial)
 
         def run():
-            return integrate_dde(*args, **kwargs)
+            return dynamics.integrate_dde(model, y0, sim.dt, sim.t_end, sim.h)
 
-        cls = dynamics._MODELS[mode]
-        calls = [0]
-        wrench = cls.wrench
-
-        def counted(self, xd):
-            calls[0] += 1
-            return wrench(self, xd)
-
-        cls.wrench = counted
-        try:
-            steps = len(run()[0]) - 1
-        finally:
-            cls.wrench = wrench
+        calls = []  # one entry per wrench call of the warm-up run
+        wrench = model.wrench
+        model.wrench = lambda xd: calls.append(None) or wrench(xd)
+        steps = len(run()[0]) - 1
+        del model.wrench
         best = best_of(repeat, run)
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -155,19 +131,17 @@ def measure(t_end, repeat, round_number) -> tuple[dict, list]:
             write = best_of(repeat, lambda: dynamics.write_trajectory_csv(traj, path))
             read = best_of(repeat, lambda: dynamics.read_trajectory_csv(path))
         rows = len(traj.times)
-        result[case] = {"load_us": round(load * 1e6, 2), "steps": steps, "wrench_calls": calls[0],
-                        "us_per_step": round(best / steps * 1e6, 4),
-                        "csv_rows": rows, "csv_columns": columns,
-                        "write_us_per_row": round(write / rows * 1e6, 4),
-                        "read_us_per_row": round(read / rows * 1e6, 4)}
+        result[case_name(name, mode, dt)] = {
+            "steps": steps, "wrench_calls_per_run": len(calls), "csv_rows": rows, "csv_columns": columns,
+            "us_per_step": round(best / steps * 1e6, 4), "load_scenario_us": round(load * 1e6, 2),
+            "write_csv_us_per_row": round(write / rows * 1e6, 4),
+            "read_csv_us_per_row": round(read / rows * 1e6, 4)}
     return result, [case_name(*c) for c in order]
 
 
 def measure_stability(repeat) -> dict:
     """One round of the stability layer: {boundary_us_per_point,
     critical_damping_us}."""
-    from docksim import stability
-
     def boundary():
         return stability.stability_boundary("beta", BOUNDARY_BETAS, mu=60.0, kappa=1000.0)
 
@@ -182,35 +156,15 @@ def measure_stability(repeat) -> dict:
     return result
 
 
-def summarize_stability(rounds: list) -> dict:
-    """Per stability figure: the round bests and their median."""
-    return {key: {"per_round": [r[key] for r in rounds],
-                  "median": round(statistics.median(r[key] for r in rounds), 4)} for key in rounds[0]}
-
-
 def summarize(rounds: list) -> dict:
-    """Per case: steps, wrench calls per run, the round bests and their
-    median; then the CSV size and the write/read round bests and medians;
-    then the load_scenario round bests and their median."""
+    """The figures of one case (or of the stability layer) over the rounds:
+    a count (an int, the same in every round) as it is, a timing as its
+    round bests and their median."""
     out = {}
-    for case in rounds[0]:
-        first = rounds[0][case]
-        bests = {key: [r[case][key] for r in rounds]
-                 for key in ("us_per_step", "write_us_per_row", "read_us_per_row", "load_us")}
-        out[case] = {
-            "steps": first["steps"],
-            "wrench_calls_per_run": first["wrench_calls"],
-            "best_of_repeat_per_round": bests["us_per_step"],
-            "median_of_round_bests": round(statistics.median(bests["us_per_step"]), 4),
-            "csv_rows": first["csv_rows"],
-            "csv_columns": first["csv_columns"],
-        }
-        for fn, key in (("write_trajectory_csv", "write_us_per_row"),
-                        ("read_trajectory_csv", "read_us_per_row")):
-            out[case][f"{fn}_us_per_row_per_round"] = bests[key]
-            out[case][f"{fn}_us_per_row"] = round(statistics.median(bests[key]), 4)
-        out[case]["load_scenario_us_per_round"] = bests["load_us"]
-        out[case]["load_scenario_us"] = round(statistics.median(bests["load_us"]), 2)
+    for key, first in rounds[0].items():
+        bests = [r[key] for r in rounds]
+        out[key] = first if isinstance(first, int) else {
+            "per_round": bests, "median": round(statistics.median(bests), 4)}
     return out
 
 
@@ -227,13 +181,17 @@ def pair(first: list, later: list) -> dict:
     return out
 
 
-def run_side(src, t_end, repeat, round_number) -> dict:
-    """Round round_number in a fresh process on the docksim under src."""
+def run_side(label, src, t_end, repeat, round_number) -> dict:
+    """Round round_number in a fresh process on the docksim under src; a
+    failing child is an internal fault that quotes its last stderr line."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, os.path.abspath(__file__), "--raw", str(round_number), "--repeat", str(repeat)]
     if t_end is not None:
         cmd += ["--t-end", repr(t_end)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines() or ["no stderr"]
+        raise RuntimeError(f"side {label}, round {round_number}: exit {proc.returncode}: {lines[-1]}")
     return json.loads(proc.stdout)
 
 
@@ -243,7 +201,7 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=5, help="timed runs per case and round")
     ap.add_argument("--t-end", type=float, default=None, help="run length [s] (default: each scenario's)")
     ap.add_argument("--side", action="append", default=[], metavar="LABEL=SRC",
-                    help="measure the docksim under SRC in fresh processes (repeatable)")
+                    help="measure the docksim under SRC (repeatable; default: the imported one's)")
     ap.add_argument("--raw", type=int, default=None, metavar="ROUND",
                     help="print the raw JSON of round ROUND (its case order) and exit")
     ap.add_argument("--out", default=None, help="write the JSON here instead of stdout")
@@ -254,41 +212,40 @@ def main() -> int:
         cases, order = measure(args.t_end, args.repeat, args.raw)
         print(json.dumps({"cases": cases, "order": order, "stability": measure_stability(args.repeat)}))
         return 0
+    here = os.path.dirname(os.path.dirname(os.path.abspath(docksim.__file__)))
+    sides = [s.split("=", 1) for s in args.side] or [["docksim", here]]
+    if any(len(s) != 2 for s in sides):
+        ap.error("--side must look like LABEL=SRC")
+    for label, src in sides:
+        if not os.path.isdir(os.path.join(src, "docksim")):
+            raise ValidationError(f"--side {label}: no docksim package in {src!r}")
 
+    rounds = {label: [] for label, _ in sides}
+    for r in range(args.rounds):
+        for label, src in (sides if r % 2 == 0 else sides[::-1]):
+            rounds[label].append(run_side(label, src, args.t_end, args.repeat, r))
+    cases = {label: [r["cases"] for r in rounds[label]] for label in rounds}
     report = {
         "what": "load_scenario (with validate) microseconds per call, integrate_dde microseconds per "
-                "step (simulate's own call, replayed), model wrench calls per run, and "
+                "step (the call simulate makes), model wrench calls per run, and "
                 "write_trajectory_csv / read_trajectory_csv microseconds per row of the simulate "
                 "trajectory, per scenario and mode; stability_boundary microseconds per point of a "
                 "2000-point beta grid and critical_damping microseconds per call, at mu = 60, kappa = 1000",
-        "method": f"{args.rounds} rounds; per round and case one untimed warm-up run, then the best "
-                  f"of {args.repeat} timed runs",
+        "method": f"{args.rounds} rounds, each running each side in a fresh process, alternating which "
+                  f"goes first; per round and case one untimed warm-up run, then the best of "
+                  f"{args.repeat} timed runs",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
         "t_end": args.t_end,
         "unit": "us/step; CSV: us/row; load_scenario: us/call; stability: us/point and us/call",
+        "sides": {label: {"cases": {case: summarize([c[case] for c in cases[label]]) for case in cases[label][0]},
+                          "stability": summarize([r["stability"] for r in rounds[label]])}
+                  for label in rounds},
+        "case_order_per_round": {label: [r["order"] for r in rounds[label]] for label in rounds},
     }
-    if args.side:
-        sides = [s.split("=", 1) for s in args.side]
-        if any(len(s) != 2 for s in sides):
-            ap.error("--side must look like LABEL=SRC")
-        rounds = {label: [] for label, _ in sides}
-        for r in range(args.rounds):
-            for label, src in (sides if r % 2 == 0 else sides[::-1]):
-                rounds[label].append(run_side(src, args.t_end, args.repeat, r))
-        report["method"] += "; each round runs each side in a fresh process, alternating which goes first"
-        cases = {label: [r["cases"] for r in rounds[label]] for label in rounds}
-        report["sides"] = {label: summarize(cases[label]) for label in rounds}
-        report["stability_sides"] = {label: summarize_stability([r["stability"] for r in rounds[label]])
-                                     for label in rounds}
-        report["case_order_per_round"] = {label: [r["order"] for r in rounds[label]] for label in rounds}
-        (first, _), *later = sides
+    (first, _), *later = sides
+    if later:
         report["paired"] = {f"{label}/{first}": pair(cases[first], cases[label]) for label, _ in later}
-    else:
-        rounds = [(measure(args.t_end, args.repeat, r), measure_stability(args.repeat)) for r in range(args.rounds)]
-        report["workloads"] = summarize([cases for (cases, _), _ in rounds])
-        report["stability"] = summarize_stability([stab for _, stab in rounds])
-        report["case_order_per_round"] = [order for (_, order), _ in rounds]
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -45,13 +45,14 @@ restitution reading.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ValidationError, delay_problem, nonnegative_problem, positive_problem, require, write_csv
+from .core import ValidationError, allocate, delay_problem, nonnegative_problem, positive_problem, require, write_csv
 from .linear import penetration_dde_coeffs
 
 CRITICAL_DAMPING_BRACKET_MAX = 1e6
@@ -181,16 +182,19 @@ def analyze(
     """Full pole-location summary: the crossing frequency omega_c, the
     crossing indicator sigma and the first n_delays crossing delays, with
     the verdict when h is given. A coefficient out of its domain, n_delays
-    below 1, a closed form that overflows or is not finite, and then an h or
-    band that is not finite and >= 0 (band also without h) raise
-    ValidationError."""
+    below 1, a closed form that overflows or is not finite, an n_delays too
+    large to allocate, and then an h or band that is not finite and >= 0
+    (band also without h) raise ValidationError."""
     require(positive_problem("mu", mu), positive_problem("kappa", kappa), nonnegative_problem("beta", beta),
             None if n_delays >= 1 else f"n_delays must be >= 1, got {n_delays!r}")
     omega_c, sigma, base = _crossing(mu, beta, kappa)
     if not 0.0 < omega_c < math.inf:
         raise ValidationError(f"closed form out of floating-point range at "
                               f"mu={mu!r}, beta={beta!r}, kappa={kappa!r}")
-    h_n = tuple((base + 2.0 * math.pi * n) / omega_c for n in range(n_delays))
+    # operator.index keeps range's TypeError for a count that is not an
+    # integer, which np.arange would round up
+    n = allocate(f"n_delays {n_delays}", np.arange, operator.index(n_delays))
+    h_n = tuple(((base + 2.0 * math.pi * n) / omega_c).tolist())
     require(nonnegative_problem("band", band), None if h is None else delay_problem(h))
     verdict = None if h is None else classify(h, h_n[0], band)
     return StabilityResult(

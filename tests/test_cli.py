@@ -911,11 +911,14 @@ def test_exit_code_maps_each_outcome_to_one_line(capsys, command, code, err):
     (("boundary", "--axis", "beta", "--mu", "60", "--kappa", "1000",
       "--grid", "0:1:10000000000000", "--out", "b.csv"),
      "error: grid count 10000000000000 is too large: Unable to allocate "),
-], ids=["steps", "grid"])
+    (("stability", "--mu", "1", "--beta", "1", "--kappa", "1", "--n-delays", "100000000000"),
+     "error: n_delays 100000000000 is too large: Unable to allocate "),
+], ids=["steps", "grid", "delays"])
 def test_count_beyond_the_address_space_exits_1(tmp_path, args, message):
     # a child process limited to 4 GiB of address space, so that numpy's
-    # allocation of 447 GiB of rows or 73 TiB of grid fails there whatever
-    # the machine has; its MemoryError used to exit 3 as an internal error
+    # allocation of 447 GiB of rows, 73 TiB of grid or 745 GiB of delay
+    # indices fails there whatever the machine has; its MemoryError used to
+    # exit 3 as an internal error
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
 

@@ -538,6 +538,18 @@ class TestSimulate:
         _, events = ds.simulate(approach_config(), body, table1_contact(b_v=50.0), mode=mode)
         assert events and calls[0] == 25 < math.ceil(12000 / 160)
 
+    @pytest.mark.parametrize("name, mode, calls", [
+        ("table1", "2d", 25), ("table1", "3d", 25), ("fig7", "2d", 50), ("fig7", "3d", 50),
+        ("demo3d", "3d", 210),
+    ])
+    def test_bundled_scenario_contact_law_calls(self, monkeypatch, name, mode, calls):
+        # the contact-law calls per run that the README and the module
+        # docstring state for the bundled scenarios
+        counted = count_wrench_calls(monkeypatch, dynamics._MODELS[mode])
+        body, contact, sim, _ = load_scenario(scenario_path(name))
+        ds.simulate(sim, body, contact, mode=mode)
+        assert counted[0] == calls
+
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("h", [-0.016, math.nan, math.inf, 5e-5])  # 5e-5 is dt/2
     def test_unusable_delay_is_rejected(self, body, contact, mode, h):

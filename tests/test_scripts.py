@@ -11,10 +11,10 @@ import pytest
 
 import docksim
 
+from test_golden_outputs import GOLDEN
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(docksim.__file__).resolve().parents[1])
-DEMO3D_TRAJ_SHA = "e3ddfe0789857038d941420d811a42fbe2168d3e2a8303274c55f9be00680d2d"
-DEMO3D_EVENTS_SHA = "d3c4658ab3d526e3f35eecafa9aeef7ca8c5f5e43dfbd73228b4c97e63a3fc15"
 
 
 def run_script(name, *args, code=0):
@@ -95,10 +95,9 @@ def test_run_demo3d(tmp_path):
         assert events and all("max_depth" in e and "classification" in e for e in events)
     assert (tmp_path / "damped.energy.csv").exists()
     # the damped run is the bundled demo3d scenario, as `docksim simulate` writes it
-    digest = hashlib.sha256((tmp_path / "damped.traj.csv").read_bytes()).hexdigest()
-    assert digest == DEMO3D_TRAJ_SHA
-    digest = hashlib.sha256((tmp_path / "damped.events.json").read_bytes()).hexdigest()
-    assert digest == DEMO3D_EVENTS_SHA
+    digests = tuple(hashlib.sha256((tmp_path / f"damped.{kind}").read_bytes()).hexdigest()
+                    for kind in ("traj.csv", "events.json"))
+    assert digests == GOLDEN[("demo3d", "3d")]
 
 
 def test_run_demo3d_out_dir_that_is_a_file(tmp_path):
@@ -115,39 +114,42 @@ def test_bench_layers(tmp_path):
     short = {"dt0.016": 3, "dt0.008": 6, "dt0.01": 5, "dt0.005": 10, "dt0.0025": 20, "dt0.00125": 40}
     steps = {"table1-2d": 500, "fig7-2d": 500, "table1-3d": 500, "fig7-3d": 500, "demo3d-3d": 500}
     steps.update({f"{case}-{dt}": n for case in ("table1-2d", "demo3d-3d") for dt, n in short.items()})
+    timings = ("us_per_step", "load_scenario_us", "write_csv_us_per_row", "read_csv_us_per_row")
+    # without --side, one side: the docksim this test imports, in its own
+    # process
     out = tmp_path / "bench.json"
     run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1", "--repeat", "1", "--out", str(out))
-    workloads = json.loads(out.read_text())["workloads"]
-    assert set(workloads) == set(steps)
-    for name, case in workloads.items():
+    report = json.loads(out.read_text())
+    assert set(report["sides"]) == {"docksim"} and "paired" not in report
+    cases = report["sides"]["docksim"]["cases"]
+    assert set(cases) == set(steps)
+    for name, case in cases.items():
         # one block of int(h/dt) steps (160 at the own dt), then one
         # speculative span
         assert case["steps"] == steps[name] and case["wrench_calls_per_run"] == 2
-        assert case["median_of_round_bests"] > 0.0
-    for name, case in workloads.items():
         # the simulate trajectory in the 2D or 3D layout; demo3d records
         # every 10th step at its own dt, the short-delay cases every step
         rows = 51 if name == "demo3d-3d" else steps[name] + 1
         assert (case["csv_rows"], case["csv_columns"]) == (rows, 9 if "-2d" in name else 19)
-        assert case["write_trajectory_csv_us_per_row"] > 0.0
-        assert case["read_trajectory_csv_us_per_row"] > 0.0
-        assert case["load_scenario_us"] > 0.0
+        for key in timings:
+            assert len(case[key]["per_round"]) == 1 and case[key]["median"] == case[key]["per_round"][0] > 0.0
     # the round ran the cases in a shuffled order, recorded
-    order, = json.loads(out.read_text())["case_order_per_round"]
-    assert sorted(order) == sorted(steps) and order != list(workloads)
-    stability = json.loads(out.read_text())["stability"]
+    order, = report["case_order_per_round"]["docksim"]
+    assert sorted(order) == sorted(steps) and order != list(cases)
+    stability = report["sides"]["docksim"]["stability"]
     assert set(stability) == {"boundary_us_per_point", "critical_damping_us"}
     assert all(figure["median"] > 0.0 for figure in stability.values())
-    # one round of each side in its own process, both in the round's order
+    # one round of each of two sides, both in the round's order
     report = json.loads(run_script("bench_layers.py", "--t-end", "0.05", "--rounds", "1",
                                    "--repeat", "1", "--side", f"a={SRC}", "--side", f"b={SRC}"))
     assert set(report["sides"]) == {"a", "b"}
     orders = report["case_order_per_round"]
     assert set(orders) == {"a", "b"} and orders["a"] == orders["b"] == [order]
-    assert all(set(side) == set(steps) for side in report["sides"].values())
-    assert set(report["stability_sides"]) == {"a", "b"}
-    assert all(side["boundary_us_per_point"]["median"] > 0.0 and side["critical_damping_us"]["median"] > 0.0
-               for side in report["stability_sides"].values())
+    for side in report["sides"].values():
+        assert set(side["cases"]) == set(steps)
+        assert all(side["cases"][name]["steps"] == n for name, n in steps.items())
+        assert set(side["stability"]) == {"boundary_us_per_point", "critical_damping_us"}
+        assert all(figure["median"] > 0.0 for figure in side["stability"].values())
     # b against a per case: one round's ratio, its median, rounds b won
     assert set(report["paired"]) == {"b/a"}
     paired = report["paired"]["b/a"]
@@ -157,8 +159,29 @@ def test_bench_layers(tmp_path):
         ratio = case["ratio_per_round"][0]
         assert len(case["ratio_per_round"]) == 1 and case["median_ratio"] == ratio > 0.0
         assert case["rounds_faster"] == (ratio < 1.0)
-        a, b = (report["sides"][side][name]["best_of_repeat_per_round"][0] for side in "ab")
+        a, b = (report["sides"][side]["cases"][name]["us_per_step"]["per_round"][0] for side in "ab")
         assert ratio == round(b / a, 4)
+
+
+def test_bench_layers_rejects_a_side_without_docksim(tmp_path):
+    # named on one line before any round runs; it used to end in the
+    # child's CalledProcessError, its stderr dropped
+    out = tmp_path / "bench.json"
+    err = run_script("bench_layers.py", "--side", f"a={SRC}", "--side", f"b={tmp_path}",
+                     "--out", str(out), code=1)
+    assert err == f"error: --side b: no docksim package in '{tmp_path}'\n"
+    assert not out.exists()
+
+
+def test_bench_layers_reports_a_failing_side(tmp_path):
+    # a side whose child fails: exit 3 and the child's last stderr line
+    (tmp_path / "docksim").mkdir()
+    (tmp_path / "docksim" / "__init__.py").write_text('raise ImportError("this docksim does not import")\n')
+    out = tmp_path / "bench.json"
+    err = run_script("bench_layers.py", "--side", f"broken={tmp_path}", "--out", str(out), code=3)
+    assert err == ("internal error: RuntimeError: side broken, round 0: exit 1: "
+                   "ImportError: this docksim does not import\n")
+    assert not out.exists()
 
 
 def test_code_lines(tmp_path):
